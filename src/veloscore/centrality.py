@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import kernels
-from .ingest import Event, UserGraph
+from .ingest import DataFileError, Event, UserGraph
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -72,13 +72,16 @@ class ScoreVector:
         users: list[str] = []
         vals: list[float] = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                u, s = line.split("\t")
+                try:
+                    u, s = line.split("\t")
+                    vals.append(float(s))
+                except ValueError as exc:
+                    raise DataFileError(path, lineno, exc) from None
                 users.append(u)
-                vals.append(float(s))
         return cls(algorithm or "file", users, np.asarray(vals, dtype=np.float64))
 
 
@@ -180,14 +183,19 @@ def build_retweet_graph(events: Iterable[Event], graph: UserGraph) -> RetweetGra
         if ev.retweet_of is not None:
             rt_counts[(ev.author, ev.retweet_of)] += 1
 
-    follow_pairs = {(int(a), int(b)) for a, b in graph.edges}
+    # follow edge i -> j as the key i * n + j; -1 for a pair with a user off the graph
+    n = graph.n
+    follow_keys = graph.edges[:, 0] * n + graph.edges[:, 1]
+    pairs = sorted(rt_counts.items())
+    ij = [(graph.index(a), graph.index(b)) for (a, b), _ in pairs]
+    keys = np.array([-1 if i is None or j is None else i * n + j for i, j in ij], dtype=np.int64)
+    followed = np.isin(keys, follow_keys)
+
     incident: set[str] = set()
     kept: list[tuple[str, str, float]] = []
     dropped = 0
-    for (i_user, j_user), cnt in sorted(rt_counts.items()):
-        i = graph.index(i_user)
-        j = graph.index(j_user)
-        if i is None or j is None or (i, j) not in follow_pairs:
+    for ((i_user, j_user), cnt), follows in zip(pairs, followed):
+        if not follows:
             dropped += 1
             continue
         opportunities = authored.get(j_user, 0)

@@ -16,7 +16,14 @@ from . import centrality as centrality_mod
 from . import dynamics, evaluation, synth
 from .centrality import ScoreVector
 from .dynamics import KineticsConfig, week_end_hour
-from .ingest import IngestStats, bucketize, load_graph, parse_timestamp, read_events_file
+from .ingest import (
+    DataFileError,
+    IngestStats,
+    bucketize,
+    load_graph,
+    parse_timestamp,
+    read_events_file,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,6 +155,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if not 0.0 <= args.error_ceiling <= 1.0:
+        raise CliError(f"--error-ceiling must be in [0, 1], got {args.error_ceiling}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
@@ -240,9 +249,8 @@ def cmd_centrality(args) -> int:
     if "ip_influence" in wanted or "ip_passivity" in wanted:
         if not args.events:
             raise CliError("--events is required for the ip algorithm")
-        ev_stats = IngestStats()
-        events = list(read_events_file(_require_file(args.events, "event stream"), ev_stats))
-        rg = centrality_mod.build_retweet_graph(events, graph)
+        events_path = _require_file(args.events, "event stream")
+        rg = centrality_mod.build_retweet_graph(read_events_file(events_path), graph)
         try:
             inf, pas = centrality_mod.influence_passivity(rg, args.tol, args.max_iter)
         except ValueError as exc:
@@ -276,14 +284,13 @@ def cmd_eval(args) -> int:
     clicks_path = _require_file(args.clicks, "clicks table")
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
+    epoch = _parse_epoch(args.epoch)
     graph = load_graph(edges_path, counts_path, stats)
     clicks_table = evaluation.read_clicks(clicks_path)
-    events = list(read_events_file(events_path, stats))
-    epoch = _parse_epoch(args.epoch)
 
     ds_stats: dict = {}
     global_records, weekly_records = evaluation.build_url_datasets(
-        events, clicks_table, graph, epoch, stats=ds_stats)
+        read_events_file(events_path, stats), clicks_table, graph, epoch, stats=ds_stats)
     if len(global_records) < 3:
         raise DataError(f"only {len(global_records)} qualified URLs; need at least 3")
     velocity_source = dynamics.load_snapshots(snap_path)
@@ -422,7 +429,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"veloscore: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, DataFileError) as exc:
         print(f"veloscore: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

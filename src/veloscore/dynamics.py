@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .ingest import HourBucket, UserGraph
+from .ingest import DataFileError, HourBucket, UserGraph
 
 MASS_MODES = ("raw_followers", "ln_followers")
 FORCE_SOURCES = ("mentions", "retweets")
@@ -39,12 +39,12 @@ class KineticsConfig:
     force_source: str = "mentions"
 
     def __post_init__(self):
-        if self.zeta < 0:
-            raise ValueError(f"zeta must be >= 0, got {self.zeta}")
+        if not (math.isfinite(self.zeta) and self.zeta >= 0):
+            raise ValueError(f"zeta must be finite and >= 0, got {self.zeta}")
         if self.mass_mode not in MASS_MODES:
             raise ValueError(f"mass_mode must be one of {MASS_MODES}")
-        if self.default_mass < 1:
-            raise ValueError(f"default_mass must be >= 1, got {self.default_mass}")
+        if not (math.isfinite(self.default_mass) and self.default_mass >= 1):
+            raise ValueError(f"default_mass must be finite and >= 1, got {self.default_mass}")
         if self.force_source not in FORCE_SOURCES:
             raise ValueError(f"force_source must be one of {FORCE_SOURCES}")
 
@@ -359,11 +359,14 @@ def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> Non
 def load_snapshots(path) -> SnapshotTable:
     hours: dict[int, dict[str, tuple[float, float]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            h_s, user, v_s, a_s = line.split("\t")
-            hours.setdefault(int(h_s), {})[user] = (float(v_s), float(a_s))
+            try:
+                h_s, user, v_s, a_s = line.split("\t")
+                hours.setdefault(int(h_s), {})[user] = (float(v_s), float(a_s))
+            except ValueError as exc:
+                raise DataFileError(path, lineno, exc) from None
     final_hour = max(hours) if hours else -1
     return SnapshotTable(hours, final_hour)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .dynamics import WEEK_HOURS, week_end_hour
-from .ingest import Event, UserGraph, floor_to_hour
+from .ingest import DataFileError, Event, UserGraph, floor_to_hour
 
 VELOCITY_FLAVORS = ("final_date", "on_week", "prior_week")
 
@@ -48,12 +47,15 @@ def read_clicks(path) -> dict[str, int]:
     """Load a url<TAB>clicks table."""
     table: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            url, clicks = line.split("\t")
-            table[url] = int(clicks)
+            try:
+                url, clicks = line.split("\t")
+                table[url] = int(clicks)
+            except ValueError as exc:
+                raise DataFileError(path, lineno, exc) from None
     return table
 
 
@@ -207,7 +209,12 @@ def _p_from_r(r: float, n: int) -> float:
     if denom <= 0.0:
         return 0.0
     t = abs(r) * math.sqrt((n - 2) / denom)
-    return float(2.0 * scipy_stats.t.sf(t, n - 2))
+    # The Student-t survival function sf(t) is stdtr(df, -t).  Importing
+    # scipy.special here, not scipy.stats at module level, keeps scipy out
+    # of every command that computes no p-value.
+    from scipy.special import stdtr
+
+    return float(2.0 * stdtr(n - 2, -t))
 
 
 def pearson(xs, ys) -> tuple[float, float, float]:

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,13 @@ _URL_TRAIL = ".,;:!?)'\">"
 
 class ParseError(ValueError):
     """One malformed stream record or graph line."""
+
+
+class DataFileError(ValueError):
+    """A malformed line in a table a command reads whole; names the file and line."""
+
+    def __init__(self, path, lineno: int, problem):
+        super().__init__(f"{path}:{lineno}: {problem}")
 
 
 def normalize_handle(raw: str) -> str:
@@ -95,85 +102,143 @@ class Event:
         return math.floor((self.timestamp - epoch).total_seconds() / HOUR_SECONDS)
 
 
-def _extract_urls(text: str) -> list[str]:
-    return [m.group(0).rstrip(_URL_TRAIL) for m in _URL_RE.finditer(text)]
+_JSON = json.JSONDecoder()  # stateless; shared like json's own default decoder
+_JSON_WS = json.decoder.WHITESPACE.match
+
+
+def decode_json(line: str):
+    """``json.loads(line)`` for a str, raising ParseError instead.
+
+    Skips and checks whitespace around the value the way ``json.loads``
+    does, so it accepts exactly the lines that ``json.loads`` accepts; a
+    value nested too deeply for the decoder's recursion is a ParseError.
+    """
+    try:
+        idx = _JSON_WS(line, 0).end() if line[:1] in " \t\n\r" else 0
+        value, end = _JSON.raw_decode(line, idx)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nested too deeply") from exc
+    if end != len(line) and _JSON_WS(line, end).end() != len(line):
+        raise ParseError(f"not valid JSON: extra data at column {end + 1}")
+    return value
+
+
+class EventDecoder:
+    """Parses stream records into Events for one reader.
+
+    Remembers the handle each valid raw handle string normalizes to, so
+    its memory grows with the distinct handles seen and never with the
+    record count, and reuses the previous record's timestamp when the
+    ``ts`` string repeats.  Every record gets the same checks as a fresh
+    decoder would give it.
+    """
+
+    def __init__(self):
+        self._handles: dict[str, str] = {}
+        self._ts_raw: Optional[str] = None
+        self._ts: Optional[datetime] = None
+
+    def handle(self, raw) -> str:
+        """``normalize_handle`` for any JSON value; a non-string is a ParseError."""
+        try:
+            return self._handles[raw]
+        except KeyError:
+            if not isinstance(raw, str):
+                raise ParseError(f"handle is a {type(raw).__name__}") from None
+        except TypeError:  # unhashable: a list or an object
+            raise ParseError(f"handle is a {type(raw).__name__}") from None
+        h = self._handles[raw] = normalize_handle(raw)
+        return h
+
+    def timestamp(self, raw) -> datetime:
+        if raw != self._ts_raw or self._ts is None:
+            ts = parse_timestamp(raw)
+            self._ts_raw, self._ts = raw, ts
+        return self._ts
+
+    def decode(self, line: str) -> Event:
+        """Parse one JSON stream record into an Event.
+
+        Pre-extracted ``mentions``/``rt_of``/``urls`` fields win over the
+        ``text`` field when both are present.  A retweet attribution always
+        appears in ``mentions`` as well.  Any malformed record, however
+        hostile, raises ParseError.
+        """
+        try:
+            return self._decode(line)
+        except RecursionError as exc:  # str() or repr() of a deeply nested field
+            raise ParseError("record nested too deeply") from exc
+
+    def _decode(self, line: str) -> Event:
+        rec = decode_json(line)
+        if not isinstance(rec, dict):
+            raise ParseError("record is not an object")
+
+        author_raw = rec.get("author")
+        if not author_raw or not isinstance(author_raw, str):
+            raise ParseError("empty author")
+        handle = self.handle
+        author = handle(author_raw)
+        ts = self.timestamp(rec.get("ts"))
+        text = rec.get("text", "") or ""
+        has_mentions = "mentions" in rec
+        if not isinstance(text, str) and not (has_mentions and "urls" in rec):
+            raise ParseError("text is not a string")
+
+        if has_mentions:
+            if not isinstance(rec["mentions"], list):
+                raise ParseError("mentions is not an array")
+            raw_mentions = [handle(m) for m in rec["mentions"]]
+        else:
+            raw_mentions = list(map(str.lower, _MENTION_RE.findall(text)))
+
+        rt_raw = rec.get("rt_of")
+        if rt_raw:
+            retweet_of: Optional[str] = handle(rt_raw)
+        else:
+            rt_match = _RETWEET_RE.match(text) if not has_mentions else None
+            retweet_of = rt_match.group(1).lower() if rt_match else None
+
+        if author in raw_mentions:
+            mentions = [m for m in raw_mentions if m != author]
+            self_mentions = len(raw_mentions) - len(mentions)
+        else:
+            mentions, self_mentions = raw_mentions, 0
+        if retweet_of == author:
+            retweet_of = None  # self-attribution carries no outside attention
+        if retweet_of is not None and retweet_of not in mentions:
+            mentions.insert(0, retweet_of)
+
+        if "urls" in rec:
+            if not isinstance(rec["urls"], list):
+                raise ParseError("urls is not an array")
+            urls = [u for u in (str(u).strip() for u in rec["urls"]) if u]
+        elif "http" in text:
+            urls = [u.rstrip(_URL_TRAIL) for u in _URL_RE.findall(text)]
+        else:
+            urls = []
+
+        event_id = str(rec.get("id", ""))
+        return Event(event_id, author, ts, mentions, retweet_of, urls, self_mentions)
 
 
 def parse_event(line: str) -> Event:
-    """Parse one JSON stream record into an Event.
-
-    Pre-extracted ``mentions``/``rt_of``/``urls`` fields win over the
-    ``text`` field when both are present.  A retweet attribution always
-    appears in ``mentions`` as well.
-    """
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise ParseError("record is not an object")
-
-    author_raw = rec.get("author")
-    if not author_raw or not isinstance(author_raw, str):
-        raise ParseError("empty author")
-    author = normalize_handle(author_raw)
-    ts = parse_timestamp(rec.get("ts"))
-    event_id = str(rec.get("id", ""))
-    text = rec.get("text", "") or ""
-
-    self_mentions = 0
-    if "mentions" in rec:
-        if not isinstance(rec["mentions"], list):
-            raise ParseError("mentions is not an array")
-        raw_mentions = [normalize_handle(m) for m in rec["mentions"]]
-    else:
-        raw_mentions = [m.group(1).lower() for m in _MENTION_RE.finditer(text)]
-
-    if "rt_of" in rec and rec["rt_of"]:
-        retweet_of: Optional[str] = normalize_handle(rec["rt_of"])
-    else:
-        rt_match = _RETWEET_RE.match(text) if "mentions" not in rec else None
-        retweet_of = rt_match.group(1).lower() if rt_match else None
-
-    mentions = []
-    for m in raw_mentions:
-        if m == author:
-            self_mentions += 1
-        else:
-            mentions.append(m)
-
-    if retweet_of == author:
-        retweet_of = None  # self-attribution carries no outside attention
-    if retweet_of is not None and retweet_of not in mentions:
-        mentions.insert(0, retweet_of)
-
-    if "urls" in rec:
-        if not isinstance(rec["urls"], list):
-            raise ParseError("urls is not an array")
-        urls = [str(u).strip() for u in rec["urls"] if str(u).strip()]
-    else:
-        urls = _extract_urls(text)
-
-    return Event(
-        event_id=event_id,
-        author=author,
-        timestamp=ts,
-        mentions=mentions,
-        retweet_of=retweet_of,
-        urls=urls,
-        self_mentions=self_mentions,
-    )
+    """Parse one JSON stream record into an Event (see ``EventDecoder.decode``)."""
+    return EventDecoder().decode(line)
 
 
 def read_events(lines: Iterable[str], stats: Optional[IngestStats] = None) -> Iterator[Event]:
     """Yield parsed events from raw lines, counting and skipping bad records."""
     stats = stats if stats is not None else IngestStats()
+    decode = EventDecoder().decode
     for line in lines:
         if not line.strip():
             continue
         stats.records += 1
         try:
-            ev = parse_event(line)
+            ev = decode(line)
         except ParseError:
             stats.parse_errors += 1
             continue
@@ -281,24 +346,48 @@ class UserGraph:
         pairs: Iterable[tuple[str, str]],
         overrides: Optional[dict[str, int]] = None,
     ) -> "UserGraph":
-        pair_set = set(pairs)
-        names: set[str] = set()
-        for a, b in pair_set:
-            names.add(a)
-            names.add(b)
+        ids: dict[str, int] = {}
+        src: list[int] = []
+        dst: list[int] = []
+        for a, b in pairs:
+            src.append(ids.setdefault(a, len(ids)))
+            dst.append(ids.setdefault(b, len(ids)))
+        return cls.from_ids(list(ids), src, dst, overrides)[0]
+
+    @classmethod
+    def from_ids(
+        cls,
+        names: list[str],
+        src: Sequence[int],
+        dst: Sequence[int],
+        overrides: Optional[dict[str, int]] = None,
+    ) -> tuple["UserGraph", int]:
+        """The graph of edges ``names[src[k]] -> names[dst[k]]``, and the
+        number of duplicate edges dropped.
+
+        Users are the names on an edge plus the override keys; a name on
+        no edge is left out.
+        """
+        m = max(len(names), 1)
+        keys = np.unique(np.asarray(src, dtype=np.int64) * m + np.asarray(dst, dtype=np.int64))
+        duplicates = len(src) - keys.size
+        a, b = np.divmod(keys, m)
+        on_edge = np.zeros(len(names), dtype=bool)
+        on_edge[a] = True
+        on_edge[b] = True
+        user_set = {names[i] for i in np.flatnonzero(on_edge)}
         if overrides:
-            names.update(overrides)
-        users = sorted(names)
+            user_set.update(overrides)
+        users = sorted(user_set)
         idx = {u: i for i, u in enumerate(users)}
-        if pair_set:
-            edges = np.array(sorted((idx[a], idx[b]) for a, b in pair_set), dtype=np.int64)
-        else:
-            edges = np.empty((0, 2), dtype=np.int64)
-        follower_count = np.bincount(edges[:, 1], minlength=len(users)).astype(np.int64)
+        to_user = np.array([idx.get(u, -1) for u in names], dtype=np.int64)
+        n = len(users)
+        edges = np.stack(np.divmod(np.sort(to_user[a] * n + to_user[b]), max(n, 1)), axis=1)
+        follower_count = np.bincount(edges[:, 1], minlength=n).astype(np.int64)
         if overrides:
             for u, c in overrides.items():
                 follower_count[idx[u]] = c
-        return cls(users, edges, follower_count)
+        return cls(users, edges, follower_count), duplicates
 
     @property
     def n(self) -> int:
@@ -366,23 +455,32 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
     isolated nodes.
     """
     stats = stats if stats is not None else IngestStats()
-    pairs: set[tuple[str, str]] = set()
+    handles: dict[str, int] = {}  # handle -> its id, in order of first sight
+    ids: dict[str, int] = {}      # raw field -> id of its handle
+
+    def intern(raw: str) -> int:
+        i = ids.get(raw)
+        if i is None:
+            i = ids[raw] = handles.setdefault(normalize_handle(raw), len(handles))
+        return i
+
+    src: list[int] = []
+    dst: list[int] = []
     for _, fields in _parse_tsv_lines(edge_path):
         if len(fields) != 2:
             stats.bad_graph_lines += 1
             continue
         try:
-            a, b = normalize_handle(fields[0]), normalize_handle(fields[1])
+            a, b = intern(fields[0]), intern(fields[1])
         except ParseError:
             stats.bad_graph_lines += 1
             continue
-        if a == b:
-            stats.self_loops_dropped += 1
-            continue
-        if (a, b) in pairs:
-            stats.duplicate_edges += 1
-            continue
-        pairs.add((a, b))
+        src.append(a)
+        dst.append(b)
+    src_ids = np.array(src, dtype=np.int64)
+    dst_ids = np.array(dst, dtype=np.int64)
+    loops = src_ids == dst_ids
+    stats.self_loops_dropped += int(loops.sum())
 
     overrides: Optional[dict[str, int]] = None
     if counts_path is not None:
@@ -402,4 +500,7 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
                 continue
             overrides[u] = c
 
-    return UserGraph.from_edges(pairs, overrides)
+    graph, duplicates = UserGraph.from_ids(list(handles), src_ids[~loops], dst_ids[~loops],
+                                           overrides)
+    stats.duplicate_edges += duplicates
+    return graph

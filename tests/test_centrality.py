@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import random
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -289,6 +291,25 @@ class TestBuildRetweetGraph:
         g = UserGraph.from_edges({("i", "j")})
         rg = build_retweet_graph([make_event("i", "RT @j: old post")], g)
         assert rg.edge_count == 0
+
+    def test_matches_pair_set_reference(self):
+        rng = random.Random(3)
+        names = [f"u{i}" for i in range(8)]
+        follows = {(a, b) for a, b in ((rng.choice(names), rng.choice(names))
+                                      for _ in range(25)) if a != b}
+        g = UserGraph.from_edges(follows)
+        events = [make_event(rng.choice(names + ["stranger"]),
+                             f"RT @{rng.choice(names + ['ghost'])}: x"
+                             if rng.random() < 0.6 else "post")
+                  for _ in range(300)]
+        rg = build_retweet_graph(events, g)
+        authored = Counter(e.author for e in events)
+        retweets = Counter((e.author, e.retweet_of) for e in events if e.retweet_of)
+        expected = {pair: min(1.0, c / authored[pair[1]]) for pair, c in retweets.items()
+                    if pair in follows and authored[pair[1]]}
+        got = {(rg.users[s], rg.users[d]): w for s, d, w in zip(rg.src, rg.dst, rg.weights)}
+        assert got == expected
+        assert rg.dropped_no_follow == sum(1 for pair in retweets if pair not in follows)
 
     def test_weight_clamped_to_one(self):
         g = UserGraph.from_edges({("i", "j")})

@@ -92,6 +92,36 @@ class TestScore:
     def test_bad_zeta_exit_usage(self, dataset, tmp_path):
         assert run(*score_args(dataset, tmp_path / "o"), "--zeta", "brisk") == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--zeta", "nan", "zeta"), ("--zeta", "inf", "zeta"), ("--zeta", "-inf", "zeta"),
+        ("--zeta", "-1", "zeta"), ("--default-mass", "nan", "default_mass"),
+        ("--error-ceiling", "-5", "error-ceiling"), ("--error-ceiling", "1.5", "error-ceiling"),
+        ("--error-ceiling", "nan", "error-ceiling"),
+    ])
+    def test_out_of_range_parameter_exit_usage(self, dataset, tmp_path, capsys, flag, value,
+                                               named):
+        out = tmp_path / "o"
+        assert run(*score_args(dataset, out), flag, value) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (out / "velocity_final.tsv").exists()
+
+    def test_hostile_records_skipped_not_fatal(self, dataset, tmp_path, capsys):
+        good = (dataset / "events.ndjson").read_text().splitlines()
+        base = {"id": "x", "ts": "2025-01-06T00:30:00Z", "author": "u00001"}
+        hostile = [json.dumps({**base, "mentions": [1, 2]}),
+                   json.dumps({**base, "rt_of": 5}),
+                   json.dumps({**base, "mentions": [[1]]}),
+                   "[" * 100_000]
+        events = tmp_path / "hostile.ndjson"
+        events.write_text("\n".join(good[:100] + hostile + good[100:]) + "\n")
+        clean = tmp_path / "clean"
+        assert run(*score_args(dataset, clean)) == EXIT_OK
+        out = tmp_path / "out"
+        assert run("score", "--events", events, "--edges", dataset / "edges.tsv",
+                   "--out", out, "--error-ceiling", "0.5") == EXIT_OK
+        assert f"skipped 4/{len(good) + 4} records" in capsys.readouterr().out
+        assert (out / "snapshots.tsv").read_bytes() == (clean / "snapshots.tsv").read_bytes()
+
 
 class TestTrend:
     def test_requires_score_first(self, tmp_path):
@@ -112,6 +142,16 @@ class TestTrend:
         out = tmp_path / "out"
         assert run(*score_args(dataset, out)) == EXIT_OK
         assert run("trend", "--out", out, "--week", "9") == EXIT_USAGE
+
+    def test_malformed_snapshots_exit_data(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*score_args(dataset, out)) == EXIT_OK
+        snap = out / "snapshots.tsv"
+        lines = snap.read_text().splitlines()
+        lines[1] = "167\tu00001\tfast"
+        snap.write_text("\n".join(lines) + "\n")
+        assert run("trend", "--out", out, "--week", "0") == EXIT_DATA
+        assert f"{snap}:2:" in capsys.readouterr().err
 
     def test_empty_result_exits_zero(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -206,6 +246,26 @@ class TestEval:
         first = hash_dir(out)
         assert run(*self.eval_args(dataset, out)) == EXIT_OK
         assert hash_dir(out) == first
+
+    @pytest.mark.parametrize("name, bad_line", [
+        ("clicks.tsv", "http://sho.rt/x\tmany"),
+        ("snapshots.tsv", "167\tu00001\tfast\t0.0"),
+        ("pagerank.tsv", "u00001"),
+    ])
+    def test_malformed_data_file_exit_data(self, dataset, tmp_path, capsys, name, bad_line):
+        out = tmp_path / "out"
+        self.prepare(dataset, out)
+        clicks = tmp_path / "clicks.tsv"
+        clicks.write_text((dataset / "clicks.tsv").read_text())
+        target = clicks if name == "clicks.tsv" else out / name
+        lines = target.read_text().splitlines()
+        lines[2] = bad_line
+        target.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--events", dataset / "events.ndjson",
+                   "--edges", dataset / "edges.tsv", "--clicks", clicks,
+                   "--out", out) == EXIT_DATA
+        assert f"{target}:3:" in capsys.readouterr().err
 
     def test_r_squared_consistency(self, dataset, tmp_path):
         out = tmp_path / "out"

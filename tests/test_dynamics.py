@@ -109,6 +109,12 @@ class TestMass:
         with pytest.raises(ValueError):
             KineticsConfig(force_source="vibes")
 
+    @pytest.mark.parametrize("field", ["zeta", "default_mass"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            KineticsConfig(**{field: value})
+
 
 class TestEstimateZeta:
     def test_direct_substitution(self):

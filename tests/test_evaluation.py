@@ -17,6 +17,7 @@ from veloscore.evaluation import (
     build_url_datasets,
     correlate,
     iqr_filter,
+    _p_from_r,
     pearson,
     run_full_evaluation,
 )
@@ -283,6 +284,18 @@ class TestPearson:
         t = abs(r) * math.sqrt((n - 2) / (1 - r * r))
         from scipy import stats as ss
         assert p == pytest.approx(2 * ss.t.sf(t, n - 2), abs=1e-15)
+
+    def test_p_value_equals_student_t_sf_exactly(self):
+        # scipy.stats is the reference; veloscore itself imports only scipy.special
+        from scipy import stats as ss
+        ns = np.array(list(range(3, 64)) + [100, 257, 1000, 4096, 100_000])
+        rs = np.concatenate([np.linspace(-0.999999, 0.999999, 201), [0.0, 1e-12, -1e-6]])
+        n_grid, r_grid = (a.ravel() for a in np.meshgrid(ns, rs))
+        t = np.abs(r_grid) * np.sqrt((n_grid - 2) / (1.0 - r_grid * r_grid))
+        expected = 2 * ss.t.sf(t, n_grid - 2)
+        got = np.array([_p_from_r(float(r), int(n)) for r, n in zip(r_grid, n_grid)])
+        assert got.size > 12_000
+        assert np.array_equal(got, expected)
 
     def test_affine_invariance(self):
         rng = random.Random(12)

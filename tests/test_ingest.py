@@ -4,6 +4,7 @@ import json
 import random
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from veloscore.ingest import (
@@ -293,6 +294,59 @@ class TestLoadGraph:
         assert g.users == sorted(g.users)
         assert all(g.index(u) == i for i, u in enumerate(g.users))
 
+    def test_matches_line_by_line_reference(self, tmp_path):
+        rng = random.Random(11)
+        names = ["a", "B", "@c", "d ", "e_1", "b", "not a handle!", "x" * 16]
+        for _ in range(30):
+            lines = []
+            for _ in range(rng.randint(0, 60)):
+                kind = rng.random()
+                if kind < 0.05:
+                    lines.append("# comment")
+                elif kind < 0.1:
+                    lines.append("one field only")
+                elif kind < 0.15:
+                    lines.append("a\tb\tc")
+                else:
+                    lines.append(f"{rng.choice(names)}\t{rng.choice(names)}")
+            stats = IngestStats()
+            g = load_graph(self.write(tmp_path, "\n".join(lines) + "\n"), stats=stats)
+            pairs, counts = reference_edge_list(lines)
+            assert g.users == sorted({u for pair in pairs for u in pair})
+            assert g.edges.dtype == np.int64 and g.edges.shape == (len(pairs), 2)
+            assert [(g.users[i], g.users[j]) for i, j in g.edges] == sorted(pairs)
+            assert [g.followers_of(u) for u in g.users] \
+                == [sum(1 for _, b in pairs if b == u) for u in g.users]
+            assert (stats.bad_graph_lines, stats.self_loops_dropped,
+                    stats.duplicate_edges) == counts
+
     def test_mean_followers(self):
         g = UserGraph.from_edges({("b", "a"), ("c", "a")})
         assert g.mean_followers() == pytest.approx(2 / 3)
+
+
+def reference_edge_list(lines):
+    """The edge-list rules applied one line at a time with a set of name
+    pairs: (pairs, (bad lines, self-loops, duplicates))."""
+    bad = loops = duplicates = 0
+    pairs: set = set()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            bad += 1
+            continue
+        try:
+            a, b = normalize_handle(fields[0]), normalize_handle(fields[1])
+        except ParseError:
+            bad += 1
+            continue
+        if a == b:
+            loops += 1
+        elif (a, b) in pairs:
+            duplicates += 1
+        else:
+            pairs.add((a, b))
+    return pairs, (bad, loops, duplicates)
