@@ -10,14 +10,13 @@ zero-iteration baselines.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
 from . import kernels
-from .ingest import DataFileError, Event, UserGraph
+from .ingest import DataFileError, Event, StreamDigest, UserGraph
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -170,23 +169,21 @@ class RetweetGraph:
         return int(self.src.shape[0])
 
 
-def build_retweet_graph(events: Iterable[Event], graph: UserGraph) -> RetweetGraph:
+def build_retweet_graph(events: Iterable[Event] | StreamDigest, graph: UserGraph) -> RetweetGraph:
     """Derive the weighted retweet graph from retweet attributions.
 
-    Pairs without a follow edge are dropped and counted; a followee with
-    no authored events in the window yields no edge.
+    ``events`` is the stream or its digest.  Pairs without a follow edge
+    are dropped and counted; a followee with no authored events in the
+    window yields no edge.
     """
-    authored: Counter = Counter()
-    rt_counts: Counter = Counter()
-    for ev in events:
-        authored[ev.author] += 1
-        if ev.retweet_of is not None:
-            rt_counts[(ev.author, ev.retweet_of)] += 1
+    digest = StreamDigest.of(events)
+    authored = digest.authored
+    pairs = sorted(((a, b), cnt) for a, counts in digest.retweets.items()
+                   for b, cnt in counts.items())
 
     # follow edge i -> j as the key i * n + j; -1 for a pair with a user off the graph
     n = graph.n
     follow_keys = graph.edges[:, 0] * n + graph.edges[:, 1]
-    pairs = sorted(rt_counts.items())
     ij = [(graph.index(a), graph.index(b)) for (a, b), _ in pairs]
     keys = np.array([-1 if i is None or j is None else i * n + j for i, j in ij], dtype=np.int64)
     followed = np.isin(keys, follow_keys)

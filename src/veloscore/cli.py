@@ -19,7 +19,10 @@ from .dynamics import KineticsConfig, week_end_hour
 from .ingest import (
     DataFileError,
     IngestStats,
+    StreamDigest,
     bucketize,
+    file_fingerprint,
+    floor_to_hour,
     load_graph,
     parse_timestamp,
     read_events_file,
@@ -35,6 +38,7 @@ TRENDING_FILE = "trending.tsv"
 REPORT_TSV = "report.tsv"
 REPORT_TXT = "report.txt"
 REPORT_WEEKLY = "report_weekly.tsv"
+STREAM_DIGEST_FILE = "stream_digest.ndjson"
 RUN_CONFIG_TEMPLATE = "run_config_{}.txt"
 
 CENTRALITY_FILES = {
@@ -109,11 +113,45 @@ def _parse_epoch(value):
         raise CliError(f"bad --epoch value: {exc}") from exc
 
 
-def _load_stream(args, stats: IngestStats):
+def _score_stream(args, out_dir: Path, stats: IngestStats):
+    """The stream's hour buckets and its resolved epoch.
+
+    Writes the stream's digest under ``out_dir``, unless the ceiling on
+    skipped records fails or the file changed while it was read.
+    """
     events_path = _require_file(args.events, "event stream")
     epoch = _parse_epoch(args.epoch)
-    buckets = list(bucketize(read_events_file(events_path, stats), epoch, stats))
-    return buckets
+    before = events_path.stat()
+    fingerprint = file_fingerprint(events_path)
+    digest = StreamDigest()
+    buckets = list(bucketize(digest.tap(read_events_file(events_path, stats)), epoch, stats))
+    _check_ceiling(stats, args.error_ceiling)
+    after = events_path.stat()
+    if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+        digest.write(out_dir / STREAM_DIGEST_FILE, fingerprint)
+    if epoch is None and digest.first_ts is not None:
+        epoch = floor_to_hour(digest.first_ts)
+    return buckets, epoch
+
+
+def _stream_events(events_path: Path, out_dir: Path, stats: IngestStats | None = None):
+    """The digest `score` wrote under ``out_dir`` if it matches the events
+    file's current content, else the file's events, parsed anew."""
+    digest = StreamDigest.load(out_dir / STREAM_DIGEST_FILE, events_path)
+    return digest if digest is not None else read_events_file(events_path, stats)
+
+
+def _scored_epoch(out_dir: Path):
+    """The epoch the `score` run under ``out_dir`` resolved, or None if it
+    recorded none."""
+    path = out_dir / RUN_CONFIG_TEMPLATE.format("score")
+    raw = load_config_file(path).get("resolved_epoch") if path.is_file() else None
+    if raw is None:
+        return None
+    try:
+        return parse_timestamp(raw)
+    except Exception as exc:
+        raise CliError(f"bad resolved_epoch in {path}: {exc}") from exc
 
 
 def _check_ceiling(stats: IngestStats, ceiling: float) -> None:
@@ -160,8 +198,7 @@ def cmd_score(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
-    buckets = _load_stream(args, stats)
-    _check_ceiling(stats, args.error_ceiling)
+    buckets, epoch = _score_stream(args, out_dir, stats)
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     graph = load_graph(edges_path, counts_path, stats)
@@ -196,7 +233,10 @@ def cmd_score(args) -> int:
     with open(out_dir / FINAL_VELOCITY_FILE, "w", encoding="utf-8") as fh:
         for u in history.users:
             fh.write(f"{u}\t{history.at(u, final):.12g}\n")
-    _write_run_config(out_dir, args, {"resolved_zeta": repr(zeta)})
+    resolved = {"resolved_zeta": repr(zeta)}
+    if epoch is not None:
+        resolved["resolved_epoch"] = epoch.isoformat()
+    _write_run_config(out_dir, args, resolved)
     print(f"tracked {len(history.users)} users over {final + 1} hours; "
           f"skipped {stats.skipped}/{stats.records} records; zeta={zeta:g}")
     return EXIT_OK
@@ -250,7 +290,7 @@ def cmd_centrality(args) -> int:
         if not args.events:
             raise CliError("--events is required for the ip algorithm")
         events_path = _require_file(args.events, "event stream")
-        rg = centrality_mod.build_retweet_graph(read_events_file(events_path), graph)
+        rg = centrality_mod.build_retweet_graph(_stream_events(events_path, out_dir), graph)
         try:
             inf, pas = centrality_mod.influence_passivity(rg, args.tol, args.max_iter)
         except ValueError as exc:
@@ -285,12 +325,18 @@ def cmd_eval(args) -> int:
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     epoch = _parse_epoch(args.epoch)
+    scored = _scored_epoch(out_dir)
+    if scored is not None:
+        if epoch is not None and epoch != scored:
+            raise CliError(f"--epoch {epoch.isoformat()} disagrees with the epoch "
+                           f"{scored.isoformat()} that `veloscore score` used")
+        epoch = scored
     graph = load_graph(edges_path, counts_path, stats)
     clicks_table = evaluation.read_clicks(clicks_path)
 
     ds_stats: dict = {}
     global_records, weekly_records = evaluation.build_url_datasets(
-        read_events_file(events_path, stats), clicks_table, graph, epoch, stats=ds_stats)
+        _stream_events(events_path, out_dir, stats), clicks_table, graph, epoch, stats=ds_stats)
     if len(global_records) < 3:
         raise DataError(f"only {len(global_records)} qualified URLs; need at least 3")
     velocity_source = dynamics.load_snapshots(snap_path)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .dynamics import WEEK_HOURS, week_end_hour
-from .ingest import DataFileError, Event, UserGraph, floor_to_hour
+from .ingest import DataFileError, Event, StreamDigest, UserGraph, floor_to_hour, hours_since
 
 VELOCITY_FLAVORS = ("final_date", "on_week", "prior_week")
 
@@ -60,7 +60,7 @@ def read_clicks(path) -> dict[str, int]:
 
 
 def build_url_datasets(
-    events: Iterable[Event],
+    events: Iterable[Event] | StreamDigest,
     clicks_table: Mapping[str, int],
     graph: UserGraph,
     epoch=None,
@@ -73,18 +73,16 @@ def build_url_datasets(
     one week-sized span aligned to the stream epoch.  Both datasets
     require a click entry and at least 3 distinct promoters with graph
     data; audience is the promoters' accumulated follower count.
+    ``events`` is the stream or its digest.
     """
     stats = stats if stats is not None else {}
+    digest = StreamDigest.of(events)
+    if epoch is None and digest.first_ts is not None:
+        # same default as bucketize: first event, floored to the hour
+        epoch = floor_to_hour(digest.first_ts)
     occurrences: dict[str, list[tuple[str, int]]] = {}
-    for ev in events:
-        if epoch is None:
-            # same default as bucketize: first event, floored to the hour
-            epoch = floor_to_hour(ev.timestamp)
-        if not ev.urls:
-            continue
-        week = ev.hour_since(epoch) // week_hours
-        for url in ev.urls:
-            occurrences.setdefault(url, []).append((ev.author, week))
+    for url, author, ts in digest.urls:
+        occurrences.setdefault(url, []).append((author, hours_since(ts, epoch) // week_hours))
 
     global_records: list[UrlRecord] = []
     weekly_records: list[UrlRecord] = []

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -99,7 +101,12 @@ class Event:
     self_mentions: int = 0
 
     def hour_since(self, epoch: datetime) -> int:
-        return math.floor((self.timestamp - epoch).total_seconds() / HOUR_SECONDS)
+        return hours_since(self.timestamp, epoch)
+
+
+def hours_since(ts: datetime, epoch: datetime) -> int:
+    """Index of the whole hour after ``epoch`` that ``ts`` falls in (negative before it)."""
+    return math.floor((ts - epoch).total_seconds() / HOUR_SECONDS)
 
 
 _JSON = json.JSONDecoder()  # stateless; shared like json's own default decoder
@@ -249,6 +256,157 @@ def read_events(lines: Iterable[str], stats: Optional[IngestStats] = None) -> It
 def read_events_file(path, stats: Optional[IngestStats] = None) -> Iterator[Event]:
     with open(path, "r", encoding="utf-8") as fh:
         yield from read_events(fh, stats)
+
+
+def _blake2b():
+    try:
+        # hashlib.blake2b is this same object, but importing hashlib loads
+        # OpenSSL: about 3.5 MB more RSS in every command that checks a digest
+        from _blake2 import blake2b
+    except ImportError:  # an interpreter without CPython's built-in module
+        from hashlib import blake2b
+    return blake2b()
+
+
+def file_fingerprint(path) -> tuple[int, str]:
+    """The byte size and the BLAKE2b hex digest of a file's content."""
+    h = _blake2b()
+    size = 0
+    buf = bytearray(1 << 16)  # one reused buffer: a fresh large chunk per read can grow the heap
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
+            size += n
+    return size, h.hexdigest()
+
+
+_DIGEST_MAGIC = "veloscore stream digest"
+# Bump whenever the parser changes what it yields, so older digests are re-parsed.
+_DIGEST_VERSION = 1
+
+
+@dataclass
+class StreamDigest:
+    """What ``centrality`` and ``eval`` need from an event stream.
+
+    Summarizes every event a reader yields, late and pre-epoch ones
+    included: the first event's timestamp, the events each author wrote,
+    the retweet attributions per author and retweeted user, and one
+    ``(url, author, timestamp)`` row per URL occurrence, in stream order.
+    ``score`` writes it next to its outputs, keyed to the events file's
+    size and BLAKE2b hash, so that later commands over the same file need
+    not parse it again.
+    """
+
+    first_ts: Optional[datetime] = None
+    authored: dict[str, int] = field(default_factory=dict)
+    retweets: dict[str, dict[str, int]] = field(default_factory=dict)  # author -> target -> n
+    urls: list[tuple[str, str, datetime]] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, events: "Iterable[Event] | StreamDigest") -> "StreamDigest":
+        """``events`` itself if it is a digest, else the digest of the events."""
+        if isinstance(events, cls):
+            return events
+        digest = cls()
+        for _ in digest.tap(events):
+            pass
+        return digest
+
+    def tap(self, events: Iterable[Event]) -> Iterator[Event]:
+        """Yield ``events`` unchanged, tallying each into this digest."""
+        authored, retweets, urls = self.authored, self.retweets, self.urls
+        for ev in events:
+            if self.first_ts is None:
+                self.first_ts = ev.timestamp
+            author = ev.author
+            authored[author] = authored.get(author, 0) + 1
+            target = ev.retweet_of
+            if target is not None:
+                counts = retweets.get(author)
+                if counts is None:
+                    counts = retweets[author] = {}
+                counts[target] = counts.get(target, 0) + 1
+            for url in ev.urls:
+                urls.append((url, author, ev.timestamp))
+            yield ev
+
+    def write(self, path, fingerprint: tuple[int, str]) -> None:
+        """Write the digest as one JSON array per line, keyed to ``fingerprint``.
+
+        The last line holds the BLAKE2b hash of every line before it, so a
+        truncated or damaged file is never read.  The file is written
+        under a temporary name and then renamed into place.
+        """
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        h = _blake2b()
+        try:
+            with open(tmp, "wb") as fh:
+                def put(row):
+                    line = (json.dumps(row) + "\n").encode("ascii")
+                    h.update(line)
+                    fh.write(line)
+
+                put([_DIGEST_MAGIC, _DIGEST_VERSION, *fingerprint])
+                if self.first_ts is not None:
+                    put(["first", self.first_ts.isoformat()])
+                for author, n in self.authored.items():
+                    put(["author", author, n])
+                for author, counts in self.retweets.items():
+                    for target, n in counts.items():
+                        put(["retweet", author, target, n])
+                for url, author, ts in self.urls:
+                    put(["url", url, author, ts.isoformat()])
+                fh.write((json.dumps(["end", h.hexdigest()]) + "\n").encode("ascii"))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    @classmethod
+    def load(cls, path, events_path) -> Optional["StreamDigest"]:
+        """The digest at ``path`` if it is whole and was made from the
+        current content of ``events_path``; None otherwise."""
+        h = _blake2b()
+        digest = cls()
+        names: dict[str, str] = {}  # one str object per handle, as the parser keeps them
+        name = names.setdefault
+        ts_raw, ts = None, None
+        try:
+            with open(path, "rb") as fh:
+                header = fh.readline()
+                magic, version, size, content_hash = json.loads(header)
+                if (magic, version) != (_DIGEST_MAGIC, _DIGEST_VERSION) \
+                        or os.path.getsize(events_path) != size \
+                        or file_fingerprint(events_path) != (size, content_hash):
+                    return None
+                h.update(header)
+                for line in fh:
+                    row = json.loads(line)
+                    tag = row[0]
+                    if tag == "url":
+                        if row[3] != ts_raw:
+                            ts_raw, ts = row[3], datetime.fromisoformat(row[3])
+                        digest.urls.append((row[1], name(row[2], row[2]), ts))
+                    elif tag == "retweet":
+                        counts = digest.retweets.setdefault(name(row[1], row[1]), {})
+                        counts[name(row[2], row[2])] = row[3]
+                    elif tag == "author":
+                        digest.authored[name(row[1], row[1])] = row[2]
+                    elif tag == "first":
+                        digest.first_ts = datetime.fromisoformat(row[1])
+                    elif tag == "end":
+                        # the trailer is whole, last, and hashes every line before it
+                        whole = line.endswith(b"\n") and not fh.read(1)
+                        return digest if whole and row[1] == h.hexdigest() else None
+                    else:
+                        return None
+                    h.update(line)
+        except (OSError, ValueError, TypeError, LookupError, RecursionError):
+            return None
+        return None  # no trailer: the file was cut short
 
 
 @dataclass

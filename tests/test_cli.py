@@ -267,6 +267,46 @@ class TestEval:
                    "--out", out) == EXIT_DATA
         assert f"{target}:3:" in capsys.readouterr().err
 
+    def test_eval_uses_score_epoch(self, dataset, tmp_path):
+        epoch = "2025-01-02T12:00:00Z"
+        out = tmp_path / "out"
+        assert run(*score_args(dataset, out), "--epoch", epoch) == EXIT_OK
+        assert "resolved_epoch = 2025-01-02T12:00:00+00:00\n" in \
+            (out / "run_config_score.txt").read_text()
+        assert run("centrality", "--edges", dataset / "edges.tsv",
+                   "--events", dataset / "events.ndjson", "--out", out) == EXIT_OK
+        assert run(*self.eval_args(dataset, out)) == EXIT_OK
+        plain = (out / "report_weekly.tsv").read_bytes()
+        assert run(*self.eval_args(dataset, out), "--epoch", epoch) == EXIT_OK
+        assert (out / "report_weekly.tsv").read_bytes() == plain
+        # without the recorded epoch, eval falls back to the first event's hour
+        config = out / "run_config_score.txt"
+        config.write_text("".join(line for line in config.read_text().splitlines(True)
+                                  if not line.startswith("resolved_epoch")))
+        assert run(*self.eval_args(dataset, out)) == EXIT_OK
+        assert (out / "report_weekly.tsv").read_bytes() != plain
+
+    def test_default_epoch_recorded(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        assert run(*score_args(dataset, out)) == EXIT_OK
+        config = (out / "run_config_score.txt").read_text()
+        assert "epoch = None\n" in config
+        assert "resolved_epoch = 2025-01-06T00:00:00+00:00\n" in config
+
+    def test_mismatched_epoch_exit_usage(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*score_args(dataset, out), "--epoch", "2025-01-06T00:00:00Z") == EXIT_OK
+        assert run("centrality", "--edges", dataset / "edges.tsv",
+                   "--events", dataset / "events.ndjson", "--out", out) == EXIT_OK
+        capsys.readouterr()
+        assert run(*self.eval_args(dataset, out), "--epoch", "2025-01-07T00:00:00Z") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "2025-01-07T00:00:00+00:00" in err and "2025-01-06T00:00:00+00:00" in err
+        assert not (out / "report.tsv").exists()
+        # the same instant in another spelling agrees
+        assert run(*self.eval_args(dataset, out), "--epoch", "2025-01-06T01:00:00+01:00") \
+            == EXIT_OK
+
     def test_r_squared_consistency(self, dataset, tmp_path):
         out = tmp_path / "out"
         self.prepare(dataset, out)

@@ -1,7 +1,10 @@
-"""scipy stays out of every process that computes no p-value.
+"""scipy stays out of every process that computes no p-value, and
+OpenSSL's hashlib out of every command.
 
 Importing scipy.stats costs about a second and 70 MB of RSS, and only
-`eval`'s significance test needs scipy at all.
+`eval`'s significance test needs scipy at all.  Importing hashlib loads
+OpenSSL (`_hashlib`), about 3.5 MB of RSS; the stream digest's BLAKE2b
+comes from the built-in `_blake2` module instead.
 """
 
 import os
@@ -19,11 +22,13 @@ SRC = Path(veloscore.__file__).resolve().parent.parent
 LEAK_CHECK = """
 import sys
 {body}
-print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("heavy modules:", *sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy" or m == "_hashlib"))
 """
 
 
-def scipy_modules_after(body: str, *argv) -> list[str]:
+def heavy_modules_after(body: str, *argv) -> list[str]:
+    """The scipy modules and `_hashlib`, if loaded, after running ``body``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -31,20 +36,36 @@ def scipy_modules_after(body: str, *argv) -> list[str]:
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1]
-    assert last.startswith("scipy modules:")
+    assert last.startswith("heavy modules:")
     return last.split()[2:]
 
 
 @pytest.mark.parametrize("module", ["veloscore", "veloscore.cli"])
-def test_import_leaves_scipy_out(module):
-    assert scipy_modules_after(f"import {module}") == []
+def test_import_leaves_scipy_out(module):  # and _hashlib
+    assert heavy_modules_after(f"import {module}") == []
 
 
-def test_trend_run_leaves_scipy_out(tmp_path):
-    data = tmp_path / "data"
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    """A synth dataset and the --out of a `score` run over it."""
+    data = tmp_path_factory.mktemp("data")
     generate(SynthConfig(seed=5, users=30, hours=336, follows_per_user=4), data)
-    out = tmp_path / "out"
+    out = data / "out"
     assert main(["score", "--events", str(data / "events.ndjson"),
                  "--edges", str(data / "edges.tsv"), "--out", str(out)]) == EXIT_OK
+    return data, out
+
+
+def test_trend_run_leaves_scipy_out(scored):  # and _hashlib
+    _, out = scored
     body = "from veloscore.cli import main\nassert main(sys.argv[1:]) == 0"
-    assert scipy_modules_after(body, "trend", "--out", out, "--week", "1") == []
+    assert heavy_modules_after(body, "trend", "--out", out, "--week", "1") == []
+
+
+def test_centrality_run_on_digest_leaves_scipy_and_hashlib_out(scored):
+    data, out = scored
+    # no parser to fall back on: the run must use score's stream digest
+    body = ("from veloscore import cli\ncli.read_events_file = None\n"
+            "assert cli.main(sys.argv[1:]) == 0")
+    assert heavy_modules_after(body, "centrality", "--edges", data / "edges.tsv",
+                               "--events", data / "events.ndjson", "--out", out) == []
