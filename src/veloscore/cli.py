@@ -192,36 +192,38 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _kinetics(args, zeta: float) -> KineticsConfig:
+    try:
+        return KineticsConfig(zeta=zeta, mass_mode=args.mass_mode,
+                              default_mass=args.default_mass,
+                              force_source=args.force_source)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_score(args) -> int:
+    # every flag and input file is checked before the stream is parsed
     if not 0.0 <= args.error_ceiling <= 1.0:
         raise CliError(f"--error-ceiling must be in [0, 1], got {args.error_ceiling}")
+    try:
+        zeta = None if args.zeta == "auto" else float(args.zeta)
+    except ValueError as exc:
+        raise CliError(f"bad --zeta value {args.zeta!r}") from exc
+    cfg = _kinetics(args, 0.0 if zeta is None else zeta)
+    edges_path = _require_file(args.edges, "edge list")
+    counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
     buckets, epoch = _score_stream(args, out_dir, stats)
-    edges_path = _require_file(args.edges, "edge list")
-    counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     graph = load_graph(edges_path, counts_path, stats)
 
-    if args.zeta == "auto":
-        if not buckets:
-            zeta = 0.0
-        else:
-            try:
-                zeta = dynamics.estimate_zeta(buckets, graph)
-            except ValueError as exc:
-                raise DataError(str(exc)) from exc
-    else:
+    if zeta is None:
         try:
-            zeta = float(args.zeta)
+            zeta = dynamics.estimate_zeta(buckets, graph) if buckets else 0.0
         except ValueError as exc:
-            raise CliError(f"bad --zeta value {args.zeta!r}") from exc
-    try:
-        cfg = KineticsConfig(zeta=zeta, mass_mode=args.mass_mode,
-                             default_mass=args.default_mass,
-                             force_source=args.force_source)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+            raise DataError(str(exc)) from exc
+        cfg = _kinetics(args, zeta)
 
     history = dynamics.replay(buckets, cfg, graph)
     final = history.final_hour

@@ -5,7 +5,7 @@ counts are planted exactly (Bresenham accumulation, not sampled) in the
 default "exact" mode, and URL clicks are derived from audience and the
 promoters' frictionless velocity with a configurable signal strength, so
 the planted correlation sign is known.  Byte-deterministic for a fixed
-seed.
+seed, and byte-for-byte stable across versions.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 WEEK_HOURS = 168
+_BLOCK_USERS = 1024  # users per block of exact counts
+_WRITE_CHUNK = 1 << 14  # event lines joined per write
 
 _PHRASES = (
     "great show tonight",
@@ -106,19 +109,33 @@ class SynthConfig:
                 raise ValueError(f"invalid burst {b}")
 
 
-def _bresenham_counts(rate: float, span: int) -> list[int]:
-    """Integer per-hour counts whose running total tracks rate*h exactly."""
-    return [math.floor((h + 1) * rate) - math.floor(h * rate) for h in range(span)]
+def bresenham_block(rates, span: int) -> np.ndarray:
+    """Integer per-hour counts, one row per rate, whose running totals track
+    rate*h exactly: ``floor((h+1)*r) - floor(h*r)`` for h < span."""
+    acc = np.floor(np.multiply.outer(np.asarray(rates, dtype=np.float64),
+                                     np.arange(span + 1, dtype=np.float64)))
+    return (acc[:, 1:] - acc[:, :-1]).astype(np.int64)
 
 
-def _mass(followers: int) -> float:
-    return float(followers) if followers > 0 else 1.0
+def _nonzero_cells(block: np.ndarray, user0: int, hour0: int):
+    """(user, hour, count) arrays of a block's nonzeros: row r is user0 + r, column c hour0 + c."""
+    rows, cols = np.nonzero(block)
+    return rows + user0, cols + hour0, block[rows, cols]
 
 
-def _plant(schedule: dict[str, dict[int, int]], user: str, hour: int, count: int) -> None:
-    if count > 0:
-        per_user = schedule.setdefault(user, {})
-        per_user[hour] = per_user.get(hour, 0) + count
+def _merge_cells(cells: list, rank: np.ndarray, hours: int):
+    """(user, hour, count) arrays summed per user-hour, in (user rank, hour) order."""
+    users, hrs, counts = (np.concatenate(col) for col in zip(*cells))
+    keys, inverse = np.unique(rank[users] * hours + hrs, return_inverse=True)
+    sums = np.bincount(inverse, counts, len(keys)).astype(np.int64)  # exact below 2**53
+    return np.argsort(rank)[keys // hours], keys % hours, sums
+
+
+def _table(handles: list, users, hours, counts) -> dict[str, dict[str, int]]:
+    table: dict[str, dict[str, int]] = {}
+    for i, h, c in zip(users.tolist(), hours.tolist(), counts.tolist()):
+        table.setdefault(handles[i], {})[str(h)] = c
+    return table
 
 
 def generate(cfg: SynthConfig, out_dir) -> dict:
@@ -134,12 +151,16 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
 
     n = cfg.users
     handles = [f"u{i:05d}" for i in range(n)]
-    handle_set = set(handles)
+    idx = {h: i for i, h in enumerate(handles)}
     for b in cfg.bursts:
-        if b.user not in handle_set:
+        if b.user not in idx:
             raise ValueError(f"burst user {b.user!r} is not a generated user")
     n_celebs = math.ceil(cfg.celebrity_fraction * n) if cfg.celebrity_fraction > 0 else 0
     n_weeks = max(1, cfg.hours // WEEK_HOURS)
+    # [lo, hi) hours of each week; the last week runs to the stream's end
+    weeks = [(w * WEEK_HOURS, (w + 1) * WEEK_HOURS if w < n_weeks - 1 else cfg.hours)
+             for w in range(n_weeks)]
+    rank = np.argsort(np.argsort(handles))  # a user's place in handle order
 
     # --- follower graph ------------------------------------------------
     weights = np.ones(n)
@@ -185,145 +206,86 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     # --- planted mention schedule --------------------------------------
     week_mult = np.exp(rng.normal(0.0, cfg.weekly_rate_sigma, size=(n, n_weeks))) \
         if cfg.weekly_rate_sigma > 0 else np.ones((n, n_weeks))
-    schedule: dict[str, dict[int, int]] = {}
+    rates = np.empty(n)
     for i, u in enumerate(handles):
         rate = cfg.base_mention_rate * (cfg.celebrity_mention_boost if i < n_celebs else 1.0)
         if cfg.mention_follower_exponent > 0:
             rate *= max(followers[u], 1) ** cfg.mention_follower_exponent
-        if cfg.mention_rate_cap > 0:
-            rate = min(rate, cfg.mention_rate_cap)
-        for w in range(n_weeks):
-            lo = w * WEEK_HOURS
-            hi = min((w + 1) * WEEK_HOURS, cfg.hours) if w < n_weeks - 1 else cfg.hours
-            r = rate * week_mult[i, w]
-            counts = _bresenham_counts(r, hi - lo) if cfg.mode == "exact" \
-                else rng.poisson(r, size=hi - lo)
-            for h_off, c in enumerate(counts):
-                _plant(schedule, u, lo + h_off, int(c))
+        rates[i] = min(rate, cfg.mention_rate_cap) if cfg.mention_rate_cap > 0 else rate
+    exact = cfg.mode == "exact"
+    cells = []  # (user, hour, count) arrays of the nonzero user-hours
+    if exact:  # a block of users' week at a time
+        for w, (lo, hi) in enumerate(weeks):
+            for r0 in range(0, n, _BLOCK_USERS):
+                r1 = r0 + _BLOCK_USERS
+                cells.append(_nonzero_cells(
+                    bresenham_block(rates[r0:r1] * week_mult[r0:r1, w], hi - lo), r0, lo))
+    else:  # the generator's call order: user-major, week-minor, bursts last
+        for i in range(n):
+            for w, (lo, hi) in enumerate(weeks):
+                cells.append(_nonzero_cells(
+                    rng.poisson(rates[i] * week_mult[i, w], size=(1, hi - lo)), i, lo))
     for b in cfg.bursts:
         span = b.end_hour - b.start_hour
-        counts = _bresenham_counts(b.rate, span) if cfg.mode == "exact" \
-            else rng.poisson(b.rate, size=span)
-        for h_off, c in enumerate(counts):
-            _plant(schedule, b.user, b.start_hour + h_off, int(c))
+        counts = bresenham_block([b.rate], span) if exact else rng.poisson(b.rate, size=(1, span))
+        cells.append(_nonzero_cells(counts, idx[b.user], b.start_hour))
+    schedule = _merge_cells(cells, rank, cfg.hours)
 
     # --- mention/retweet events ----------------------------------------
-    idx = {h: i for i, h in enumerate(all_handles)}
-    followers_of: dict[str, list[str]] = {h: [] for h in all_handles}
-    for follower, followee in edges:
-        followers_of[followee].append(follower)
-    for h in followers_of:
-        followers_of[h].sort()
-
-    events: list[tuple[datetime, str, str]] = []
-    # cc tokens add force beyond the schedule; tracked separately so the
-    # manifest matches what the stream actually carries.
-    extra_counts: dict[str, dict[int, int]] = {}
-    retweet_counts: dict[str, dict[int, int]] = {}
-    celeb_set = set(handles[:n_celebs])
-
-    def buddy_of(user: str):
-        i = idx.get(user)
-        if i is None or i >= n:
-            return None
-        j = i ^ 1
-        return handles[j] if j < n else None
-
-    seq = 0
-    for u in sorted(schedule):
-        per_user = schedule[u]
-        flw = followers_of.get(u, [])
-        retweetable = cfg.retweet_targets == "all" or u in celeb_set
-        buddy = buddy_of(u) if cfg.mutual_retweet_pairs else None
-        for hour in sorted(per_user):
-            count = per_user[hour]
-            for k in range(count):
-                if buddy is not None and cfg.retweet_every > 0 \
-                        and seq % cfg.retweet_every == 0:
-                    author = buddy
-                    is_retweet = True
-                elif flw:
-                    author = flw[(hour + k) % len(flw)]
-                    is_retweet = retweetable and not cfg.mutual_retweet_pairs \
-                        and cfg.retweet_every > 0 and (seq % cfg.retweet_every == 0)
-                else:
-                    a_i = (idx[u] + 1 + k) % n
-                    if handles[a_i] == u:
-                        a_i = (a_i + 1) % n
-                    author = handles[a_i]
-                    is_retweet = False
-                phrase = _PHRASES[(hour + k) % len(_PHRASES)]
-                if is_retweet:
-                    text = f"RT @{u}: {phrase}"
-                    per_rt = retweet_counts.setdefault(u, {})
-                    per_rt[hour] = per_rt.get(hour, 0) + 1
-                else:
-                    text = f"@{u} {phrase}"
-                if cfg.cc_every > 0 and seq % cfg.cc_every == 0:
-                    cc = handles[(idx[u] + hour) % n]
-                    if cc != author and cc != u:
-                        text += f" (cc @{cc})"
-                        _plant(extra_counts, cc, hour, 1)
-                minute = ((k * 60) // max(count, 1)) % 60
-                ts = epoch + timedelta(hours=hour, minutes=minute, seconds=k % 60)
-                events.append((ts, author, text))
-                seq += 1
+    # events are columns of (seconds after the epoch, author, text), the
+    # author an index into handles and the text an index into texts
+    fol = np.fromiter((idx[h] for a, b in edges if b in idx for h in (b, a)),
+                      dtype=np.int64).reshape(-1, 2)
+    fol = fol[np.lexsort((rank[fol[:, 1]], fol[:, 0]))]  # (followee, follower)
+    secs, authors, text_ids, texts, retweets, ccs = _mention_events(
+        cfg, handles, n_celebs, fol, *schedule)
 
     # original (mention-free) posts keep authored-event denominators sane
-    for w in range(n_weeks):
-        lo = w * WEEK_HOURS
-        hi = min((w + 1) * WEEK_HOURS, cfg.hours) if w < n_weeks - 1 else cfg.hours
-        for i, u in enumerate(handles):
-            for j in range(cfg.originals_per_week):
-                hour = lo + (j * (hi - lo)) // max(cfg.originals_per_week, 1)
-                hour = min(hour + (i % 7), hi - 1)
-                ts = epoch + timedelta(hours=hour, minutes=(i * 3 + j) % 60, seconds=i % 60)
-                events.append((ts, u, _PHRASES[(i + j) % len(_PHRASES)]))
+    users, j = np.arange(n), np.arange(cfg.originals_per_week)[:, None]
+    for lo, hi in weeks:
+        hour = np.minimum(lo + j * (hi - lo) // max(cfg.originals_per_week, 1) + users % 7, hi - 1)
+        secs.append((hour * 3600 + (users * 3 + j) % 60 * 60 + users % 60).ravel())
+        authors.append(np.broadcast_to(users, hour.shape).ravel())
+        text_ids.append((len(texts) + (users + j) % len(_PHRASES)).ravel())
+    texts.extend(_PHRASES)
 
     # --- URLs -------------------------------------------------------------
     candidates = [h for h in handles if followers[h] >= 1]
     urls: dict[str, dict] = {}
     n_cross = math.ceil(cfg.cross_week_url_fraction * cfg.url_count)
     week_lo = min(cfg.url_week_min, n_weeks - 1)
+    url_events = []
     for u_i in range(cfg.url_count):
         url = f"http://sho.rt/{u_i:05x}"
         week = week_lo + u_i % (n_weeks - week_lo)
-        size = int(rng.integers(cfg.min_promoters, cfg.max_promoters + 1))
-        size = min(size, len(candidates))
+        size = min(int(rng.integers(cfg.min_promoters, cfg.max_promoters + 1)), len(candidates))
         promoters = sorted(candidates[int(c)] for c in
                            rng.choice(len(candidates), size=size, replace=False))
-        weeks = [week]
-        if u_i < n_cross and n_weeks >= 2:
-            weeks.append((week + 1) % n_weeks)
+        url_weeks = [week, (week + 1) % n_weeks] if u_i < n_cross and n_weeks >= 2 else [week]
         for p_i, promoter in enumerate(promoters):
-            w = weeks[p_i % len(weeks)]
-            lo = w * WEEK_HOURS
-            hi = min((w + 1) * WEEK_HOURS, cfg.hours) if w < n_weeks - 1 else cfg.hours
+            lo, hi = weeks[url_weeks[p_i % len(url_weeks)]]
             hour = int(rng.integers(lo, hi))
             minute = int(rng.integers(0, 60))
-            ts = epoch + timedelta(hours=hour, minutes=minute, seconds=p_i % 60)
-            events.append((ts, promoter, f"worth a look {url}"))
-        urls[url] = {
-            "promoters": promoters,
-            "weeks": sorted(set(weeks)),
-            "audience": sum(followers[p] for p in promoters),
-        }
+            url_events.append((hour * 3600 + minute * 60 + p_i % 60, idx[promoter], len(texts)))
+        texts.append(f"worth a look {url}")
+        urls[url] = {"promoters": promoters, "weeks": sorted(set(url_weeks)),
+                     "audience": sum(followers[p] for p in promoters)}
+    for col, values in zip((secs, authors, text_ids), zip(*url_events)):
+        col.append(values)
+    n_events = _write_events(out / "events.ndjson", epoch, rank, handles, texts,
+                             *(np.concatenate(col) for col in (secs, authors, text_ids)))
+    del secs, authors, text_ids, texts, url_events  # freed before the manifest is built
 
     # --- clicks from planted ground truth ----------------------------------
-    total_counts: dict[str, dict[int, int]] = {
-        u: dict(per_user) for u, per_user in schedule.items()
-    }
-    for u, per_user in extra_counts.items():
-        for h, c in per_user.items():
-            _plant(total_counts, u, h, c)
-
-    cum_vel: dict[str, np.ndarray] = {}
-    for u, per_user in total_counts.items():
-        arr = np.zeros(n_weeks)
-        for w in range(n_weeks):
-            hi = min((w + 1) * WEEK_HOURS, cfg.hours) if w < n_weeks - 1 else cfg.hours
-            arr[w] = sum(c for h, c in per_user.items() if h < hi) / _mass(followers.get(u, 0))
-        cum_vel[u] = arr
+    totals = _merge_cells([schedule, ccs], rank, cfg.hours)
+    retweets = _merge_cells([retweets], rank, cfg.hours)
+    # each user's mentions up to the end of every week, over the user's mass
+    mentioned, row = np.unique(totals[0], return_inverse=True)
+    per_week = np.zeros((len(mentioned), n_weeks), dtype=np.int64)
+    np.add.at(per_week, (row, np.minimum(totals[1] // WEEK_HOURS, n_weeks - 1)), totals[2])
+    mass = np.array([float(followers[h]) if followers[h] > 0 else 1.0 for h in handles])
+    cum_vel = {handles[u]: cumulative / mass[u]
+               for u, cumulative in zip(mentioned.tolist(), per_week.cumsum(axis=1))}
 
     vhat: dict[str, float] = {}
     for url in sorted(urls):
@@ -344,51 +306,89 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         info["clicks"] = max(0, round(raw))
 
     # --- write files --------------------------------------------------------
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-    with open(out / "events.ndjson", "w", encoding="utf-8") as fh:
-        for e_i, (ts, author, text) in enumerate(events):
-            rec = {
-                "id": f"e{e_i:08d}",
-                "ts": ts.isoformat().replace("+00:00", "Z"),
-                "author": author,
-                "text": text,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
     with open(out / "edges.tsv", "w", encoding="utf-8") as fh:
-        for a, b in sorted(edges):
-            fh.write(f"{a}\t{b}\n")
-
+        fh.writelines(f"{a}\t{b}\n" for a, b in sorted(edges))
     with open(out / "clicks.tsv", "w", encoding="utf-8") as fh:
-        for url in sorted(urls):
-            fh.write(f"{url}\t{urls[url]['clicks']}\n")
-
+        fh.writelines(f"{url}\t{urls[url]['clicks']}\n" for url in sorted(urls))
     if cfg.follower_count_overrides:
         with open(out / "follower_counts.tsv", "w", encoding="utf-8") as fh:
-            for u in sorted(cfg.follower_count_overrides):
-                fh.write(f"{u}\t{cfg.follower_count_overrides[u]}\n")
+            fh.writelines(f"{u}\t{c}\n" for u, c in sorted(cfg.follower_count_overrides.items()))
 
     manifest = {
         "epoch": cfg.epoch,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(cfg).items()},
+        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(cfg).items()},
         "users": {h: followers[h] for h in sorted(all_handles)},
-        "mention_counts": {
-            u: {str(h): c for h, c in sorted(total_counts[u].items())}
-            for u in sorted(total_counts)
-        },
-        "retweet_counts": {
-            u: {str(h): c for h, c in sorted(retweet_counts[u].items())}
-            for u in sorted(retweet_counts)
-        },
+        "mention_counts": _table(handles, *totals),
+        "retweet_counts": _table(handles, *retweets),
         "urls": {url: urls[url] for url in sorted(urls)},
-        "totals": {
-            "events": len(events),
-            "mentions": sum(sum(d.values()) for d in total_counts.values()),
-            "retweets": sum(sum(d.values()) for d in retweet_counts.values()),
-        },
+        "totals": {"events": n_events, "mentions": int(totals[2].sum()),
+                   "retweets": int(retweets[2].sum())},
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
+
+
+def _mention_events(cfg: SynthConfig, handles: list, n_celebs: int, fol, users, hours, counts):
+    """One event per planted mention, numbered by ``seq`` in (user, hour) order."""
+    n = len(handles)
+    seq = np.arange(int(counts.sum()))
+    k = seq - np.repeat(np.cumsum(counts) - counts, counts)  # the event's place in its hour
+    user, hour, count = (np.repeat(col, counts) for col in (users, hours, counts))
+    # authors cycle through the user's followers, in handle order
+    deg = np.bincount(fol[:, 0], minlength=n)[user]
+    by_follower = np.append(fol[:, 1], -1)[np.searchsorted(fol[:, 0], user)
+                                           + (hour + k) % np.maximum(deg, 1)]
+    fallback = (user + 1 + k + ((user + 1 + k) % n == user)) % n  # skips the user itself
+    rt_turn = seq % cfg.retweet_every == 0 if cfg.retweet_every > 0 else seq < 0
+    # buddy pairs (0,1), (2,3), ...: each user's retweets come from the buddy
+    by_buddy = rt_turn & ((user ^ 1) < n) & cfg.mutual_retweet_pairs
+    author = np.where(by_buddy, user ^ 1, np.where(deg > 0, by_follower, fallback))
+    retweetable = (user < n_celebs) | (cfg.retweet_targets == "all")
+    is_rt = by_buddy | (rt_turn & (deg > 0) & retweetable & (not cfg.mutual_retweet_pairs))
+    # cc tokens add force beyond the schedule; tracked separately so the
+    # manifest matches what the stream actually carries.
+    cc = (user + hour) % n
+    has_cc = (seq % cfg.cc_every == 0 if cfg.cc_every > 0 else seq < 0) \
+        & (cc != author) & (cc != user)
+    # a text is coded by (user, retweet or not, phrase, cc user + 1 or 0)
+    n_ph = len(_PHRASES)
+    code = ((user * 2 + is_rt) * n_ph + (hour + k) % n_ph) * (n + 1) + np.where(has_cc, cc + 1, 0)
+    codes, text_id = np.unique(code, return_inverse=True)
+    texts = []
+    for c in codes.tolist():
+        (user_rt, phrase), cc_i = divmod(c // (n + 1), n_ph), c % (n + 1)
+        u, text = handles[user_rt // 2], _PHRASES[phrase]
+        text = f"RT @{u}: {text}" if user_rt % 2 else f"@{u} {text}"
+        texts.append(f"{text} (cc @{handles[cc_i - 1]})" if cc_i else text)
+    secs = hour * 3600 + (k * 60) // count % 60 * 60 + k % 60
+    ones = np.ones(len(seq), dtype=np.int64)
+    return [secs], [author], [text_id.reshape(-1)], texts, \
+        (user[is_rt], hour[is_rt], ones[is_rt]), (cc[has_cc], hour[has_cc], ones[has_cc])
+
+
+def _write_events(path: Path, epoch: datetime, rank: np.ndarray, handles: list, texts: list,
+                  secs: np.ndarray, authors: np.ndarray, text_ids: np.ndarray) -> int:
+    """Write the events in (instant, author, text) order, each line what
+    ``json.dumps(record, sort_keys=True)`` prints; returns their number."""
+    order = np.lexsort((np.argsort(np.argsort(texts))[text_ids], rank[authors], secs))
+    handles = [encode_basestring_ascii(h) for h in handles]
+    texts = [encode_basestring_ascii(t) for t in texts]
+    # a stamp as datetime.isoformat() prints epoch + s: its hour's prefix,
+    # minutes and seconds, then the epoch's fraction of a second and zone
+    base = epoch.replace(minute=0, second=0, microsecond=0)
+    secs = secs + (epoch.minute * 60 + epoch.second)
+    hours = [(base + timedelta(hours=h)).isoformat()[:14]
+             for h in range(int(secs.max(initial=0)) // 3600 + 1)]
+    clock = [f"{m:02d}:{s:02d}" for m in range(60) for s in range(60)]
+    tail = epoch.isoformat()[19:].replace("+00:00", "Z")
+    with open(path, "w", encoding="utf-8") as fh:
+        for lo in range(0, len(order), _WRITE_CHUNK):
+            part = order[lo:lo + _WRITE_CHUNK]
+            fh.write("".join([
+                f'{{"author": {handles[a]}, "id": "e{e_i:08d}", "text": {texts[t]}, '
+                f'"ts": "{hours[s // 3600]}{clock[s % 3600]}{tail}"}}\n'
+                for e_i, s, a, t in zip(range(lo, lo + len(part)), secs[part].tolist(),
+                                        authors[part].tolist(), text_ids[part].tolist())]))
+    return len(order)

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from veloscore import cli
-from veloscore.cli import CENTRALITY_FILES, EXIT_DATA, EXIT_OK, STREAM_DIGEST_FILE, main
+from veloscore.cli import (CENTRALITY_FILES, EXIT_DATA, EXIT_OK, EXIT_USAGE,
+                           STREAM_DIGEST_FILE, main)
 from veloscore.ingest import Event, StreamDigest, file_fingerprint, read_events_file
 from veloscore.synth import SynthConfig, generate
 
@@ -275,6 +276,28 @@ def test_stream_changed_while_read_leaves_no_digest(dataset, tmp_path, monkeypat
     assert score(data, out) == EXIT_OK
     assert (out / "snapshots.tsv").is_file()
     assert not (out / STREAM_DIGEST_FILE).exists()
+
+
+@pytest.mark.parametrize("bad", [
+    ("--zeta", "brisk"), ("--zeta", "nan"), ("--zeta", "-1"), ("--default-mass", "0.5"),
+    ("--zeta", "auto", "--default-mass", "nan"),
+    # argparse does not hold config-file values to a flag's choices
+    ("--config", "mass_mode = log"), ("--config", "force_source = likes"),
+    # a later --edges wins over the one score() passes
+    ("--edges", "missing.tsv"), ("--counts", "missing.tsv"),
+], ids=["zeta-word", "zeta-nan", "zeta-negative", "light-default-mass", "nan-default-mass",
+        "config-mass-mode", "config-force-source", "missing-edges", "missing-counts"])
+def test_bad_flags_fail_before_the_parse(dataset, tmp_path, parses, capsys, bad):
+    """`score` checks its flags and files before it reads the stream."""
+    out = tmp_path / "out"
+    if bad[0] == "--config":
+        (tmp_path / "score.cfg").write_text(bad[1] + "\n", encoding="utf-8")
+        bad = ("--config", tmp_path / "score.cfg")
+    bad = [tmp_path / v if v == "missing.tsv" else v for v in bad]
+    assert score(dataset, out, *bad) == EXIT_USAGE
+    assert parses == []
+    assert not (out / STREAM_DIGEST_FILE).exists()
+    assert "error" in capsys.readouterr().err
 
 
 def test_digest_is_byte_deterministic(dataset, tmp_path):

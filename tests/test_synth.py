@@ -1,14 +1,19 @@
 """Generator determinism and planted ground truth."""
 
 import filecmp
+import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from pipeline_helpers import score_dataset, url_datasets
 from veloscore.evaluation import accumulate_scores, iqr_filter, pearson
-from veloscore.synth import Burst, SynthConfig, generate
+from veloscore.synth import Burst, SynthConfig, bresenham_block, generate
 
 SMALL = dict(users=60, hours=336, follows_per_user=6, url_count=40,
              base_mention_rate=0.08)
@@ -36,6 +41,85 @@ class TestDeterminism:
         m1 = generate(SynthConfig(seed=1, **SMALL), tmp_path / "a")
         m2 = generate(SynthConfig(seed=2, **SMALL), tmp_path / "b")
         assert m1 != m2
+
+
+# The generator's outputs are a byte-for-byte contract: each file's BLAKE2b
+# digest (16 bytes) as the generator first wrote it.  A change to any byte,
+# the order of random draws included, fails here.
+GOLDEN = {
+    "small": (dict(seed=5, **SMALL), {
+        "clicks.tsv": "9db75cc8ffd45042b9782710ef4f9754",
+        "edges.tsv": "4baf2c7b06ddde749a743d5415b24525",
+        "events.ndjson": "85cadfe85d8cd66efb8385914bb8538e",
+        "manifest.json": "e75197dd3595ac2548901f508c57fea3",
+    }),
+    "sampled_burst": (dict(seed=13, mode="sampled", bursts=(Burst("u00003", 30, 200, 1.7),),
+                           **SMALL), {
+        "clicks.tsv": "b7c941e8845f1a4cc9f2291eae521aa8",
+        "edges.tsv": "c4816784ed2735e4fe5b9666188634f6",
+        "events.ndjson": "36b7f943ca5ad65c93260b18965ae320",
+        "manifest.json": "3d0d304a680f53a9ea60d8a1d87056ff",
+    }),
+    "options": (dict(seed=17, users=50, hours=400, follows_per_user=5, url_count=30,
+                     base_mention_rate=0.1, cc_every=7, mutual_retweet_pairs=True,
+                     spam_cluster_size=4, mention_follower_exponent=0.5, mention_rate_cap=1.5,
+                     cross_week_url_fraction=0.3,
+                     follower_count_overrides={"u00002": 500, "zed": 9, "u00011": 0},
+                     epoch="2024-03-05T10:17:23.5+02:00"), {
+        "clicks.tsv": "8d2ce168973b6ba6440e7bda6b726aa3",
+        "edges.tsv": "c771a20618503327f55b0466476a2a70",
+        "events.ndjson": "28eae3538e438d2d7860eb37601bd264",
+        "follower_counts.tsv": "9b1ad1f5618837d600baa9e70e1c6c3a",
+        "manifest.json": "385462db4b6e1df21cd45679709cf0d9",
+    }),
+    # 3 users, 10 hours and no follows: every author is the next user
+    "tiny": (dict(seed=2, users=3, hours=10, follows_per_user=0, url_count=0,
+                  base_mention_rate=0.4), {
+        "clicks.tsv": "cae66941d9efbd404e4d88758ea67670",
+        "edges.tsv": "cae66941d9efbd404e4d88758ea67670",
+        "events.ndjson": "3ef22c9078afb54fe832dc0054222b43",
+        "manifest.json": "2b0fd751061454e3129cc55e5dd7f821",
+    }),
+    # a uniform graph, celebrity-only retweets, flat weekly rates, a 500-hour
+    # stream with a short last week, overlapping bursts and an epoch one
+    # second before midnight at -05:30
+    "uniform_celebs": (dict(seed=21, users=40, hours=500, graph_model="uniform",
+                            retweet_targets="celebrities", celebrity_fraction=0.1,
+                            weekly_rate_sigma=0.0, url_count=20, url_week_min=1,
+                            bursts=(Burst("u00007", 0, 500, 3), Burst("u00007", 100, 130, 0.37)),
+                            epoch="2025-02-28T23:59:59-05:30"), {
+        "clicks.tsv": "63f872a040ad82281f8811d9cb1a9721",
+        "edges.tsv": "14ca58e1fde0abdcbc396ab2f8a0bd27",
+        "events.ndjson": "2874ed347a511a2ad10510a43b1ed732",
+        "manifest.json": "ce7f102566e9a2f6a3d7c104a2986f15",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_bytes(tmp_path, name):
+    kwargs, digests = GOLDEN[name]
+    generate(SynthConfig(**kwargs), tmp_path)
+    got = {p.name: hashlib.blake2b(p.read_bytes(), digest_size=16).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == digests
+
+
+# rates of every scale the schedule meets: none, whole, tiny, up to 1e6
+rates = st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.5, 1 / 3, 2.0, 1e6]) \
+    | st.integers(0, 10**6).map(float) \
+    | st.floats(0.0, 1e-6) \
+    | st.floats(0.0, 1e6)
+
+
+@given(block_rates=st.lists(rates, min_size=1, max_size=6), span=st.integers(1, 500))
+@settings(max_examples=300, deadline=None)
+def test_bresenham_block_matches_floor_reference(block_rates, span):
+    block = bresenham_block(np.array(block_rates), span)
+    assert block.shape == (len(block_rates), span)
+    for r, row in zip(block_rates, block.tolist()):
+        assert row == [math.floor((h + 1) * r) - math.floor(h * r) for h in range(span)]
+        assert sum(row) == math.floor(span * r)
 
 
 class TestManifestMatchesPipeline:
