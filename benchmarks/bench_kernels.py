@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Benchmark the numba graph kernels against the pure-numpy fallbacks.
 
-Runs each hot kernel on synthetic workloads and reports best-of-N wall
+Runs each graph kernel on a synthetic graph and reports best-of-N wall
 times for both implementations.  Numba is warmed up first so JIT
 compilation is excluded from the timings.
 
-    python3 benchmarks/bench_kernels.py --users 20000 --hours 2000
+    python3 benchmarks/bench_kernels.py --nodes 50000 --degree 20
 """
 
 import argparse
@@ -26,21 +26,6 @@ def time_call(fn, args, repeats):
     return best, result
 
 
-def replay_workload(rng, n_users, n_hours, active_frac=0.05):
-    indptr = [0]
-    users, counts = [], []
-    k = max(1, int(n_users * active_frac))
-    for _ in range(n_hours):
-        chosen = rng.choice(n_users, size=k, replace=False)
-        chosen.sort()
-        users.extend(chosen.tolist())
-        counts.extend(rng.integers(1, 8, size=k).tolist())
-        indptr.append(len(users))
-    mass = rng.integers(1, 2000, size=n_users).astype(np.float64)
-    return (np.array(indptr, dtype=np.int64), np.array(users, dtype=np.int64),
-            np.array(counts, dtype=np.float64), mass)
-
-
 def graph_workload(rng, n_nodes, avg_degree):
     n_edges = n_nodes * avg_degree
     src = rng.integers(0, n_nodes, size=n_edges)
@@ -55,8 +40,6 @@ def graph_workload(rng, n_nodes, avg_degree):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--users", type=int, default=20_000)
-    parser.add_argument("--hours", type=int, default=2_000)
     parser.add_argument("--nodes", type=int, default=50_000)
     parser.add_argument("--degree", type=int, default=20)
     parser.add_argument("--repeats", type=int, default=3)
@@ -70,13 +53,6 @@ def main():
     kernels.warm_up()
 
     rows = []
-
-    indptr, f_users, f_counts, mass = replay_workload(rng, args.users, args.hours)
-    replay_args = (indptr, f_users, f_counts, mass, 0.01, args.users)
-    t_np, r_np = time_call(kernels.velocity_replay_numpy, replay_args, args.repeats)
-    t_nb, r_nb = time_call(kernels.velocity_replay_numba, replay_args, args.repeats)
-    assert np.array_equal(r_np, r_nb)
-    rows.append((f"velocity_replay ({args.users} users x {args.hours} h)", t_np, t_nb))
 
     src, dst, out_deg = graph_workload(rng, args.nodes, args.degree)
     pr_args = (src, dst, out_deg, args.nodes, 0.85, 1e-10, 200)

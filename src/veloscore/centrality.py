@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import kernels
-from .ingest import DataFileError, Event, StreamDigest, UserGraph
+from .ingest import DataFileError, Event, StreamDigest, UserGraph, table_file
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -70,7 +70,7 @@ class ScoreVector:
     def read_tsv(cls, path, algorithm: str = "") -> "ScoreVector":
         users: list[str] = []
         vals: list[float] = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with table_file(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:

@@ -26,6 +26,7 @@ from .ingest import (
     load_graph,
     parse_timestamp,
     read_events_file,
+    table_file,
 )
 
 EXIT_OK = 0
@@ -82,7 +83,7 @@ def _require_artifact(out_dir: Path, filename: str, producer: str) -> Path:
 def load_config_file(path) -> dict[str, str]:
     """Flat key = value defaults; command-line flags win over these."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with table_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -113,25 +114,28 @@ def _parse_epoch(value):
         raise CliError(f"bad --epoch value: {exc}") from exc
 
 
-def _score_stream(args, out_dir: Path, stats: IngestStats):
-    """The stream's hour buckets and its resolved epoch.
+def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
+                  stats: IngestStats, ceiling: float):
+    """The stream's force table and its resolved epoch.
 
-    Writes the stream's digest under ``out_dir``, unless the ceiling on
-    skipped records fails or the file changed while it was read.
+    Feeds each sealed hour into the table as it is bucketized, so no hour
+    is kept as a bucket.  Writes the stream's digest under ``out_dir``,
+    unless the ceiling on skipped records fails or the file changed while
+    it was read.
     """
-    events_path = _require_file(args.events, "event stream")
-    epoch = _parse_epoch(args.epoch)
     before = events_path.stat()
     fingerprint = file_fingerprint(events_path)
     digest = StreamDigest()
-    buckets = list(bucketize(digest.tap(read_events_file(events_path, stats)), epoch, stats))
-    _check_ceiling(stats, args.error_ceiling)
+    table = dynamics.ForceTable(cfg.force_source)
+    for bucket in bucketize(digest.tap(read_events_file(events_path, stats)), epoch, stats):
+        table.add(bucket)
+    _check_ceiling(stats, ceiling)
     after = events_path.stat()
     if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
         digest.write(out_dir / STREAM_DIGEST_FILE, fingerprint)
     if epoch is None and digest.first_ts is not None:
         epoch = floor_to_hour(digest.first_ts)
-    return buckets, epoch
+    return table, epoch
 
 
 def _stream_events(events_path: Path, out_dir: Path, stats: IngestStats | None = None):
@@ -212,25 +216,30 @@ def cmd_score(args) -> int:
     cfg = _kinetics(args, 0.0 if zeta is None else zeta)
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
+    events_path = _require_file(args.events, "event stream")
+    epoch = _parse_epoch(args.epoch)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a failed run must not leave an earlier run's results for trend and eval
+    for name in (SNAPSHOT_FILE, FINAL_VELOCITY_FILE, RUN_CONFIG_TEMPLATE.format("score")):
+        (out_dir / name).unlink(missing_ok=True)
     stats = IngestStats()
-    buckets, epoch = _score_stream(args, out_dir, stats)
+    table, epoch = _score_stream(events_path, epoch, out_dir, cfg, stats, args.error_ceiling)
     graph = load_graph(edges_path, counts_path, stats)
 
     if zeta is None:
         try:
-            zeta = dynamics.estimate_zeta(buckets, graph) if buckets else 0.0
+            zeta = dynamics.estimate_zeta(table, graph) if table.hours else 0.0
         except ValueError as exc:
             raise DataError(str(exc)) from exc
         cfg = _kinetics(args, zeta)
 
-    history = dynamics.replay(buckets, cfg, graph)
-    final = history.final_hour
-    snap_hours = [h for h in (week_end_hour(w) for w in range(final // dynamics.WEEK_HOURS + 1))
-                  if h <= final]
-    if final >= 0 and final not in snap_hours:
-        snap_hours.append(final)
+    # the week ends and the final hour, each with the hour before it for acceleration
+    final = table.hours - 1
+    snap_hours = sorted({min(week_end_hour(w), final)
+                         for w in range(final // dynamics.WEEK_HOURS + 1)})
+    history = dynamics.replay(table, cfg, graph,
+                              checkpoints={h - d for h in snap_hours for d in (0, 1) if h >= d})
     dynamics.write_snapshots(out_dir / SNAPSHOT_FILE, history, snap_hours)
     with open(out_dir / FINAL_VELOCITY_FILE, "w", encoding="utf-8") as fh:
         for u in history.users:

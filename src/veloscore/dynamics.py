@@ -10,13 +10,14 @@ detection ranks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .ingest import DataFileError, HourBucket, UserGraph
+from .ingest import DataFileError, HourBucket, UserGraph, table_file
 
 MASS_MODES = ("raw_followers", "ln_followers")
 FORCE_SOURCES = ("mentions", "retweets")
@@ -70,36 +71,86 @@ class TrendingEntry:
 
 
 class VelocityHistory:
-    """Dense per-hour velocity history for a fixed set of tracked users.
+    """Velocities of a fixed set of tracked users at the end of recorded hours.
 
-    Untracked users and hours before the epoch read as velocity 0.
+    Row ``k`` of ``matrix`` holds hour ``hours[k]`` (by default row k is
+    hour k).  Untracked users and hours before the epoch read as velocity
+    0; any other hour that was not recorded is an error naming it.
     """
 
-    def __init__(self, users: list[str], matrix: np.ndarray):
+    def __init__(self, users: list[str], matrix: np.ndarray, hours: Optional[Sequence[int]] = None):
         self.users = users
         self.matrix = matrix
+        self.hours = list(range(matrix.shape[0]) if hours is None else hours)
         self._idx = {u: i for i, u in enumerate(users)}
+        self._row = {h: k for k, h in enumerate(self.hours)}
 
     @property
     def final_hour(self) -> int:
-        return self.matrix.shape[0] - 1
+        return self.hours[-1] if self.hours else -1
 
     def at(self, user: str, hour: int) -> float:
-        if hour > self.final_hour:
-            raise ValueError(f"no velocity recorded for hour {hour}")
         if hour < 0:
             return 0.0
+        k = self._row.get(hour)
+        if k is None:
+            raise ValueError(f"no velocity recorded for hour {hour}")
         i = self._idx.get(user)
-        return float(self.matrix[hour, i]) if i is not None else 0.0
+        return float(self.matrix[k, i]) if i is not None else 0.0
 
     def acceleration_at(self, user: str, hour: int) -> float:
         return self.at(user, hour) - self.at(user, hour - 1)
 
-    def velocity_map(self, hour: int) -> dict[str, float]:
-        return {u: self.at(u, hour) for u in self.users}
 
-    def final_map(self) -> dict[str, float]:
-        return self.velocity_map(self.final_hour)
+class ForceTable:
+    """Sealed hours of force, added one bucket at a time, in compact form.
+
+    Every user who receives a mention or a retweet attribution gets a
+    provisional id, in order of first sight.  The ``force_source`` entries
+    of hour ``t`` are ``f_users``/``f_counts[indptr[t]:indptr[t + 1]]``, in
+    flat arrays.  ``total_force`` counts mention tokens, as
+    ``estimate_zeta`` needs whatever the force source.
+    """
+
+    def __init__(self, force_source: str = "mentions"):
+        if force_source not in FORCE_SOURCES:
+            raise ValueError(f"force_source must be one of {FORCE_SOURCES}")
+        self.force_source = force_source
+        self.ids: dict[str, int] = {}
+        self.indptr = array("q", [0])
+        self.f_users = array("q")
+        self.f_counts = array("d")
+        self.total_force = 0
+
+    @classmethod
+    def of(cls, buckets: "ForceTable | Iterable[HourBucket]",
+           force_source: str = "mentions") -> "ForceTable":
+        """``buckets`` itself if it is a table, else the table of the buckets."""
+        if isinstance(buckets, cls):
+            return buckets
+        table = cls(force_source)
+        for b in buckets:
+            table.add(b)
+        return table
+
+    @property
+    def hours(self) -> int:
+        return len(self.indptr) - 1
+
+    def add(self, bucket: HourBucket) -> None:
+        """Append the next hour; buckets must be contiguous from hour 0."""
+        if bucket.hour_index != self.hours:
+            raise ValueError(f"bucket sequence not contiguous at hour {bucket.hour_index}")
+        ids = self.ids
+        force, other = bucket.force, bucket.retweet_force
+        if self.force_source == "retweets":
+            force, other = other, force
+        self.f_users.extend([ids.setdefault(u, len(ids)) for u in force])
+        self.f_counts.extend(map(float, force.values()))
+        for u in other:
+            ids.setdefault(u, len(ids))
+        self.total_force += sum(bucket.force.values())
+        self.indptr.append(len(self.f_users))
 
 
 class KineticsEngine:
@@ -158,7 +209,7 @@ class KineticsEngine:
         force = np.zeros(len(self._users))
         for u, c in force_map.items():
             force[self._idx[u]] = c
-        v_new = np.maximum(0.0, self._v + force / self._mass - self.cfg.zeta)
+        v_new = kernels.velocity_step(self._v, force, self._mass, self.cfg.zeta)
         self._a = v_new - self._v
         self._v = v_new
         self._hour += 1
@@ -208,67 +259,63 @@ class KineticsEngine:
 
 
 def replay(
-    buckets: Sequence[HourBucket],
+    buckets: "ForceTable | Iterable[HourBucket]",
     cfg: KineticsConfig,
     graph: UserGraph,
+    checkpoints: Optional[Iterable[int]] = None,
 ) -> VelocityHistory:
-    """Batch-replay a sealed bucket sequence through the velocity kernel.
+    """Replay sealed hours of force through the velocity kernel.
 
-    Equivalent to stepping a KineticsEngine over the same buckets, but
-    runs the whole stream through one compiled loop.
+    ``buckets`` is a ForceTable built for ``cfg.force_source``, or a
+    contiguous bucket sequence from hour 0.  Equivalent to stepping a
+    KineticsEngine over the same hours, but runs one state vector through
+    the whole stream and keeps only the hours in ``checkpoints`` (default:
+    every hour).  Neither ``buckets`` nor a table is changed.
     """
-    users_set: set[str] = set()
-    for b in buckets:
-        users_set.update(b.retweet_force if cfg.force_source == "retweets" else b.force)
-    users = sorted(users_set)
-    idx = {u: i for i, u in enumerate(users)}
-    mass = np.array([cfg.mass_for(graph.followers_of(u)) for u in users], dtype=np.float64)
-    if not users:
-        return VelocityHistory([], np.zeros((len(buckets), 0)))
-
-    indptr = np.zeros(len(buckets) + 1, dtype=np.int64)
-    f_users: list[int] = []
-    f_counts: list[float] = []
-    for t, b in enumerate(buckets):
-        if b.hour_index != t:
-            raise ValueError(f"bucket sequence not contiguous at hour {b.hour_index}")
-        fm = b.retweet_force if cfg.force_source == "retweets" else b.force
-        for u in sorted(fm):
-            f_users.append(idx[u])
-            f_counts.append(float(fm[u]))
-        indptr[t + 1] = len(f_users)
+    table = ForceTable.of(buckets, cfg.force_source)
+    if table.force_source != cfg.force_source:
+        raise ValueError(f"force table holds {table.force_source}, not {cfg.force_source}")
+    rows = list(range(table.hours)) if checkpoints is None else sorted(set(checkpoints))
+    if rows and not 0 <= rows[0] <= rows[-1] < table.hours:
+        bad = rows[0] if rows[0] < 0 else rows[-1]
+        raise ValueError(f"cannot checkpoint hour {bad} of a {table.hours}-hour stream")
+    names = list(table.ids)
+    f_users = np.frombuffer(table.f_users, dtype=np.int64)
+    forced = np.zeros(len(names), dtype=bool)
+    forced[f_users] = True
+    order = sorted(np.flatnonzero(forced).tolist(), key=names.__getitem__)
+    mass = np.array([cfg.mass_for(graph.followers_of(u)) for u in names], dtype=np.float64)
     matrix = kernels.velocity_replay(
-        indptr,
-        np.asarray(f_users, dtype=np.int64),
-        np.asarray(f_counts, dtype=np.float64),
+        np.frombuffer(table.indptr, dtype=np.int64),
+        f_users,
+        np.frombuffer(table.f_counts, dtype=np.float64),
         mass,
         float(cfg.zeta),
-        len(users),
+        len(names),
+        rows,
     )
-    return VelocityHistory(users, matrix)
+    return VelocityHistory([names[i] for i in order], matrix[:, order], rows)
 
 
-def estimate_zeta(buckets: Sequence[HourBucket], graph: UserGraph) -> float:
+def estimate_zeta(buckets: "ForceTable | Iterable[HourBucket]", graph: UserGraph) -> float:
     """Damping constant: mean mentions per hour per active user, divided by
-    the mean follower count of a graph user."""
-    buckets = list(buckets)
+    the mean follower count of a graph user.
+
+    Active users received a mention or a retweet attribution; ``buckets``
+    is a ForceTable or a contiguous bucket sequence from hour 0.
+    """
     if graph.n == 0:
         raise ValueError("cannot estimate damping on an empty graph")
-    hours = len(buckets)
-    if hours == 0:
+    table = ForceTable.of(buckets)
+    if table.hours == 0:
         raise ValueError("cannot estimate damping with zero hours")
-    total = 0
-    active: set[str] = set()
-    for b in buckets:
-        total += sum(b.force.values())
-        active.update(b.force)
-        active.update(b.retweet_force)
+    total, active = table.total_force, len(table.ids)
     if total == 0 or not active:
         return 0.0
     mean_followers = graph.mean_followers()
     if mean_followers <= 0:
         raise ValueError("mean follower count is zero; damping undefined")
-    return (total / (hours * len(active))) / mean_followers
+    return (total / (table.hours * active)) / mean_followers
 
 
 def rank_trending(
@@ -358,7 +405,7 @@ def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> Non
 
 def load_snapshots(path) -> SnapshotTable:
     hours: dict[int, dict[str, tuple[float, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with table_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

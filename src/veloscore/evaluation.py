@@ -17,7 +17,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .dynamics import WEEK_HOURS, week_end_hour
-from .ingest import DataFileError, Event, StreamDigest, UserGraph, floor_to_hour, hours_since
+from .ingest import (DataFileError, Event, StreamDigest, UserGraph, floor_to_hour, hours_since,
+                     table_file)
 
 VELOCITY_FLAVORS = ("final_date", "on_week", "prior_week")
 
@@ -46,7 +47,7 @@ class CorrelationReport:
 def read_clicks(path) -> dict[str, int]:
     """Load a url<TAB>clicks table."""
     table: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with table_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

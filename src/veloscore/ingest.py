@@ -12,10 +12,12 @@ import json
 import math
 import os
 import re
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -27,6 +29,8 @@ _MENTION_RE = re.compile(r"(?<![A-Za-z0-9_])@([A-Za-z0-9_]{1,15})")
 _RETWEET_RE = re.compile(r"^\s*rt\s+@([A-Za-z0-9_]{1,15})\b", re.IGNORECASE)
 _URL_RE = re.compile(r"https?://[^\s]+")
 _URL_TRAIL = ".,;:!?)'\">"
+# what bytes that are not UTF-8 become when read with errors="surrogateescape"
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class ParseError(ValueError):
@@ -38,6 +42,27 @@ class DataFileError(ValueError):
 
     def __init__(self, path, lineno: int, problem):
         super().__init__(f"{path}:{lineno}: {problem}")
+
+
+@contextmanager
+def table_file(path) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; bytes that are not UTF-8 raise a
+    DataFileError naming the first line that holds them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            pass
+        else:
+            return
+    lineno = 0
+    with open(path, "rb") as fh:  # the decoder reads ahead, so find the line afresh
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    raise DataFileError(path, lineno, "not valid UTF-8")
 
 
 def normalize_handle(raw: str) -> str:
@@ -179,6 +204,8 @@ class EventDecoder:
             raise ParseError("record nested too deeply") from exc
 
     def _decode(self, line: str) -> Event:
+        if not line.isascii() and _SURROGATE_RE.search(line):
+            raise ParseError("not valid UTF-8")
         rec = decode_json(line)
         if not isinstance(rec, dict):
             raise ParseError("record is not an object")
@@ -254,7 +281,8 @@ def read_events(lines: Iterable[str], stats: Optional[IngestStats] = None) -> It
 
 
 def read_events_file(path, stats: Optional[IngestStats] = None) -> Iterator[Event]:
-    with open(path, "r", encoding="utf-8") as fh:
+    """``read_events`` over a file; a line that is not UTF-8 is a ParseError."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         yield from read_events(fh, stats)
 
 
@@ -496,7 +524,6 @@ class UserGraph:
         self.edges = edges
         self.follower_count = follower_count
         self._idx = {u: i for i, u in enumerate(users)}
-        self._out_csr: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_edges(
@@ -526,13 +553,11 @@ class UserGraph:
         Users are the names on an edge plus the override keys; a name on
         no edge is left out.
         """
-        m = max(len(names), 1)
-        keys = np.unique(np.asarray(src, dtype=np.int64) * m + np.asarray(dst, dtype=np.int64))
-        duplicates = len(src) - keys.size
-        a, b = np.divmod(keys, m)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
         on_edge = np.zeros(len(names), dtype=bool)
-        on_edge[a] = True
-        on_edge[b] = True
+        on_edge[src] = True
+        on_edge[dst] = True
         user_set = {names[i] for i in np.flatnonzero(on_edge)}
         if overrides:
             user_set.update(overrides)
@@ -540,7 +565,14 @@ class UserGraph:
         idx = {u: i for i, u in enumerate(users)}
         to_user = np.array([idx.get(u, -1) for u in names], dtype=np.int64)
         n = len(users)
-        edges = np.stack(np.divmod(np.sort(to_user[a] * n + to_user[b]), max(n, 1)), axis=1)
+        keys = to_user[src]  # edge keys i * n + j, built in place
+        keys *= n
+        keys += to_user[dst]
+        keys = np.unique(keys)
+        duplicates = src.size - keys.size
+        edges = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, max(n, 1), out=(edges[:, 0], edges[:, 1]))
+        del keys
         follower_count = np.bincount(edges[:, 1], minlength=n).astype(np.int64)
         if overrides:
             for u, c in overrides.items():
@@ -576,33 +608,16 @@ class UserGraph:
     def mean_followers(self) -> float:
         return float(self.follower_count.mean()) if self.n else 0.0
 
-    def has_edge(self, follower: str, followee: str) -> bool:
-        i, j = self._idx.get(follower), self._idx.get(followee)
-        if i is None or j is None:
-            return False
-        indptr, indices = self.out_csr()
-        return j in indices[indptr[i]:indptr[i + 1]]
 
-    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) adjacency of followees per follower."""
-        if self._out_csr is None:
-            order = np.lexsort((self.edges[:, 1], self.edges[:, 0]))
-            src = self.edges[order, 0]
-            dst = self.edges[order, 1]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(indptr, src + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._out_csr = (indptr, dst.copy())
-        return self._out_csr
-
-
-def _parse_tsv_lines(path) -> Iterator[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+def _parse_tsv_lines(path) -> Iterator[list[str]]:
+    # undecodable bytes become lone surrogates, which no handle or count
+    # accepts, so such a line is counted as a bad graph line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line in fh:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            yield lineno, stripped.split("\t")
+            yield stripped.split("\t")
 
 
 def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None) -> UserGraph:
@@ -622,9 +637,8 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
             i = ids[raw] = handles.setdefault(normalize_handle(raw), len(handles))
         return i
 
-    src: list[int] = []
-    dst: list[int] = []
-    for _, fields in _parse_tsv_lines(edge_path):
+    src, dst = array("q"), array("q")  # 8 bytes an id, not a Python int each
+    for fields in _parse_tsv_lines(edge_path):
         if len(fields) != 2:
             stats.bad_graph_lines += 1
             continue
@@ -633,17 +647,16 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
         except ParseError:
             stats.bad_graph_lines += 1
             continue
+        if a == b:
+            stats.self_loops_dropped += 1
+            continue
         src.append(a)
         dst.append(b)
-    src_ids = np.array(src, dtype=np.int64)
-    dst_ids = np.array(dst, dtype=np.int64)
-    loops = src_ids == dst_ids
-    stats.self_loops_dropped += int(loops.sum())
 
     overrides: Optional[dict[str, int]] = None
     if counts_path is not None:
         overrides = {}
-        for _, fields in _parse_tsv_lines(counts_path):
+        for fields in _parse_tsv_lines(counts_path):
             if len(fields) != 2:
                 stats.bad_graph_lines += 1
                 continue
@@ -658,7 +671,6 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
                 continue
             overrides[u] = c
 
-    graph, duplicates = UserGraph.from_ids(list(handles), src_ids[~loops], dst_ids[~loops],
-                                           overrides)
+    graph, duplicates = UserGraph.from_ids(list(handles), src, dst, overrides)
     stats.duplicate_edges += duplicates
     return graph

@@ -1,10 +1,11 @@
-"""Hot numeric inner loops with numba and pure-numpy implementations.
+"""Hot numeric inner loops.
 
-The numba path is used when numba imports cleanly; set
-``VELOSCORE_NO_NUMBA=1`` to force the numpy fallback.  Both paths use
-plain IEEE arithmetic (no fastmath) so results are deterministic within a
-path, and the velocity kernel is bit-identical across paths.
-``benchmarks/bench_kernels.py`` compares the two.
+The velocity replay is numpy only.  The graph scorers have numba and
+pure-numpy implementations: the numba path is used when numba imports
+cleanly; set ``VELOSCORE_NO_NUMBA=1`` to force the numpy fallback.  Both
+paths use plain IEEE arithmetic (no fastmath) so results are
+deterministic within a path.  ``benchmarks/bench_kernels.py`` compares
+the two.
 """
 
 from __future__ import annotations
@@ -32,42 +33,34 @@ USE_NUMBA = HAVE_NUMBA
 # velocity replay: v_t = max(0, v_{t-1} + force/mass - zeta), hour by hour
 # ---------------------------------------------------------------------------
 
-def velocity_replay_numpy(hour_indptr, f_users, f_counts, mass, zeta, n_users):
-    """Replay hourly velocity updates; returns an (n_hours, n_users) history.
+def velocity_step(v, force, mass, zeta):
+    """One hour of the velocity law; the only implementation of it."""
+    return np.maximum(0.0, v + force / mass - zeta)
+
+
+def velocity_replay(hour_indptr, f_users, f_counts, mass, zeta, n_users, rows=None):
+    """Replay hourly velocity updates over one state vector.
 
     ``hour_indptr``/``f_users``/``f_counts`` are a CSR layout of per-hour
-    force entries; each user appears at most once per hour.
+    force entries; each user appears at most once per hour.  Returns the
+    velocities at the end of each hour in ``rows`` (increasing; default
+    every hour) as a ``(len(rows), n_users)`` array.
     """
     n_hours = hour_indptr.shape[0] - 1
-    hist = np.zeros((n_hours, n_users), dtype=np.float64)
+    rows = range(n_hours) if rows is None else rows
+    out = np.zeros((len(rows), n_users), dtype=np.float64)
     v = np.zeros(n_users, dtype=np.float64)
     force = np.zeros(n_users, dtype=np.float64)
-    for t in range(n_hours):
+    k = 0
+    for t in range(rows[-1] + 1 if len(rows) else 0):
         lo, hi = hour_indptr[t], hour_indptr[t + 1]
         force[f_users[lo:hi]] = f_counts[lo:hi]
-        v = np.maximum(0.0, v + force / mass - zeta)
-        hist[t] = v
+        v = velocity_step(v, force, mass, zeta)
         force[f_users[lo:hi]] = 0.0
-    return hist
-
-
-def _velocity_replay_loops(hour_indptr, f_users, f_counts, mass, zeta, n_users):
-    n_hours = hour_indptr.shape[0] - 1
-    hist = np.zeros((n_hours, n_users), dtype=np.float64)
-    v = np.zeros(n_users, dtype=np.float64)
-    force = np.zeros(n_users, dtype=np.float64)
-    for t in range(n_hours):
-        for e in range(hour_indptr[t], hour_indptr[t + 1]):
-            force[f_users[e]] = f_counts[e]
-        for u in range(n_users):
-            nv = v[u] + force[u] / mass[u] - zeta
-            if nv < 0.0:
-                nv = 0.0
-            v[u] = nv
-            hist[t, u] = nv
-        for e in range(hour_indptr[t], hour_indptr[t + 1]):
-            force[f_users[e]] = 0.0
-    return hist
+        if rows[k] == t:
+            out[k] = v
+            k += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +237,13 @@ def _ip_loops(src, dst, f_e, q_e, n, tol, max_iter):
 
 
 if USE_NUMBA:
-    velocity_replay_numba = njit(cache=True)(_velocity_replay_loops)
     pagerank_numba = njit(cache=True)(_pagerank_loops)
     tunkrank_numba = njit(cache=True)(_tunkrank_loops)
     ip_numba = njit(cache=True)(_ip_loops)
 else:
-    velocity_replay_numba = None
     pagerank_numba = None
     tunkrank_numba = None
     ip_numba = None
-
-
-def velocity_replay(hour_indptr, f_users, f_counts, mass, zeta, n_users):
-    if USE_NUMBA:
-        return velocity_replay_numba(hour_indptr, f_users, f_counts, mass, zeta, n_users)
-    return velocity_replay_numpy(hour_indptr, f_users, f_counts, mass, zeta, n_users)
 
 
 def pagerank_kernel(src, dst, out_deg, n, damping, tol, max_iter):
@@ -281,11 +266,6 @@ def ip_kernel(src, dst, f_e, q_e, n, tol, max_iter):
 
 def warm_up():
     """Trigger one tiny compile per kernel so later timings exclude JIT cost."""
-    indptr = np.array([0, 1], dtype=np.int64)
-    users = np.array([0], dtype=np.int64)
-    counts = np.array([1.0])
-    mass = np.array([1.0])
-    velocity_replay(indptr, users, counts, mass, 0.0, 1)
     src = np.array([0], dtype=np.int64)
     dst = np.array([1], dtype=np.int64)
     out_deg = np.array([1, 0], dtype=np.int64)

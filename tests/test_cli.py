@@ -105,6 +105,27 @@ class TestScore:
         assert named in capsys.readouterr().err
         assert not (out / "velocity_final.tsv").exists()
 
+    def test_failed_score_removes_stale_results(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*score_args(dataset, out)) == EXIT_OK
+        kept = ("snapshots.tsv", "velocity_final.tsv", "run_config_score.txt")
+        # a bad flag fails before anything is touched
+        assert run(*score_args(dataset, out), "--zeta", "brisk") == EXIT_USAGE
+        assert all((out / name).is_file() for name in kept)
+        dirty = tmp_path / "dirty.ndjson"
+        dirty.write_text("garbage\n" * 5)
+        assert run("score", "--events", dirty, "--edges", dataset / "edges.tsv",
+                   "--out", out) == EXIT_DATA
+        assert not any((out / name).exists() for name in kept)
+        assert (out / "stream_digest.ndjson").is_file()  # keyed to the clean events file
+        capsys.readouterr()
+        assert run("trend", "--out", out, "--week", "0") == EXIT_USAGE
+        assert "run `veloscore score` first" in capsys.readouterr().err
+        assert run("eval", "--events", dataset / "events.ndjson", "--edges",
+                   dataset / "edges.tsv", "--clicks", dataset / "clicks.tsv",
+                   "--out", out) == EXIT_USAGE
+        assert "run `veloscore score` first" in capsys.readouterr().err
+
     def test_hostile_records_skipped_not_fatal(self, dataset, tmp_path, capsys):
         good = (dataset / "events.ndjson").read_text().splitlines()
         base = {"id": "x", "ts": "2025-01-06T00:30:00Z", "author": "u00001"}

@@ -2,11 +2,18 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from veloscore import kernels
 from veloscore.dynamics import (
+    FORCE_SOURCES,
+    MASS_MODES,
+    ForceTable,
     KineticsConfig,
     KineticsEngine,
     SnapshotTable,
@@ -330,6 +337,123 @@ class TestSnapshots:
         write_snapshots(p1, hist, [10, 29])
         write_snapshots(p2, hist, [10, 29])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_velocity_replay_clamps():
+    indptr = np.array([0, 1, 1, 1], dtype=np.int64)
+    users = np.array([0], dtype=np.int64)
+    counts = np.array([2.0])
+    mass = np.array([1.0])
+    hist = kernels.velocity_replay(indptr, users, counts, mass, 1.5, 1)
+    assert hist[:, 0].tolist() == [0.5, 0.0, 0.0]
+    rows = kernels.velocity_replay(indptr, users, counts, mass, 1.5, 1, [0, 2])
+    assert rows[:, 0].tolist() == [0.5, 0.0]
+
+
+@st.composite
+def streams(draw):
+    """Random buckets with empty hours and late users, a graph, a config and
+    a checkpoint set."""
+    hours = draw(st.integers(1, 40))
+    names = [f"u{i}" for i in range(draw(st.integers(1, 7)))]
+    first = {u: draw(st.integers(0, hours)) for u in names}  # first hour u may appear
+
+    def forces(h):
+        live = [u for u in names if first[u] <= h]
+        if not live or draw(st.booleans()):
+            return {}
+        return draw(st.dictionaries(st.sampled_from(live), st.integers(0, 6), max_size=4))
+
+    buckets = [HourBucket(h, forces(h), forces(h)) for h in range(hours)]
+    counts = {u: draw(st.integers(0, 300)) for u in names if draw(st.booleans())}
+    graph = graph_with_counts(counts or {"bystander": 50})
+    cfg = KineticsConfig(zeta=draw(st.sampled_from([0.0, 1 / 64, 0.05, 0.4])),
+                         mass_mode=draw(st.sampled_from(MASS_MODES)),
+                         default_mass=draw(st.sampled_from([1.0, 2.5])),
+                         force_source=draw(st.sampled_from(FORCE_SOURCES)))
+    checkpoints = draw(st.sets(st.integers(0, hours - 1), max_size=8))
+    return buckets, graph, cfg, checkpoints
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCheckpointReplay:
+    @settings(max_examples=100, deadline=None)
+    @given(streams())
+    def test_checkpoints_equal_dense_rows_bitwise(self, case):
+        buckets, graph, cfg, checkpoints = case
+        table = ForceTable.of(buckets, cfg.force_source)
+        before = (bytes(table.indptr), bytes(table.f_users), bytes(table.f_counts))
+        dense = replay(buckets, cfg, graph)
+        kept = replay(table, cfg, graph, checkpoints=checkpoints)
+        assert (bytes(table.indptr), bytes(table.f_users), bytes(table.f_counts)) == before
+        assert kept.users == dense.users
+        assert kept.hours == sorted(checkpoints)
+        for k, h in enumerate(kept.hours):
+            assert kept.matrix[k].tobytes() == dense.matrix[h].tobytes()
+        engine = KineticsEngine(cfg, graph).run(buckets)
+        for h in checkpoints:
+            for u in dense.users:
+                assert kept.at(u, h) == engine.velocity_at(u, h)
+        for h in set(range(len(buckets))) - set(checkpoints):
+            with pytest.raises(ValueError, match=rf"\b{h}\b"):
+                kept.at(dense.users[0] if dense.users else "anyone", h)
+
+    @settings(max_examples=50, deadline=None)
+    @given(streams())
+    def test_table_built_hour_by_hour_estimates_same_zeta(self, case):
+        buckets, graph, cfg, _ = case
+        table = ForceTable(cfg.force_source)
+        for b in buckets:
+            table.add(b)
+        got = outcome(estimate_zeta, table, graph)
+        assert got == outcome(estimate_zeta, buckets, graph)
+        total = sum(sum(b.force.values()) for b in buckets)
+        active = set().union(*(b.force.keys() | b.retweet_force.keys() for b in buckets))
+        if total and graph.mean_followers() > 0:
+            assert got == (total / (len(buckets) * len(active))) / graph.mean_followers()
+
+    def test_checkpoint_outside_stream_named(self):
+        g, buckets = random_fixture(5, hours=10)
+        with pytest.raises(ValueError, match="10"):
+            replay(buckets, KineticsConfig(), g, checkpoints=[3, 10])
+        with pytest.raises(ValueError, match="-1"):
+            replay(buckets, KineticsConfig(), g, checkpoints=[-1, 3])
+
+    def test_table_force_source_must_match(self):
+        g, buckets = random_fixture(6, hours=5)
+        with pytest.raises(ValueError, match="retweets"):
+            replay(ForceTable.of(buckets), KineticsConfig(force_source="retweets"), g)
+
+    def test_non_contiguous_bucket_rejected(self):
+        with pytest.raises(ValueError, match="2"):
+            ForceTable.of([HourBucket(0), HourBucket(2)])
+
+    def test_memory_grows_with_checkpoints_not_hours(self):
+        # a dense (hours, users) float64 history would take 24 MB
+        hours, users = 3000, 1000
+        rng = np.random.default_rng(0)
+        names = [f"u{i:04d}" for i in range(users)]
+        table = ForceTable()
+        for h in range(hours):
+            hot = rng.choice(users, size=20, replace=False)
+            table.add(HourBucket(h, {names[i]: int(c) for i, c in
+                                     zip(hot, rng.integers(1, 9, size=20))}))
+        graph = graph_with_counts({u: 100 for u in names})
+        checkpoints = [167, 168, 1175, 1176, 2183, 2184, 2998, 2999]
+        tracemalloc.start()
+        try:
+            hist = replay(table, KineticsConfig(zeta=0.01), graph, checkpoints=checkpoints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.matrix.shape == (8, users)
+        assert peak < hours * users * 8 / 4, f"replay peaked at {peak / 1e6:.1f} MB"
 
 
 def test_week_end_hour():

@@ -1,4 +1,4 @@
-"""Numba and numpy kernel paths must agree; the env flag must be honored."""
+"""Numba and numpy graph-kernel paths must agree; the env flag must be honored."""
 
 import os
 import subprocess
@@ -13,22 +13,6 @@ pytestmark = pytest.mark.skipif(not kernels.HAVE_NUMBA,
                                 reason="numba unavailable; single-path build")
 
 
-def replay_workload(seed, n_users=50, n_hours=200):
-    rng = np.random.default_rng(seed)
-    indptr = [0]
-    users, counts = [], []
-    for _ in range(n_hours):
-        k = int(rng.integers(0, n_users // 3))
-        chosen = rng.choice(n_users, size=k, replace=False)
-        for u in sorted(chosen):
-            users.append(u)
-            counts.append(float(rng.integers(1, 9)))
-        indptr.append(len(users))
-    mass = rng.integers(1, 500, size=n_users).astype(np.float64)
-    return (np.array(indptr, dtype=np.int64), np.array(users, dtype=np.int64),
-            np.array(counts), mass)
-
-
 def graph_workload(seed, n=60, p=0.1):
     rng = np.random.default_rng(seed)
     src, dst = [], []
@@ -41,23 +25,6 @@ def graph_workload(seed, n=60, p=0.1):
     dst = np.array(dst, dtype=np.int64)
     out_deg = np.bincount(src, minlength=n).astype(np.int64)
     return src, dst, out_deg, n
-
-
-def test_velocity_replay_paths_bitwise_identical():
-    for seed in range(5):
-        args = replay_workload(seed)
-        a = kernels.velocity_replay_numpy(*args, 0.037, 50)
-        b = kernels.velocity_replay_numba(*args, 0.037, 50)
-        assert np.array_equal(a, b)
-
-
-def test_velocity_replay_clamps():
-    indptr = np.array([0, 1, 1, 1], dtype=np.int64)
-    users = np.array([0], dtype=np.int64)
-    counts = np.array([2.0])
-    mass = np.array([1.0])
-    hist = kernels.velocity_replay(indptr, users, counts, mass, 1.5, 1)
-    assert hist[:, 0].tolist() == [0.5, 0.0, 0.0]
 
 
 def test_pagerank_paths_agree():
@@ -97,7 +64,7 @@ def test_ip_paths_agree():
 def test_env_flag_selects_numpy_path():
     code = (
         "from veloscore import kernels; "
-        "print(kernels.USE_NUMBA, kernels.velocity_replay_numba is None)"
+        "print(kernels.USE_NUMBA, kernels.pagerank_numba is None)"
     )
     env = dict(os.environ, VELOSCORE_NO_NUMBA="1")
     out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -107,4 +74,4 @@ def test_env_flag_selects_numpy_path():
 
 def test_default_path_uses_numba_when_available():
     assert kernels.USE_NUMBA
-    assert kernels.velocity_replay_numba is not None
+    assert kernels.pagerank_numba is not None
