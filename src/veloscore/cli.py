@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -158,6 +159,11 @@ def _scored_epoch(out_dir: Path):
         raise CliError(f"bad resolved_epoch in {path}: {exc}") from exc
 
 
+def _check_flag(flag: str, value, ok: bool, want: str) -> None:
+    if not ok:
+        raise CliError(f"{flag} must be {want}, got {value}")
+
+
 def _check_ceiling(stats: IngestStats, ceiling: float) -> None:
     if stats.records and stats.skip_rate > ceiling:
         raise DataError(
@@ -207,8 +213,8 @@ def _kinetics(args, zeta: float) -> KineticsConfig:
 
 def cmd_score(args) -> int:
     # every flag and input file is checked before the stream is parsed
-    if not 0.0 <= args.error_ceiling <= 1.0:
-        raise CliError(f"--error-ceiling must be in [0, 1], got {args.error_ceiling}")
+    _check_flag("--error-ceiling", args.error_ceiling, 0.0 <= args.error_ceiling <= 1.0,
+                "in [0, 1]")
     try:
         zeta = None if args.zeta == "auto" else float(args.zeta)
     except ValueError as exc:
@@ -254,19 +260,19 @@ def cmd_score(args) -> int:
 
 
 def cmd_trend(args) -> int:
+    _check_flag("--week", args.week, args.week >= 0, ">= 0")
+    _check_flag("--threshold", args.threshold, not math.isnan(args.threshold), "a number")
+    _check_flag("--top-k", args.top_k, args.top_k >= 1, ">= 1")
     out_dir = Path(args.out)
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
-    table = dynamics.load_snapshots(snap_path)
-    start = week_end_hour(args.week - 1)
-    end = week_end_hour(args.week)
+    history = dynamics.load_snapshots(snap_path)
     try:
-        v_start = table.velocity_map(start) if start >= 0 else {}
-        v_end = table.velocity_map(end)
+        entries = dynamics.trending_for_window(
+            history, week_end_hour(args.week - 1), week_end_hour(args.week),
+            args.threshold, args.top_k, window=f"week{args.week}")
     except ValueError as exc:
         raise CliError(f"{exc}; run `veloscore score` over a stream covering week {args.week}") \
             from exc
-    entries = dynamics.rank_trending(v_start, v_end, args.threshold, args.top_k,
-                                     window=f"week{args.week}")
     with open(out_dir / TRENDING_FILE, "w", encoding="utf-8") as fh:
         fh.write("window\tuser\tacceleration\trelative_increase\n")
         for e in entries:
@@ -278,6 +284,11 @@ def cmd_trend(args) -> int:
 
 
 def cmd_centrality(args) -> int:
+    _check_flag("--damping", args.damping, 0.0 < args.damping < 1.0, "in (0, 1)")
+    _check_flag("--retweet-prob", args.retweet_prob, 0.0 <= args.retweet_prob <= 1.0,
+                "in [0, 1]")
+    _check_flag("--tol", args.tol, 0.0 <= args.tol < math.inf, "finite and >= 0")
+    _check_flag("--max-iter", args.max_iter, args.max_iter >= 1, ">= 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
@@ -323,6 +334,7 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_flag("--iqr-k", args.iqr_k, 0.0 <= args.iqr_k < math.inf, "finite and >= 0")
     out_dir = Path(args.out)
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
     static_sources = {}

@@ -73,9 +73,11 @@ class TrendingEntry:
 class VelocityHistory:
     """Velocities of a fixed set of tracked users at the end of recorded hours.
 
-    Row ``k`` of ``matrix`` holds hour ``hours[k]`` (by default row k is
-    hour k).  Untracked users and hours before the epoch read as velocity
-    0; any other hour that was not recorded is an error naming it.
+    The one checkpoint type: ``replay`` builds it from a stream and
+    ``load_snapshots`` from ``snapshots.tsv``.  Row ``k`` of ``matrix``
+    holds hour ``hours[k]`` (by default row k is hour k).  Untracked users
+    and hours before the epoch read as velocity 0; any other hour that was
+    not recorded is an error naming it.
     """
 
     def __init__(self, users: list[str], matrix: np.ndarray, hours: Optional[Sequence[int]] = None):
@@ -158,19 +160,20 @@ class KineticsEngine:
 
     Users enter the state when they first receive force; absent users are
     velocity 0 by definition.  Mass is frozen from the graph at first
-    sight.  Every processed hour is snapshotted so any past boundary can
-    be queried.
+    sight.  Besides the current state the engine keeps the velocities at
+    each week end, so it holds O(users x weeks) values, and it answers
+    only the current hour, a past week end or an hour before the epoch.
     """
 
     def __init__(self, cfg: KineticsConfig, graph: UserGraph):
         self.cfg = cfg
         self.graph = graph
-        self._users: list[str] = []
+        self.users: list[str] = []
         self._idx: dict[str, int] = {}
         self._mass = np.zeros(0, dtype=np.float64)
         self._v = np.zeros(0, dtype=np.float64)
         self._a = np.zeros(0, dtype=np.float64)
-        self._snaps: list[np.ndarray] = []
+        self._week_ends: dict[int, np.ndarray] = {}
         self._hour = -1
 
     @property
@@ -179,7 +182,7 @@ class KineticsEngine:
 
     @property
     def tracked_users(self) -> list[str]:
-        return sorted(self._users)
+        return sorted(self.users)
 
     def _force_map(self, bucket: HourBucket) -> Mapping[str, int]:
         if self.cfg.force_source == "retweets":
@@ -189,8 +192,8 @@ class KineticsEngine:
     def _register(self, new_users: Sequence[str]) -> None:
         masses = [self.cfg.mass_for(self.graph.followers_of(u)) for u in new_users]
         for u in new_users:
-            self._idx[u] = len(self._users)
-            self._users.append(u)
+            self._idx[u] = len(self.users)
+            self.users.append(u)
         self._mass = np.concatenate([self._mass, np.asarray(masses, dtype=np.float64)])
         self._v = np.concatenate([self._v, np.zeros(len(new_users))])
         self._a = np.concatenate([self._a, np.zeros(len(new_users))])
@@ -206,14 +209,15 @@ class KineticsEngine:
         new_users = sorted(u for u in force_map if u not in self._idx)
         if new_users:
             self._register(new_users)
-        force = np.zeros(len(self._users))
+        force = np.zeros(len(self.users))
         for u, c in force_map.items():
             force[self._idx[u]] = c
         v_new = kernels.velocity_step(self._v, force, self._mass, self.cfg.zeta)
         self._a = v_new - self._v
         self._v = v_new
         self._hour += 1
-        self._snaps.append(v_new.copy())
+        if (self._hour + 1) % WEEK_HOURS == 0:
+            self._week_ends[self._hour] = v_new  # the state is replaced, never written in place
 
     def run(self, buckets: Iterable[HourBucket]) -> "KineticsEngine":
         for b in buckets:
@@ -221,41 +225,31 @@ class KineticsEngine:
         return self
 
     def velocity_at(self, user: str, hour: int) -> float:
-        """Velocity of a user at the end of the given hour; untracked -> 0."""
-        if hour > self._hour:
-            raise ValueError(f"no velocity recorded for hour {hour}")
+        """Velocity of a user at the end of the given hour; untracked -> 0.
+
+        Any hour other than the current one, a past week end or one
+        before the epoch is an error naming it.
+        """
         if hour < 0:
             return 0.0
+        v = self._v if hour == self._hour else self._week_ends.get(hour)
+        if v is None:
+            raise ValueError(f"no velocity recorded for hour {hour}")
         i = self._idx.get(user)
-        if i is None:
-            return 0.0
-        snap = self._snaps[hour]
-        return float(snap[i]) if i < snap.shape[0] else 0.0
+        return float(v[i]) if i is not None and i < v.shape[0] else 0.0
+
+    at = velocity_at
 
     def velocity(self, user: str) -> float:
-        return self.velocity_at(user, self._hour) if self._hour >= 0 else 0.0
+        return self.velocity_at(user, self._hour)
 
     def acceleration(self, user: str) -> float:
         i = self._idx.get(user)
         return float(self._a[i]) if i is not None else 0.0
 
-    def history(self) -> VelocityHistory:
-        """Materialize the full history as a dense matrix view."""
-        n_hours = self._hour + 1
-        users = self.tracked_users
-        matrix = np.zeros((n_hours, len(users)))
-        order = [self._idx[u] for u in users]
-        for t, snap in enumerate(self._snaps):
-            for col, i in enumerate(order):
-                if i < snap.shape[0]:
-                    matrix[t, col] = snap[i]
-        return VelocityHistory(users, matrix)
-
     def trending(self, start_hour: int, end_hour: int, threshold: float, k: int,
                  window: str = "") -> list[TrendingEntry]:
-        v_start = {u: self.velocity_at(u, start_hour) for u in self._users}
-        v_end = {u: self.velocity_at(u, end_hour) for u in self._users}
-        return rank_trending(v_start, v_end, threshold, k, window)
+        return trending_for_window(self, start_hour, end_hour, threshold, k, window)
 
 
 def replay(
@@ -350,46 +344,24 @@ def rank_trending(
 
 
 def trending_for_window(
-    history: VelocityHistory,
+    source,
     start_hour: int,
     end_hour: int,
     threshold: float,
     k: int,
     window: str = "",
 ) -> list[TrendingEntry]:
-    """Trending ranking between two recorded hour boundaries."""
-    v_start = {u: history.at(u, start_hour) for u in history.users}
-    v_end = {u: history.at(u, end_hour) for u in history.users}
-    return rank_trending(v_start, v_end, threshold, k, window)
+    """Trending ranking of ``source.users`` between two recorded hour
+    boundaries; ``source`` is a VelocityHistory or a KineticsEngine.
 
-
-class SnapshotTable:
-    """Checkpointed velocities loaded from a snapshot file.
-
-    Only the persisted hours are queryable; asking for a missing boundary
-    is an error naming the hour.  Hours before the epoch read as 0.
+    A boundary ``source.at`` cannot answer is an error naming it, also
+    when no user is tracked.
     """
-
-    def __init__(self, hours: dict[int, dict[str, tuple[float, float]]], final_hour: int):
-        self.hours = hours
-        self.final_hour = final_hour
-
-    def at(self, user: str, hour: int) -> float:
-        if hour < 0:
-            return 0.0
-        snap = self.hours.get(hour)
-        if snap is None:
-            raise ValueError(f"no snapshot for hour boundary {hour}")
-        entry = snap.get(user)
-        return entry[0] if entry is not None else 0.0
-
-    def velocity_map(self, hour: int) -> dict[str, float]:
-        if hour < 0:
-            return {}
-        snap = self.hours.get(hour)
-        if snap is None:
-            raise ValueError(f"no snapshot for hour boundary {hour}")
-        return {u: va[0] for u, va in snap.items()}
+    for hour in (start_hour, end_hour):
+        source.at("", hour)  # "" is never a handle, so this checks only the hour
+    v_start = {u: source.at(u, start_hour) for u in source.users}
+    v_end = {u: source.at(u, end_hour) for u in source.users}
+    return rank_trending(v_start, v_end, threshold, k, window)
 
 
 def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> None:
@@ -403,8 +375,11 @@ def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> Non
                 fh.write(f"{h}\t{u}\t{v!r}\t{a!r}\n")
 
 
-def load_snapshots(path) -> SnapshotTable:
-    hours: dict[int, dict[str, tuple[float, float]]] = {}
+def load_snapshots(path) -> VelocityHistory:
+    """The checkpoints of a ``write_snapshots`` file, one row per hour and
+    users sorted.  Every line is checked, whichever hours are read later;
+    a user an hour does not list reads as velocity 0 at that hour."""
+    rows: dict[int, dict[str, float]] = {}
     with table_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -412,8 +387,14 @@ def load_snapshots(path) -> SnapshotTable:
                 continue
             try:
                 h_s, user, v_s, a_s = line.split("\t")
-                hours.setdefault(int(h_s), {})[user] = (float(v_s), float(a_s))
+                rows.setdefault(int(h_s), {})[user] = float(v_s)
+                float(a_s)  # the acceleration is checked, not kept
             except ValueError as exc:
                 raise DataFileError(path, lineno, exc) from None
-    final_hour = max(hours) if hours else -1
-    return SnapshotTable(hours, final_hour)
+    users = sorted(set().union(*rows.values()))
+    col = {u: i for i, u in enumerate(users)}
+    hours = sorted(rows)
+    matrix = np.zeros((len(hours), len(users)), dtype=np.float64)
+    for k, h in enumerate(hours):
+        matrix[k, [col[u] for u in rows[h]]] = list(rows[h].values())
+    return VelocityHistory(users, matrix, hours)

@@ -1,32 +1,14 @@
-"""Hot numeric inner loops.
+"""Hot numeric inner loops, numpy only.
 
-The velocity replay is numpy only.  The graph scorers have numba and
-pure-numpy implementations: the numba path is used when numba imports
-cleanly; set ``VELOSCORE_NO_NUMBA=1`` to force the numpy fallback.  Both
-paths use plain IEEE arithmetic (no fastmath) so results are
-deterministic within a path.  ``benchmarks/bench_kernels.py`` compares
-the two.
+One implementation each: the velocity law and its replay, and the
+PageRank, TunkRank and influence/passivity iterations.  Every kernel is
+a sequence of whole-array numpy operations in plain IEEE float64
+arithmetic, so a given input always gives the same bits.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-NUMBA_DISABLED = os.environ.get("VELOSCORE_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +49,7 @@ def velocity_replay(hour_indptr, f_users, f_counts, mass, zeta, n_users, rows=No
 # PageRank power iteration over follower -> followee edges
 # ---------------------------------------------------------------------------
 
-def pagerank_numpy(src, dst, out_deg, n, damping, tol, max_iter):
+def pagerank_kernel(src, dst, out_deg, n, damping, tol, max_iter):
     """Returns (scores, iterations, residual_history)."""
     r = np.full(n, 1.0 / n)
     dangling = out_deg == 0
@@ -89,40 +71,11 @@ def pagerank_numpy(src, dst, out_deg, n, damping, tol, max_iter):
     return r, iters, residuals[:iters].copy()
 
 
-def _pagerank_loops(src, dst, out_deg, n, damping, tol, max_iter):
-    r = np.full(n, 1.0 / n)
-    inv_out = np.zeros(n)
-    for i in range(n):
-        if out_deg[i] > 0:
-            inv_out[i] = 1.0 / out_deg[i]
-    residuals = np.zeros(max_iter)
-    iters = 0
-    for it in range(max_iter):
-        new = np.zeros(n)
-        dmass = 0.0
-        for i in range(n):
-            if out_deg[i] == 0:
-                dmass += r[i]
-        for e in range(src.shape[0]):
-            new[dst[e]] += r[src[e]] * inv_out[src[e]]
-        resid = 0.0
-        for i in range(n):
-            val = (1.0 - damping) / n + damping * (new[i] + dmass / n)
-            resid += abs(val - r[i])
-            new[i] = val
-        residuals[it] = resid
-        r = new
-        iters = it + 1
-        if resid <= tol:
-            break
-    return r, iters, residuals[:iters].copy()
-
-
 # ---------------------------------------------------------------------------
 # TunkRank fixed point: I(u) = sum over followers f of (1 + p*I(f)) / out(f)
 # ---------------------------------------------------------------------------
 
-def tunkrank_numpy(src, dst, out_deg, p, n, tol, max_iter):
+def tunkrank_kernel(src, dst, out_deg, p, n, tol, max_iter):
     """Returns (raw_scores, iterations, residual_history)."""
     score = np.zeros(n)
     safe_out = np.maximum(out_deg, 1)
@@ -140,31 +93,11 @@ def tunkrank_numpy(src, dst, out_deg, p, n, tol, max_iter):
     return score, iters, residuals[:iters].copy()
 
 
-def _tunkrank_loops(src, dst, out_deg, p, n, tol, max_iter):
-    score = np.zeros(n)
-    residuals = np.zeros(max_iter)
-    iters = 0
-    for it in range(max_iter):
-        new = np.zeros(n)
-        for e in range(src.shape[0]):
-            f = src[e]
-            new[dst[e]] += (1.0 + p * score[f]) / out_deg[f]
-        resid = 0.0
-        for i in range(n):
-            resid += abs(new[i] - score[i])
-        residuals[it] = resid
-        score = new
-        iters = it + 1
-        if resid <= tol:
-            break
-    return score, iters, residuals[:iters].copy()
-
-
 # ---------------------------------------------------------------------------
 # influence/passivity iteration over a weighted retweet graph
 # ---------------------------------------------------------------------------
 
-def ip_numpy(src, dst, f_e, q_e, n, tol, max_iter):
+def ip_kernel(src, dst, f_e, q_e, n, tol, max_iter):
     """Returns (influence, passivity, iterations, residual).
 
     Edge (src=follower, dst=followee) with precomputed acceptance share
@@ -195,80 +128,3 @@ def ip_numpy(src, dst, f_e, q_e, n, tol, max_iter):
         if resid <= tol:
             break
     return influence, passivity, iters, resid
-
-
-def _ip_loops(src, dst, f_e, q_e, n, tol, max_iter):
-    influence = np.full(n, 1.0 / n)
-    passivity = np.full(n, 1.0 / n)
-    resid = 0.0
-    iters = 0
-    n_edges = src.shape[0]
-    for it in range(max_iter):
-        inf_new = np.zeros(n)
-        for e in range(n_edges):
-            inf_new[dst[e]] += f_e[e] * passivity[src[e]]
-        total = 0.0
-        for i in range(n):
-            total += inf_new[i]
-        if total > 0.0:
-            for i in range(n):
-                inf_new[i] = inf_new[i] / total
-        else:
-            for i in range(n):
-                inf_new[i] = influence[i]
-        pas_new = np.zeros(n)
-        for e in range(n_edges):
-            pas_new[src[e]] += q_e[e] * inf_new[dst[e]]
-        total = 0.0
-        for i in range(n):
-            total += pas_new[i]
-        if total > 0.0:
-            for i in range(n):
-                pas_new[i] = pas_new[i] / total
-        resid = 0.0
-        for i in range(n):
-            resid += abs(inf_new[i] - influence[i]) + abs(pas_new[i] - passivity[i])
-        influence = inf_new
-        passivity = pas_new
-        iters = it + 1
-        if resid <= tol:
-            break
-    return influence, passivity, iters, resid
-
-
-if USE_NUMBA:
-    pagerank_numba = njit(cache=True)(_pagerank_loops)
-    tunkrank_numba = njit(cache=True)(_tunkrank_loops)
-    ip_numba = njit(cache=True)(_ip_loops)
-else:
-    pagerank_numba = None
-    tunkrank_numba = None
-    ip_numba = None
-
-
-def pagerank_kernel(src, dst, out_deg, n, damping, tol, max_iter):
-    if USE_NUMBA:
-        return pagerank_numba(src, dst, out_deg, n, damping, tol, max_iter)
-    return pagerank_numpy(src, dst, out_deg, n, damping, tol, max_iter)
-
-
-def tunkrank_kernel(src, dst, out_deg, p, n, tol, max_iter):
-    if USE_NUMBA:
-        return tunkrank_numba(src, dst, out_deg, p, n, tol, max_iter)
-    return tunkrank_numpy(src, dst, out_deg, p, n, tol, max_iter)
-
-
-def ip_kernel(src, dst, f_e, q_e, n, tol, max_iter):
-    if USE_NUMBA:
-        return ip_numba(src, dst, f_e, q_e, n, tol, max_iter)
-    return ip_numpy(src, dst, f_e, q_e, n, tol, max_iter)
-
-
-def warm_up():
-    """Trigger one tiny compile per kernel so later timings exclude JIT cost."""
-    src = np.array([0], dtype=np.int64)
-    dst = np.array([1], dtype=np.int64)
-    out_deg = np.array([1, 0], dtype=np.int64)
-    pagerank_kernel(src, dst, out_deg, 2, 0.85, 1e-8, 50)
-    tunkrank_kernel(src, dst, out_deg, 0.05, 2, 1e-8, 50)
-    ip_kernel(src, dst, np.array([1.0]), np.array([0.0]), 2, 1e-8, 50)

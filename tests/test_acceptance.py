@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from pipeline_helpers import score_dataset, url_datasets
-from veloscore import kernels
 from veloscore.centrality import (
     RetweetGraph,
     build_retweet_graph,
@@ -77,7 +76,6 @@ def full_evaluation_run(seed, signal, base_dir):
 @pytest.fixture(scope="module")
 def evaluation_runs(tmp_path_factory):
     """All planted-signal and null pipeline runs, timed end to end."""
-    kernels.warm_up()
     base = tmp_path_factory.mktemp("acceptance")
     t0 = time.perf_counter()
     runs = {}
@@ -97,7 +95,6 @@ def test_criterion_1_frictionless_oracle(tmp_path):
     )
     manifest = generate(cfg, tmp_path)
     assert manifest["totals"]["events"] >= 10_000
-    kernels.warm_up()
     t0 = time.perf_counter()
     result = score_dataset(tmp_path, zeta=0.0)
     elapsed = time.perf_counter() - t0
@@ -234,7 +231,6 @@ def _check_graph(adj, rng, errs):
 
 
 def test_criterion_3_centrality_oracles():
-    kernels.warm_up()
     rng = np.random.default_rng(33)
     errs = {"pagerank": 0.0, "pr_norm": 0.0, "tunkrank": 0.0, "ip": 0.0}
     graphs = 0

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from pipeline_helpers import score_dataset
+from veloscore import cli
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from veloscore.synth import SynthConfig, generate
 
@@ -34,6 +35,31 @@ def dataset(tmp_path_factory):
 def score_args(data, out):
     return ("score", "--events", data / "events.ndjson",
             "--edges", data / "edges.tsv", "--out", out)
+
+
+@pytest.fixture(scope="module")
+def scored(dataset, tmp_path_factory):
+    """An --out directory holding `score` and `centrality` results."""
+    out = tmp_path_factory.mktemp("scored")
+    assert run(*score_args(dataset, out)) == EXIT_OK
+    assert run("centrality", "--edges", dataset / "edges.tsv",
+               "--events", dataset / "events.ndjson", "--out", out) == EXIT_OK
+    return out
+
+
+def assert_rejected_before_any_file(monkeypatch, capsys, out, argv, flag, value):
+    """The command exits 1 naming ``flag`` before it looks at an input file
+    or writes under ``out``."""
+    def no_file(*args):
+        raise AssertionError(f"{args[0]} was looked at before {flag} was checked")
+
+    monkeypatch.setattr(cli, "_require_file", no_file)
+    monkeypatch.setattr(cli, "_require_artifact", no_file)
+    before = hash_dir(out)
+    capsys.readouterr()
+    assert run(*argv, flag, value) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert hash_dir(out) == before
 
 
 class TestScore:
@@ -164,6 +190,17 @@ class TestTrend:
         assert run(*score_args(dataset, out)) == EXIT_OK
         assert run("trend", "--out", out, "--week", "9") == EXIT_USAGE
 
+    def test_missing_boundary_named_with_no_users(self, dataset, tmp_path, capsys):
+        empty = tmp_path / "empty.ndjson"
+        empty.write_text("")
+        out = tmp_path / "out"
+        assert run("score", "--events", empty, "--edges", dataset / "edges.tsv",
+                   "--out", out) == EXIT_OK
+        assert (out / "snapshots.tsv").read_text() == ""
+        capsys.readouterr()
+        assert run("trend", "--out", out, "--week", "0") == EXIT_USAGE
+        assert "hour 167" in capsys.readouterr().err
+
     def test_malformed_snapshots_exit_data(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(*score_args(dataset, out)) == EXIT_OK
@@ -173,6 +210,26 @@ class TestTrend:
         snap.write_text("\n".join(lines) + "\n")
         assert run("trend", "--out", out, "--week", "0") == EXIT_DATA
         assert f"{snap}:2:" in capsys.readouterr().err
+
+    def test_malformed_line_in_unread_hour_exit_data(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(*score_args(dataset, out)) == EXIT_OK
+        snap = out / "snapshots.tsv"
+        lines = snap.read_text().splitlines()
+        bad = next(i for i, ln in enumerate(lines) if ln.startswith("335\t"))
+        lines[bad] = "335\tu00001\tfast\t0.0"
+        snap.write_text("\n".join(lines) + "\n")
+        # week 0 reads hours -1 and 167 only
+        assert run("trend", "--out", out, "--week", "0") == EXIT_DATA
+        assert f"{snap}:{bad + 1}:" in capsys.readouterr().err
+        assert not (out / "trending.tsv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--week", "-1"), ("--top-k", "-2"), ("--top-k", "0"), ("--threshold", "nan"),
+    ])
+    def test_out_of_range_parameter_exit_usage(self, scored, monkeypatch, capsys, flag, value):
+        assert_rejected_before_any_file(monkeypatch, capsys, scored,
+                                        ("trend", "--out", scored, "--week", "0"), flag, value)
 
     def test_empty_result_exits_zero(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -227,6 +284,17 @@ class TestCentrality:
         code = run("centrality", "--edges", dataset / "edges.tsv",
                    "--events", quiet, "--algorithm", "ip", "--out", tmp_path / "o")
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--damping", "1.5"), ("--damping", "0"), ("--damping", "nan"),
+        ("--retweet-prob", "nan"), ("--retweet-prob", "-0.1"), ("--max-iter", "0"),
+        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_out_of_range_parameter_exit_usage(self, dataset, scored, monkeypatch, capsys,
+                                               flag, value):
+        argv = ("centrality", "--edges", dataset / "edges.tsv",
+                "--events", dataset / "events.ndjson", "--out", scored)
+        assert_rejected_before_any_file(monkeypatch, capsys, scored, argv, flag, value)
 
 
 class TestEval:
@@ -287,6 +355,14 @@ class TestEval:
                    "--edges", dataset / "edges.tsv", "--clicks", clicks,
                    "--out", out) == EXIT_DATA
         assert f"{target}:3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iqr-k", "-1"), ("--iqr-k", "nan"), ("--iqr-k", "inf"),
+    ])
+    def test_out_of_range_parameter_exit_usage(self, dataset, scored, monkeypatch, capsys,
+                                               flag, value):
+        assert_rejected_before_any_file(monkeypatch, capsys, scored,
+                                        self.eval_args(dataset, scored), flag, value)
 
     def test_eval_uses_score_epoch(self, dataset, tmp_path):
         epoch = "2025-01-02T12:00:00Z"

@@ -13,15 +13,16 @@ from veloscore import kernels
 from veloscore.dynamics import (
     FORCE_SOURCES,
     MASS_MODES,
+    WEEK_HOURS,
     ForceTable,
     KineticsConfig,
     KineticsEngine,
-    SnapshotTable,
     VelocityHistory,
     estimate_zeta,
     load_snapshots,
     rank_trending,
     replay,
+    trending_for_window,
     week_end_hour,
     write_snapshots,
 )
@@ -205,13 +206,16 @@ class TestInvariants:
 
 class TestReplayParity:
     def test_engine_and_kernel_agree_bitwise(self):
-        g, buckets = random_fixture(23, users=10, hours=120)
-        cfg = KineticsConfig(zeta=0.07)
-        eng = KineticsEngine(cfg, g).run(buckets)
-        hist = replay(buckets, cfg, g)
-        eng_hist = eng.history()
-        assert eng_hist.users == hist.users
-        assert np.array_equal(eng_hist.matrix, hist.matrix)
+        for hours in (2 * WEEK_HOURS, 2 * WEEK_HOURS + 41, 3 * WEEK_HOURS):
+            g, buckets = random_fixture(23, users=10, hours=hours)
+            cfg = KineticsConfig(zeta=0.07)
+            eng = KineticsEngine(cfg, g).run(buckets)
+            checkpoints = [h for h in range(hours) if (h + 1) % WEEK_HOURS == 0] + [hours - 1]
+            hist = replay(buckets, cfg, g, checkpoints=checkpoints)
+            assert eng.tracked_users == hist.users
+            for k, h in enumerate(hist.hours):
+                row = np.array([eng.velocity_at(u, h) for u in hist.users])
+                assert row.tobytes() == hist.matrix[k].tobytes()
 
     def test_empty_stream(self):
         hist = replay([], KineticsConfig(), graph_with_counts({"a": 1}))
@@ -297,13 +301,15 @@ class TestTrending:
         assert got == expected
 
     def test_engine_window(self):
-        # b is held at force/mass == zeta (flat velocity); a accelerates
+        # b is held at force/mass == zeta (flat velocity); a accelerates in week 1
         g = graph_with_counts({"a": 1, "b": 10})
-        forces = [{"a": 1, "b": 30}] * 4 + [{"a": 1, "b": 5}] * 6 \
-            + [{"a": 2, "b": 5}] * 10
+        forces = [{"a": 1, "b": 30}] * 4 + [{"a": 1, "b": 5}] * (WEEK_HOURS - 4) \
+            + [{"a": 2, "b": 5}] * WEEK_HOURS + [{"a": 1, "b": 5}] * WEEK_HOURS
         eng = KineticsEngine(KineticsConfig(zeta=0.5), g).run(buckets_from_forces(forces))
-        entries = eng.trending(9, 19, threshold=0.10, k=5)
+        assert eng.hour == 3 * WEEK_HOURS - 1
+        entries = eng.trending(167, 335, threshold=0.10, k=5)
         assert [e.user for e in entries] == ["a"]
+        assert entries[0].acceleration == 1.5 * WEEK_HOURS
 
 
 class TestSnapshots:
@@ -314,7 +320,9 @@ class TestSnapshots:
         path = tmp_path / "snapshots.tsv"
         write_snapshots(path, hist, hours)
         table = load_snapshots(path)
-        assert isinstance(table, SnapshotTable)
+        assert isinstance(table, VelocityHistory)
+        assert table.users == sorted(hist.users)
+        assert table.hours == hours
         assert table.final_hour == 199
         for u in hist.users:
             for h in hours:
@@ -329,6 +337,23 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="5"):
             table.at(hist.users[0], 5)
         assert table.at("anyone", -3) == 0.0
+
+    def test_user_missing_from_an_hour_reads_zero(self, tmp_path):
+        g, buckets = random_fixture(54, hours=20)
+        hist = replay(buckets, KineticsConfig(zeta=0.01), g)
+        path = tmp_path / "snapshots.tsv"
+        write_snapshots(path, hist, [9, 19])
+        dropped = next(u for u in hist.users if hist.at(u, 19) > 0.0)
+        lines = [ln for ln in path.read_text().splitlines()
+                 if not ln.startswith(f"19\t{dropped}\t")]
+        path.write_text("\n".join(lines) + "\n")
+        table = load_snapshots(path)
+        assert table.hours == [9, 19]
+        assert table.at(dropped, 9) == hist.at(dropped, 9)
+        assert table.at(dropped, 19) == 0.0
+        for u in hist.users:
+            if u != dropped:
+                assert table.at(u, 19) == hist.at(u, 19)
 
     def test_deterministic_bytes(self, tmp_path):
         g, buckets = random_fixture(53, hours=30)
@@ -398,8 +423,9 @@ class TestCheckpointReplay:
             assert kept.matrix[k].tobytes() == dense.matrix[h].tobytes()
         engine = KineticsEngine(cfg, graph).run(buckets)
         for h in checkpoints:
-            for u in dense.users:
-                assert kept.at(u, h) == engine.velocity_at(u, h)
+            if h == engine.hour or (h + 1) % WEEK_HOURS == 0:
+                for u in dense.users:
+                    assert kept.at(u, h) == engine.velocity_at(u, h)
         for h in set(range(len(buckets))) - set(checkpoints):
             with pytest.raises(ValueError, match=rf"\b{h}\b"):
                 kept.at(dense.users[0] if dense.users else "anyone", h)
@@ -454,6 +480,80 @@ class TestCheckpointReplay:
             tracemalloc.stop()
         assert hist.matrix.shape == (8, users)
         assert peak < hours * users * 8 / 4, f"replay peaked at {peak / 1e6:.1f} MB"
+
+
+@st.composite
+def week_streams(draw):
+    """0-3 weeks of buckets, some users first seen after a week end, a
+    graph and a config."""
+    hours = draw(st.one_of(st.integers(0, 3 * WEEK_HOURS),
+                           st.sampled_from([167, 168, 169, 335, 336, 503, 504])))
+    names = [f"u{i}" for i in range(draw(st.integers(1, 6)))]
+    first = {u: draw(st.one_of(st.integers(0, 3 * WEEK_HOURS),
+                               st.sampled_from([168, 169, 336, 337])))
+             for u in names}
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.05, 0.3, 0.9]))
+
+    def forces(h):
+        return {u: rng.randint(0, 6) for u in names if first[u] <= h and rng.random() < p}
+
+    buckets = [HourBucket(h, forces(h), forces(h)) for h in range(hours)]
+    graph = graph_with_counts({u: draw(st.integers(0, 300)) for u in names})
+    cfg = KineticsConfig(zeta=draw(st.sampled_from([0.0, 1 / 64, 0.05, 0.4])),
+                         mass_mode=draw(st.sampled_from(MASS_MODES)),
+                         force_source=draw(st.sampled_from(FORCE_SOURCES)))
+    return buckets, graph, cfg
+
+
+class TestEngineCheckpoints:
+    @settings(max_examples=60, deadline=None)
+    @given(week_streams())
+    def test_answers_week_ends_and_current_hour_only(self, case):
+        buckets, graph, cfg = case
+        engine = KineticsEngine(cfg, graph).run(buckets)
+        dense = replay(buckets, cfg, graph)
+        current = len(buckets) - 1
+        assert engine.hour == current
+        assert engine.tracked_users == dense.users
+        week_ends = [h for h in range(current) if (h + 1) % WEEK_HOURS == 0]
+        probe = dense.users + ["ghost"]
+        for h in week_ends + [current] if current >= 0 else []:
+            got = np.array([engine.velocity_at(u, h) for u in probe])
+            want = np.array([dense.at(u, h) for u in probe])
+            assert got.tobytes() == want.tobytes()
+        for h in set(range(current)) - set(week_ends):
+            with pytest.raises(ValueError, match=rf"\b{h}\b"):
+                engine.velocity_at(probe[0], h)
+        with pytest.raises(ValueError, match=rf"\b{current + 1}\b"):
+            engine.velocity_at(probe[0], current + 1)
+        for u in probe:
+            assert engine.velocity_at(u, -1) == engine.velocity_at(u, -WEEK_HOURS) == 0.0
+        kept = replay(buckets, cfg, graph, checkpoints=week_ends)
+        for start, end in zip([-1] + week_ends, week_ends):
+            assert engine.trending(start, end, 0.1, 3, "w") == \
+                trending_for_window(kept, start, end, 0.1, 3, "w")
+
+    def test_memory_grows_with_weeks_not_hours(self):
+        # a per-hour copy of the state would take 3,000 x 1,000 float64 = 24 MB
+        hours, users = 3000, 1000
+        rng = np.random.default_rng(1)
+        names = [f"u{i:04d}" for i in range(users)]
+        buckets = [HourBucket(0, {u: 1 for u in names})]
+        for h in range(1, hours):
+            hot = rng.choice(users, size=20, replace=False)
+            buckets.append(HourBucket(h, {names[i]: int(c) for i, c in
+                                          zip(hot, rng.integers(1, 9, size=20))}))
+        graph = graph_with_counts({u: 100 for u in names})
+        engine = KineticsEngine(KineticsConfig(zeta=0.01), graph)
+        tracemalloc.start()
+        try:
+            engine.run(buckets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine.hour == hours - 1 and len(engine.tracked_users) == users
+        assert peak < hours * users * 8 / 4, f"engine peaked at {peak / 1e6:.1f} MB"
 
 
 def test_week_end_hour():
