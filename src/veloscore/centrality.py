@@ -10,6 +10,7 @@ zero-iteration baselines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -22,6 +23,15 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 DEFAULT_DAMPING = 0.85
 DEFAULT_RETWEET_PROB = 0.05
+
+
+def _check_iteration(tol: float, max_iter: int) -> None:
+    """ValueError unless ``max_iter`` >= 1 and ``tol`` is finite and >= 0: with
+    no iteration a scorer would report its start vector as converged."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
 
 @dataclass
@@ -100,6 +110,7 @@ def pagerank(
         raise ValueError("pagerank needs a non-empty graph")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
+    _check_iteration(tol, max_iter)
     src = graph.edges[:, 0]
     dst = graph.edges[:, 1]
     if reverse:
@@ -130,6 +141,7 @@ def tunkrank(
         raise ValueError("tunkrank needs a non-empty graph")
     if not 0.0 <= retweet_prob <= 1.0:
         raise ValueError(f"retweet_prob must be in [0, 1], got {retweet_prob}")
+    _check_iteration(tol, max_iter)
     src = graph.edges[:, 0].astype(np.int64)
     dst = graph.edges[:, 1].astype(np.int64)
     out_deg = np.bincount(src, minlength=graph.n).astype(np.int64)
@@ -181,12 +193,17 @@ def build_retweet_graph(events: Iterable[Event] | StreamDigest, graph: UserGraph
     pairs = sorted(((a, b), cnt) for a, counts in digest.retweets.items()
                    for b, cnt in counts.items())
 
-    # follow edge i -> j as the key i * n + j; -1 for a pair with a user off the graph
+    # follow edge i -> j as the key i * n + j, increasing (see UserGraph);
+    # -1 for a pair with a user off the graph
     n = graph.n
-    follow_keys = graph.edges[:, 0] * n + graph.edges[:, 1]
+    follow_keys = graph.edges[:, 0] * n
+    follow_keys += graph.edges[:, 1]
     ij = [(graph.index(a), graph.index(b)) for (a, b), _ in pairs]
     keys = np.array([-1 if i is None or j is None else i * n + j for i, j in ij], dtype=np.int64)
-    followed = np.isin(keys, follow_keys)
+    pos = np.searchsorted(follow_keys, keys)
+    inside = pos < follow_keys.size  # a key past the last edge has none to match
+    followed = np.zeros(keys.size, dtype=bool)
+    followed[inside] = follow_keys[pos[inside]] == keys[inside]
 
     incident: set[str] = set()
     kept: list[tuple[str, str, float]] = []
@@ -223,6 +240,7 @@ def influence_passivity(
     followees' influence weighted by the rejection share.  Both vectors
     are L1-normalized each round.
     """
+    _check_iteration(tol, max_iter)
     if rg.edge_count == 0:
         raise ValueError("retweet graph has no edges; influence/passivity undefined")
     n = rg.n

@@ -515,8 +515,12 @@ class UserGraph:
     """Directed follower graph with per-user follower counts.
 
     Edges are (follower, followee) index pairs into a lexicographically
-    sorted user list.  ``follower_count`` defaults to in-degree; an
-    explicit count override wins per user.
+    sorted user list, held as an int64 ``(edge_count, 2)`` array.  The
+    rows are unique and in row-major order, so the keys
+    ``follower * n + followee`` strictly increase; lookups such as
+    ``build_retweet_graph``'s binary search rely on that.
+    ``follower_count`` defaults to in-degree; an explicit count override
+    wins per user.
     """
 
     def __init__(self, users: list[str], edges: np.ndarray, follower_count: np.ndarray):
@@ -568,7 +572,13 @@ class UserGraph:
         keys = to_user[src]  # edge keys i * n + j, built in place
         keys *= n
         keys += to_user[dst]
-        keys = np.unique(keys)
+        # sort and drop repeats by hand: np.unique takes a hash-table path on
+        # integers that is slower and holds memory outside numpy's allocator
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        del first
         duplicates = src.size - keys.size
         edges = np.empty((keys.size, 2), dtype=np.int64)
         np.divmod(keys, max(n, 1), out=(edges[:, 0], edges[:, 1]))

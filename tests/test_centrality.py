@@ -8,6 +8,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from veloscore.centrality import (
     RetweetGraph,
@@ -18,7 +20,7 @@ from veloscore.centrality import (
     ratio_score,
     tunkrank,
 )
-from veloscore.ingest import UserGraph, parse_event
+from veloscore.ingest import StreamDigest, UserGraph, parse_event
 
 EPOCH = datetime(2025, 1, 6, tzinfo=timezone.utc)
 
@@ -264,6 +266,33 @@ class TestInfluencePassivity:
             influence_passivity(rg)
 
 
+# each iterative scorer on a small graph, called with only iteration keywords
+SCORERS = {
+    "pagerank": lambda **kw: pagerank(UserGraph.from_edges({("a", "b"), ("b", "c")}), **kw),
+    "tunkrank": lambda **kw: tunkrank(UserGraph.from_edges({("a", "b"), ("b", "c")}), **kw),
+    "influence_passivity": lambda **kw: influence_passivity(
+        rg_from_matrix(np.array([[0.0, 0.4], [0.0, 0.0]]), np.array([[0, 1], [0, 0]])), **kw),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+@pytest.mark.parametrize("name, value", [("max_iter", 0), ("max_iter", -3), ("tol", -1e-9),
+                                         ("tol", float("nan")), ("tol", float("inf"))])
+def test_iteration_budget_validated(scorer, name, value):
+    with pytest.raises(ValueError, match=name):
+        SCORERS[scorer](**{name: value})
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+def test_one_iteration_and_zero_tol_accepted(scorer):
+    result = SCORERS[scorer](max_iter=1, tol=0.0)
+    for sv in result if isinstance(result, tuple) else (result,):
+        assert sv.iterations == 1 and not sv.converged
+
+
+RT_USERS = ["a", "b", "c", "d"]
+
+
 def make_event(author, text, hour=0):
     return parse_event(json.dumps({
         "id": "e", "author": author,
@@ -307,6 +336,33 @@ class TestBuildRetweetGraph:
         retweets = Counter((e.author, e.retweet_of) for e in events if e.retweet_of)
         expected = {pair: min(1.0, c / authored[pair[1]]) for pair, c in retweets.items()
                     if pair in follows and authored[pair[1]]}
+        got = {(rg.users[s], rg.users[d]): w for s, d, w in zip(rg.src, rg.dst, rg.weights)}
+        assert got == expected
+        assert rg.dropped_no_follow == sum(1 for pair in retweets if pair not in follows)
+
+    @given(follows=st.sets(st.tuples(st.sampled_from(RT_USERS), st.sampled_from(RT_USERS))),
+           override_only=st.sets(st.sampled_from(RT_USERS)),
+           retweets=st.dictionaries(st.tuples(st.sampled_from(RT_USERS + ["ghost"]),
+                                              st.sampled_from(RT_USERS + ["ghost"])),
+                                    st.integers(1, 5), max_size=12),
+           authored=st.dictionaries(st.sampled_from(RT_USERS + ["ghost"]), st.integers(0, 4)))
+    # only override users and no edge
+    @example(follows=set(), override_only={"a", "b"}, retweets={("a", "b"): 1},
+             authored={"b": 1})
+    # b -> a is keyed past the last follow edge, a -> b
+    @example(follows={("a", "b")}, override_only=set(), retweets={("b", "a"): 1, ("a", "b"): 2},
+             authored={"a": 3, "b": 1})
+    @settings(max_examples=200, deadline=None)
+    def test_kept_and_dropped_match_set_oracle(self, follows, override_only, retweets,
+                                               authored):
+        follows = {(a, b) for a, b in follows if a != b}
+        g = UserGraph.from_edges(follows, overrides={u: 0 for u in override_only})
+        digest = StreamDigest(authored=dict(authored))
+        for (a, b), cnt in retweets.items():
+            digest.retweets.setdefault(a, {})[b] = cnt
+        rg = build_retweet_graph(digest, g)
+        expected = {pair: min(1.0, cnt / authored[pair[1]]) for pair, cnt in retweets.items()
+                    if pair in follows and authored.get(pair[1], 0)}
         got = {(rg.users[s], rg.users[d]): w for s, d, w in zip(rg.src, rg.dst, rg.weights)}
         assert got == expected
         assert rg.dropped_no_follow == sum(1 for pair in retweets if pair not in follows)
