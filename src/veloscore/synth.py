@@ -14,7 +14,8 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
-from json.encoder import encode_basestring_ascii
+from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -131,6 +132,66 @@ def _merge_cells(cells: list, rank: np.ndarray, hours: int):
     return np.argsort(rank)[keys // hours], keys % hours, sums
 
 
+def _clique(ids: np.ndarray):
+    """(follower, followee) arrays of every ordered pair of distinct ids."""
+    a, b = np.repeat(ids, len(ids)), np.tile(ids, len(ids))
+    return a[a != b], b[a != b]
+
+
+def _unique_edges(src: np.ndarray, dst: np.ndarray, rank: np.ndarray):
+    """The distinct (src, dst) pairs in (rank[src], rank[dst]) order.
+
+    Sorts the keys ``rank[src] * n + rank[dst]`` and drops repeats by hand,
+    as ``ingest.UserGraph.from_ids`` does: np.unique takes a slower hash
+    path on integers.
+    """
+    n = len(rank)
+    keys = rank[src] * n + rank[dst]
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    by_rank = np.argsort(rank)
+    return by_rank[keys // n], by_rank[keys % n]
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """json's C encoder, as ``json.dumps`` runs it without ``indent``, for a
+    container at ``depth`` that holds no container: it returns the chunks."""
+    pad = "\n" + "  " * (depth + 1)
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", "," + pad, True, False, True)
+
+
+def _indented_json(obj, depth: int = 0, out: Optional[list] = None) -> list:
+    """The chunks of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    json runs its C encoder only without ``indent``, so a container that
+    holds no container is one C-encoder call whose item separator carries
+    the newline and indent; only the outer levels run in Python.
+    """
+    out = [] if out is None else out
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
+    pad = "\n" + "  " * (depth + 1)
+    if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
+        text = "".join(_flat_encoder(depth)(obj, 0))
+        if values:  # a non-empty container opens and closes on its own lines
+            text = text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+        out.append(text)
+        return out
+    out.append("{" if is_dict else "[")
+    for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+        out.append("," + pad if i else pad)
+        if is_dict:
+            out.append(encode_basestring_ascii(item[0]) + ": ")
+            item = item[1]
+        _indented_json(item, depth + 1, out)
+    out.append(pad[:-2] + ("}" if is_dict else "]"))
+    return out
+
+
 def _table(handles: list, users, hours, counts) -> dict[str, dict[str, int]]:
     table: dict[str, dict[str, int]] = {}
     for i, h, c in zip(users.tolist(), hours.tolist(), counts.tolist()):
@@ -163,40 +224,34 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     rank = np.argsort(np.argsort(handles))  # a user's place in handle order
 
     # --- follower graph ------------------------------------------------
+    # edges are (follower, followee) index arrays into handles + spam_handles
     weights = np.ones(n)
     if cfg.graph_model == "preferential" and n_celebs:
         weights[:n_celebs] = cfg.celebrity_follow_boost
-    edges: set[tuple[str, str]] = set()
     k_follow = min(cfg.follows_per_user, n - 1)
+    drawn = np.empty((n, max(k_follow, 0)), dtype=np.int64)
     if k_follow > 0:
         for i in range(n):
             p = weights.copy()
             p[i] = 0.0
             p /= p.sum()
-            for j in rng.choice(n, size=k_follow, replace=False, p=p):
-                edges.add((handles[i], handles[int(j)]))
+            drawn[i] = rng.choice(n, size=k_follow, replace=False, p=p)
+    spam_handles = [f"spam{i:03d}" for i in range(cfg.spam_cluster_size)]
+    all_handles = handles + spam_handles
+    n_all = len(all_handles)
+    pairs = [(np.repeat(np.arange(n), drawn.shape[1]), drawn.ravel()),
+             _clique(np.arange(n, n_all))]
     if cfg.celebrity_mutual_follows:
-        for i in range(n_celebs):
-            for j in range(n_celebs):
-                if i != j:
-                    edges.add((handles[i], handles[j]))
+        pairs.append(_clique(np.arange(n_celebs)))
     if cfg.mutual_retweet_pairs:
         # buddy pairs (0,1), (2,3), ... follow each other; each user's
         # retweets come from the buddy, keeping every user inside a
         # reciprocal interaction loop
-        for i in range(0, n - 1, 2):
-            edges.add((handles[i], handles[i + 1]))
-            edges.add((handles[i + 1], handles[i]))
-    spam_handles = [f"spam{i:03d}" for i in range(cfg.spam_cluster_size)]
-    for a in spam_handles:
-        for b in spam_handles:
-            if a != b:
-                edges.add((a, b))
-
-    all_handles = handles + spam_handles
-    followers = {h: 0 for h in all_handles}
-    for _, followee in edges:
-        followers[followee] += 1
+        buddy = np.arange(0, n - 1, 2)
+        pairs.append((np.concatenate((buddy, buddy + 1)), np.concatenate((buddy + 1, buddy))))
+    src, dst = _unique_edges(*(np.concatenate(col) for col in zip(*pairs)),
+                             np.argsort(np.argsort(all_handles)))
+    followers = dict(zip(all_handles, np.bincount(dst, minlength=n_all).tolist()))
     if cfg.follower_count_overrides:
         for u in sorted(cfg.follower_count_overrides):
             if u not in followers:
@@ -234,9 +289,11 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     # --- mention/retweet events ----------------------------------------
     # events are columns of (seconds after the epoch, author, text), the
     # author an index into handles and the text an index into texts
-    fol = np.fromiter((idx[h] for a, b in edges if b in idx for h in (b, a)),
-                      dtype=np.int64).reshape(-1, 2)
-    fol = fol[np.lexsort((rank[fol[:, 1]], fol[:, 0]))]  # (followee, follower)
+    # (followee, follower) of each user's followers, in (followee, follower
+    # handle) order: a stable sort of the handle-ordered edges by followee
+    to_user = dst < n
+    fol = np.stack((dst[to_user], src[to_user]), axis=1)
+    fol = fol[np.argsort(fol[:, 0], kind="stable")]
     secs, authors, text_ids, texts, retweets, ccs = _mention_events(
         cfg, handles, n_celebs, fol, *schedule)
 
@@ -307,7 +364,8 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
 
     # --- write files --------------------------------------------------------
     with open(out / "edges.tsv", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{a}\t{b}\n" for a, b in sorted(edges))
+        fh.writelines(f"{all_handles[a]}\t{all_handles[b]}\n"
+                      for a, b in zip(src.tolist(), dst.tolist()))
     with open(out / "clicks.tsv", "w", encoding="utf-8") as fh:
         fh.writelines(f"{url}\t{urls[url]['clicks']}\n" for url in sorted(urls))
     if cfg.follower_count_overrides:
@@ -325,7 +383,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
                    "retweets": int(retweets[2].sum())},
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.writelines(_indented_json(manifest))
         fh.write("\n")
     return manifest
 

@@ -13,7 +13,7 @@ from scipy import stats as scipy_stats
 
 from pipeline_helpers import score_dataset, url_datasets
 from veloscore.evaluation import accumulate_scores, iqr_filter, pearson
-from veloscore.synth import Burst, SynthConfig, bresenham_block, generate
+from veloscore.synth import Burst, SynthConfig, _indented_json, bresenham_block, generate
 
 SMALL = dict(users=60, hours=336, follows_per_user=6, url_count=40,
              base_mention_rate=0.08)
@@ -120,6 +120,19 @@ def test_bresenham_block_matches_floor_reference(block_rates, span):
     for r, row in zip(block_rates, block.tolist()):
         assert row == [math.floor((h + 1) * r) - math.floor(h * r) for h in range(span)]
         assert sum(row) == math.floor(span * r)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=25)
+
+
+@given(obj=json_values)
+@settings(max_examples=400, deadline=None)
+def test_indented_json_matches_json_dumps(obj):
+    assert "".join(_indented_json(obj)) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 class TestManifestMatchesPipeline:
