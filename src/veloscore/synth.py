@@ -5,7 +5,16 @@ counts are planted exactly (Bresenham accumulation, not sampled) in the
 default "exact" mode, and URL clicks are derived from audience and the
 promoters' frictionless velocity with a configurable signal strength, so
 the planted correlation sign is known.  Byte-deterministic for a fixed
-seed, and byte-for-byte stable across versions.
+seed.
+
+Each user follows ``min(follows_per_user, users - 1)`` others, drawn by
+successive sampling on follow weights (1, or ``celebrity_follow_boost``
+for celebrities under the preferential model): each next followee is
+picked with probability proportional to its weight among the users not
+yet followed.  This is the law of ``Generator.choice(replace=False,
+p=...)``, which drew the graph one user at a time until ``_follow_draws``
+drew it for all users at once.  The law stayed; the bytes changed that
+once, and are byte-for-byte stable across versions since.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import numpy as np
 WEEK_HOURS = 168
 _BLOCK_USERS = 1024  # users per block of exact counts
 _WRITE_CHUNK = 1 << 14  # event lines joined per write
+_KEY_BLOCK = 1 << 19  # keys per block of rows finished by exponential races
 
 _PHRASES = (
     "great show tonight",
@@ -132,6 +142,87 @@ def _merge_cells(cells: list, rank: np.ndarray, hours: int):
     return np.argsort(rank)[keys // hours], keys % hours, sums
 
 
+def _follow_draws(rng: np.random.Generator, weights: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) followees: row i holds k distinct users other than i, in the
+    order they were picked.
+
+    Each row is a successive sample, the law of ``Generator.choice(n, k,
+    replace=False, p=...)``: every next pick is drawn with probability
+    proportional to its weight among the users that are neither i nor
+    picked yet.  All rows draw at once, with replacement, from one
+    cumulative-weight table; a row rejects itself and its repeats, keeps
+    first occurrences in draw order and draws again while short of k.  A
+    row that would reject too much -- half the total weight is itself and
+    its picks, or it needs more than half the candidates it has left --
+    finishes with Efraimidis-Spirakis keys instead (exponential races over
+    its candidates), which continue the same law.  So a row costs O(k)
+    draws, or O(n) keys where k is close to n.
+    """
+    n = len(weights)
+    out = np.empty((n, k), dtype=np.int64)
+    positive = weights > 0
+    n_pos = int(positive.sum())
+    if k > n_pos - positive.any():  # the fewest candidates any row has
+        raise ValueError(f"{k} follows per user need {k} positive-weight users "
+                         f"besides the follower; there are {n_pos - positive.any()}")
+    if k == 0:
+        return out
+    cum = np.cumsum(weights)
+    total = cum[-1]
+    filled = np.zeros(n, dtype=np.int64)  # picks so far
+    excluded = weights.astype(np.float64)  # weight a row may not draw
+    rows = np.arange(n)  # rows still drawing by rejection
+    finish = []  # rows handed to the keys
+    while rows.size:
+        need = k - filled[rows]
+        left = n_pos - positive[rows] - filled[rows]  # candidates not picked yet
+        slow = (2 * excluded[rows] >= total) | (2 * need > left)
+        finish.append(rows[slow])
+        rows, need = rows[~slow], need[~slow]
+        if not rows.size:
+            break
+        # enough draws that a row with the expected acceptance fills up
+        m = np.ceil(need * total / (total - excluded[rows])).astype(np.int64) + 1
+        seg = np.repeat(np.arange(rows.size), m)  # each draw's row, in draw order
+        who = rows[seg]
+        cand = np.searchsorted(cum, rng.random(seg.size) * total, side="right")
+        keys = who * n + cand
+        by_key = np.argsort(keys, kind="stable")
+        first = np.empty(keys.size, dtype=bool)  # the first draw of its key in its row
+        first[by_key] = np.append(True, keys[by_key][1:] != keys[by_key][:-1])
+        picked = (rows[:, None] * n + out[rows])[np.arange(k) < filled[rows, None]]
+        picked.sort()
+        at = np.minimum(np.searchsorted(picked, keys), max(picked.size - 1, 0))
+        ok = first & (cand != who)
+        if picked.size:
+            ok &= picked[at] != keys
+        taken = np.cumsum(ok)
+        before = np.append(0, taken)[np.cumsum(m) - m]  # accepted in earlier rows
+        rank = taken - np.repeat(before, m)  # 1-based place among the row's accepted
+        keep = ok & (rank <= need[seg])
+        out[who[keep], filled[who[keep]] + rank[keep] - 1] = cand[keep]
+        filled[rows] += np.bincount(seg[keep], minlength=rows.size)
+        excluded[rows] += np.bincount(seg[keep], weights[cand[keep]], minlength=rows.size)
+        rows = rows[filled[rows] < k]
+    rows = np.concatenate(finish)
+    per_block = max(1, _KEY_BLOCK // n)
+    for lo in range(0, rows.size, per_block):
+        r = rows[lo:lo + per_block]
+        with np.errstate(divide="ignore"):
+            race = rng.standard_exponential((r.size, n)) / weights  # zero weight: never
+        line, col = np.nonzero(np.arange(k) < filled[r, None])
+        race[line, out[r[line], col]] = np.inf
+        race[np.arange(r.size), r] = np.inf
+        need = k - filled[r]
+        most = int(need.max())
+        part = np.argpartition(race, most - 1, axis=1)[:, :most]
+        part = np.take_along_axis(part, np.argsort(
+            np.take_along_axis(race, part, axis=1), axis=1), axis=1)
+        line, col = np.nonzero(np.arange(most) < need[:, None])
+        out[r[line], filled[r[line]] + col] = part[line, col]
+    return out
+
+
 def _clique(ids: np.ndarray):
     """(follower, followee) arrays of every ordered pair of distinct ids."""
     a, b = np.repeat(ids, len(ids)), np.tile(ids, len(ids))
@@ -229,13 +320,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     if cfg.graph_model == "preferential" and n_celebs:
         weights[:n_celebs] = cfg.celebrity_follow_boost
     k_follow = min(cfg.follows_per_user, n - 1)
-    drawn = np.empty((n, max(k_follow, 0)), dtype=np.int64)
-    if k_follow > 0:
-        for i in range(n):
-            p = weights.copy()
-            p[i] = 0.0
-            p /= p.sum()
-            drawn[i] = rng.choice(n, size=k_follow, replace=False, p=p)
+    drawn = _follow_draws(rng, weights, max(k_follow, 0))
     spam_handles = [f"spam{i:03d}" for i in range(cfg.spam_cluster_size)]
     all_handles = handles + spam_handles
     n_all = len(all_handles)

@@ -1,8 +1,11 @@
 """`veloscore score` output is a byte-for-byte contract.
 
 Each file `score` writes, and its stdout, is pinned by its 16-byte BLAKE2b
-digest as the dense-history replay first wrote it.  The checkpoint replay
-must reproduce every byte.
+digest.  The digests were first written by the dense-history replay, which
+the checkpoint replay reproduced byte for byte; they were recorded again
+when `synth` changed its follower draw (so `DATA` holds other edges and
+events), after the unchanged `score` of the time wrote the same bytes on
+the new data.
 """
 
 import hashlib
@@ -20,35 +23,35 @@ DATA = SynthConfig(seed=17, users=80, hours=400, follows_per_user=6, url_count=3
 FILES = ("snapshots.tsv", "velocity_final.tsv", "run_config_score.txt",
          "stream_digest.ndjson")
 
-DIGEST = "5c0afc5345b5b7351d4e98da3ed2fa6c"  # the stream digest does not depend on flags
+DIGEST = "5e7deec6f1d63c960b6316c9b59e418c"  # the stream digest does not depend on flags
 GOLDEN = {
     "auto": ((), {
-        "snapshots.tsv": "5df2e2609975390be13d043ccc83a04c",
-        "velocity_final.tsv": "d07e9c695c6e8a257d10ec58d37cc01a",
-        "run_config_score.txt": "0df73bdfa39894fe5d521636e941daed",
+        "snapshots.tsv": "fcd93193db429142caa68c1cf3171fcf",
+        "velocity_final.tsv": "da3166fbc7423e559c5de92d71d89622",
+        "run_config_score.txt": "87c0c8b40119a54b8e354dc93b149d59",
         "stream_digest.ndjson": DIGEST,
-        "stdout": "993b539728302344f95fb1db4b7555a8",
+        "stdout": "85d0d5fc530e05e872c6c9ef021a3d9e",
     }),
     "ln_mass": (("--zeta", "0.01", "--mass-mode", "ln_followers"), {
-        "snapshots.tsv": "1d7b269a53a8c5172a37f57debe64599",
-        "velocity_final.tsv": "30707b840ad94f4d652ba808e6f0a0aa",
+        "snapshots.tsv": "ce28976a4703a93b21a5f1b5b2ebea22",
+        "velocity_final.tsv": "da4401aaf100157628d599b2f23a4f07",
         "run_config_score.txt": "c33b13eca89e45244e41b3a43d7de672",
         "stream_digest.ndjson": DIGEST,
-        "stdout": "3c4e96b0de34bcf6043ddb1a7c0aae5b",
+        "stdout": "4ced7ba2ff3eb9411ce286e9ab4abb18",
     }),
     "retweets": (("--force-source", "retweets", "--default-mass", "2"), {
-        "snapshots.tsv": "41dd2f0993a2bb97c70f598ae41c562b",
-        "velocity_final.tsv": "0fb2c25568ea7146de5fc222e221226d",
-        "run_config_score.txt": "f31bcdc0848c0341497546548c8a1784",
+        "snapshots.tsv": "ec2b7364742de7ebdb9dd6f92fc5036e",
+        "velocity_final.tsv": "0312a6c6d453a9a524ea92e987c355e5",
+        "run_config_score.txt": "a1979b22c6e9b4bb13cbd1a86b1008bd",
         "stream_digest.ndjson": DIGEST,
-        "stdout": "459ee2b9bce17227197100ec53c797dd",
+        "stdout": "0d573c229fb831f976e38aaaeb31e54a",
     }),
     "frictionless": (("--zeta", "0"), {
-        "snapshots.tsv": "6cd93b5e33b58525717aade34a6420ab",
-        "velocity_final.tsv": "e2c43e1135a771ee92f645a954288091",
+        "snapshots.tsv": "b7e17ae8137b451a69c2c41778229e23",
+        "velocity_final.tsv": "4c16804af98789c3c69bc3f3b5dd90e1",
         "run_config_score.txt": "4de4a3dc6661f15d69d2325489421dc9",
         "stream_digest.ndjson": DIGEST,
-        "stdout": "2bd71416660665de95117a8e7de62afa",
+        "stdout": "e5ffea04c008eba8e2c305f3c41d14ac",
     }),
 }
 

@@ -1,7 +1,9 @@
 """Generator determinism and planted ground truth."""
 
+import collections
 import filecmp
 import hashlib
+import itertools
 import json
 import math
 
@@ -13,7 +15,8 @@ from scipy import stats as scipy_stats
 
 from pipeline_helpers import score_dataset, url_datasets
 from veloscore.evaluation import accumulate_scores, iqr_filter, pearson
-from veloscore.synth import Burst, SynthConfig, _indented_json, bresenham_block, generate
+from veloscore.synth import (Burst, SynthConfig, _follow_draws, _indented_json, bresenham_block,
+                             generate)
 
 SMALL = dict(users=60, hours=336, follows_per_user=6, url_count=40,
              base_mention_rate=0.08)
@@ -44,21 +47,23 @@ class TestDeterminism:
 
 
 # The generator's outputs are a byte-for-byte contract: each file's BLAKE2b
-# digest (16 bytes) as the generator first wrote it.  A change to any byte,
-# the order of random draws included, fails here.
+# digest (16 bytes) as the generator has written it since the follower
+# graph is drawn by _follow_draws (only "tiny", which has no follows, kept
+# its earlier digests).  A change to any byte, the order of random draws
+# included, fails here.
 GOLDEN = {
     "small": (dict(seed=5, **SMALL), {
-        "clicks.tsv": "9db75cc8ffd45042b9782710ef4f9754",
-        "edges.tsv": "4baf2c7b06ddde749a743d5415b24525",
-        "events.ndjson": "85cadfe85d8cd66efb8385914bb8538e",
-        "manifest.json": "e75197dd3595ac2548901f508c57fea3",
+        "clicks.tsv": "22773fa300358032c7dac1667775498a",
+        "edges.tsv": "8e0f027e587199d5249fbd01d34e8225",
+        "events.ndjson": "61c11adecbe81d944ffd5d76a5659e11",
+        "manifest.json": "67fd34605e79b74742c4465ea6a129fd",
     }),
     "sampled_burst": (dict(seed=13, mode="sampled", bursts=(Burst("u00003", 30, 200, 1.7),),
                            **SMALL), {
-        "clicks.tsv": "b7c941e8845f1a4cc9f2291eae521aa8",
-        "edges.tsv": "c4816784ed2735e4fe5b9666188634f6",
-        "events.ndjson": "36b7f943ca5ad65c93260b18965ae320",
-        "manifest.json": "3d0d304a680f53a9ea60d8a1d87056ff",
+        "clicks.tsv": "102e80915c15f5a9e280f5558b75d44e",
+        "edges.tsv": "bbc194041e0c484f03731cdaff720730",
+        "events.ndjson": "fbfbd47f98aad94b4bdc716a7705a29c",
+        "manifest.json": "afd4b6e5b6713ecda634aa4db96cbfab",
     }),
     "options": (dict(seed=17, users=50, hours=400, follows_per_user=5, url_count=30,
                      base_mention_rate=0.1, cc_every=7, mutual_retweet_pairs=True,
@@ -66,11 +71,11 @@ GOLDEN = {
                      cross_week_url_fraction=0.3,
                      follower_count_overrides={"u00002": 500, "zed": 9, "u00011": 0},
                      epoch="2024-03-05T10:17:23.5+02:00"), {
-        "clicks.tsv": "8d2ce168973b6ba6440e7bda6b726aa3",
-        "edges.tsv": "c771a20618503327f55b0466476a2a70",
-        "events.ndjson": "28eae3538e438d2d7860eb37601bd264",
+        "clicks.tsv": "405e6c7597fa992b703bdb34639dedf9",
+        "edges.tsv": "d649aa7a691ffe86d82c08a609c45a59",
+        "events.ndjson": "3ca7d9595959087ae8ca631a306fd490",
         "follower_counts.tsv": "9b1ad1f5618837d600baa9e70e1c6c3a",
-        "manifest.json": "385462db4b6e1df21cd45679709cf0d9",
+        "manifest.json": "16fbe9315098ccd61e9ebb4782d1c13a",
     }),
     # 3 users, 10 hours and no follows: every author is the next user
     "tiny": (dict(seed=2, users=3, hours=10, follows_per_user=0, url_count=0,
@@ -88,10 +93,10 @@ GOLDEN = {
                             weekly_rate_sigma=0.0, url_count=20, url_week_min=1,
                             bursts=(Burst("u00007", 0, 500, 3), Burst("u00007", 100, 130, 0.37)),
                             epoch="2025-02-28T23:59:59-05:30"), {
-        "clicks.tsv": "63f872a040ad82281f8811d9cb1a9721",
-        "edges.tsv": "14ca58e1fde0abdcbc396ab2f8a0bd27",
-        "events.ndjson": "2874ed347a511a2ad10510a43b1ed732",
-        "manifest.json": "ce7f102566e9a2f6a3d7c104a2986f15",
+        "clicks.tsv": "6381e7d6dae8be82b6a423a454008925",
+        "edges.tsv": "52f74040f008ab16a6750f743fa92507",
+        "events.ndjson": "24c26bdc9443b1085ff2ce57026383f2",
+        "manifest.json": "8aa90db24f974c23faafc854d1e305c6",
     }),
 }
 
@@ -260,3 +265,102 @@ def test_spam_cluster_present_in_graph(tmp_path):
     assert len(spam) == 4
     for s in spam:
         assert manifest["users"][s] == 3  # followed by the other spam nodes
+
+
+def successive_sampling_law(weights, i, k):
+    """Exact probability of each ordered k-tuple of picks of row i: every
+    next pick proportional to weight among the users not yet picked."""
+    law = {}
+    for picks in itertools.permutations([j for j in range(len(weights)) if j != i], k):
+        p, rest = 1.0, sum(weights) - weights[i]
+        for j in picks:
+            p *= weights[j] / rest
+            rest -= weights[j]
+        law[picks] = p
+    return law
+
+
+@pytest.mark.parametrize("weights,k,seed", [
+    ([4, 1, 1, 1, 1], 2, 31),  # row 0 draws by keys, the others by rejection
+    ([10, 10, 1, 1, 1, 1], 3, 32),  # light rows switch to keys once both heavy ones are picked
+    ([3, 2, 1, 1], 2, 33),  # every row needs 2 of 3 candidates: all by keys
+])
+def test_follow_draws_follow_successive_sampling(weights, k, seed):
+    rng = np.random.default_rng(seed)
+    runs = 6000
+    counts = [collections.Counter() for _ in weights]
+    for _ in range(runs):
+        for i, row in enumerate(_follow_draws(rng, np.array(weights, float), k).tolist()):
+            counts[i][tuple(row)] += 1
+    for i in range(len(weights)):
+        law = successive_sampling_law(weights, i, k)
+        assert set(counts[i]) <= set(law)
+        cells = sorted(law, key=law.get, reverse=True)
+        expected = np.array([law[c] * runs for c in cells])
+        observed = np.array([counts[i][c] for c in cells])
+        rare = expected < 5  # pooled into one cell
+        if rare.any():
+            expected = np.append(expected[~rare], expected[rare].sum())
+            observed = np.append(observed[~rare], observed[rare].sum())
+        p = scipy_stats.chisquare(observed, expected * runs / expected.sum()).pvalue
+        assert p > 1e-3, (i, p)
+
+
+def assert_valid_draws(out, weights, k):
+    n = len(weights)
+    assert out.shape == (n, k)
+    assert (out != np.arange(n)[:, None]).all()  # never the follower itself
+    assert all(len(set(row)) == k for row in out.tolist())  # k distinct followees
+    assert (weights[out] > 0).all()
+
+
+@given(n=st.integers(1, 60), boost=st.sampled_from([0.0, 0.5, 1.0, 40.0, 1e6]),
+       heavy=st.integers(0, 60), k_share=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_follow_draws_give_k_distinct_followees(n, boost, heavy, k_share, seed):
+    weights = np.ones(n)
+    weights[:heavy] = boost
+    candidates = int((weights > 0).sum()) - bool((weights > 0).any())
+    k = round(k_share * candidates)
+    assert_valid_draws(_follow_draws(np.random.default_rng(seed), weights, k), weights, k)
+
+
+def test_follow_draws_complete_digraph():
+    weights = np.ones(1000)
+    weights[:20] = 40.0
+    out = _follow_draws(np.random.default_rng(1), weights, 999)
+    assert_valid_draws(out, weights, 999)
+
+
+def test_follow_draws_reject_too_few_positive_weights():
+    weights = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+    assert_valid_draws(_follow_draws(np.random.default_rng(0), weights, 2), weights, 2)
+    with pytest.raises(ValueError, match="positive-weight"):
+        _follow_draws(np.random.default_rng(0), weights, 3)
+    assert _follow_draws(np.random.default_rng(0), np.zeros(3), 0).shape == (3, 0)
+
+
+def out_degrees(path):
+    degree = collections.Counter()
+    for line in path.read_text(encoding="utf-8").splitlines():
+        degree[line.split("\t")[0]] += 1
+    return degree
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(users=50, follows_per_user=49),  # the complete digraph, one celebrity at boost 40
+    dict(users=40, follows_per_user=7, graph_model="uniform"),
+    dict(users=30, follows_per_user=4, spam_cluster_size=5),
+    dict(users=1, follows_per_user=3),
+    dict(users=20, follows_per_user=0),
+])
+def test_every_user_follows_k_others(tmp_path, kwargs):
+    cfg = SynthConfig(seed=3, hours=24, celebrity_mutual_follows=False, **kwargs)
+    manifest = generate(cfg, tmp_path)
+    degree = out_degrees(tmp_path / "edges.tsv")
+    k = min(cfg.follows_per_user, cfg.users - 1)
+    for u in manifest["users"]:
+        if u.startswith("spam"):
+            assert degree[u] == cfg.spam_cluster_size - 1
+        else:
+            assert degree[u] == k
