@@ -487,9 +487,15 @@ def main(argv=None) -> int:
             defaults = load_config_file(_require_file(argv[pos], "config file"))
             for key in _BOOL_KEYS & defaults.keys():
                 defaults[key] = defaults[key].lower() in {"1", "true", "yes"}
-            for cmd_parser in commands.values():
-                known = {a.dest for a in cmd_parser._actions}  # noqa: SLF001
-                cmd_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+            # a key of any command is fine: one file can configure a pipeline
+            known = {cmd: {a.dest for a in p._actions} - {"help"}  # noqa: SLF001
+                     for cmd, p in commands.items()}
+            unknown = sorted(defaults.keys() - set().union(*known.values()))
+            if unknown:
+                raise CliError(f"config key {', '.join(unknown)} is not an option "
+                               f"of any command ({argv[pos]})")
+            for cmd, cmd_parser in commands.items():
+                cmd_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known[cmd]})
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -518,12 +518,28 @@ class UserGraph:
     sorted user list, held as an int64 ``(edge_count, 2)`` array.  The
     rows are unique and in row-major order, so the keys
     ``follower * n + followee`` strictly increase; lookups such as
-    ``build_retweet_graph``'s binary search rely on that.
+    ``build_retweet_graph``'s binary search rely on that, and the
+    constructor raises ``ValueError`` for edges that break it.
     ``follower_count`` defaults to in-degree; an explicit count override
     wins per user.
     """
 
     def __init__(self, users: list[str], edges: np.ndarray, follower_count: np.ndarray):
+        n = len(users)
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"UserGraph edges must be (follower, followee) rows, "
+                             f"got shape {edges.shape}")
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError(f"UserGraph edges must index the {n} users")
+        src, dst = edges[:, 0], edges[:, 1]
+        # row-major keys strictly increase: a larger follower, or the same
+        # follower and a larger followee (bool temporaries, no key array)
+        if not np.all((src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] > dst[:-1]))):
+            raise ValueError("UserGraph edges must be unique and sorted by "
+                             "(follower, followee); build graphs with from_ids")
         self.users = users
         self.edges = edges
         self.follower_count = follower_count

@@ -106,8 +106,12 @@ class SynthConfig:
                      "base_click_prob", "click_noise"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.url_week_min < 0:
-            raise ValueError("url_week_min must be >= 0")
+        for name in ("url_week_min", "follows_per_user", "spam_cluster_size", "url_count",
+                     "min_promoters", "originals_per_week", "retweet_every", "cc_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.min_promoters > self.max_promoters:
+            raise ValueError("min_promoters must be <= max_promoters")
         if self.graph_model not in ("preferential", "uniform"):
             raise ValueError("graph_model must be preferential or uniform")
         if self.retweet_targets not in ("all", "celebrities"):
@@ -118,6 +122,19 @@ class SynthConfig:
             if b.rate < 0 or b.start_hour < 0 or b.end_hour > self.hours \
                     or b.start_hour >= b.end_hour:
                 raise ValueError(f"invalid burst {b}")
+        # a celebrity at boost 0 is never followed; each user follows at
+        # most every other user of positive weight
+        unfollowed = self.celebrities if self.celebrity_follow_boost == 0 \
+            and self.graph_model == "preferential" else 0
+        candidates = max(self.users - unfollowed - 1, 0)
+        if min(self.follows_per_user, self.users - 1) > candidates:
+            raise ValueError(f"follows_per_user must be <= {candidates}, the users "
+                             f"of positive follow weight besides the follower")
+
+    @property
+    def celebrities(self) -> int:
+        """The number of celebrities: users 0 to ``celebrities - 1``."""
+        return math.ceil(self.celebrity_fraction * self.users) if self.celebrity_fraction > 0 else 0
 
 
 def bresenham_block(rates, span: int) -> np.ndarray:
@@ -307,7 +324,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     for b in cfg.bursts:
         if b.user not in idx:
             raise ValueError(f"burst user {b.user!r} is not a generated user")
-    n_celebs = math.ceil(cfg.celebrity_fraction * n) if cfg.celebrity_fraction > 0 else 0
+    n_celebs = cfg.celebrities
     n_weeks = max(1, cfg.hours // WEEK_HOURS)
     # [lo, hi) hours of each week; the last week runs to the stream's end
     weeks = [(w * WEEK_HOURS, (w + 1) * WEEK_HOURS if w < n_weeks - 1 else cfg.hours)

@@ -434,6 +434,19 @@ class TestConfigFile:
         cfg.write_text("just words\n")
         assert run(*score_args(dataset, tmp_path / "o"), "--config", cfg) == EXIT_USAGE
 
+    def test_unknown_key_exit_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("users = 20\ncelebrity_follow_boost = 0\n")
+        assert run("synth", "--config", cfg, "--out", tmp_path / "o") == EXIT_USAGE
+        assert "celebrity_follow_boost" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_other_commands_keys_allowed(self, tmp_path):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("users = 20\nhours = 24\nzeta = 0\nmax-iter = 50\n")
+        assert run("synth", "--config", cfg, "--out", tmp_path / "o") == EXIT_OK
+        assert "users = 20\n" in (tmp_path / "o" / "run_config_synth.txt").read_text()
+
 
 class TestSynthCommand:
     def test_generates_dataset(self, tmp_path):
@@ -457,6 +470,13 @@ class TestSynthCommand:
 
     def test_invalid_config_exit_usage(self, tmp_path):
         assert run("synth", "--users", 0, "--out", tmp_path) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--follows-per-user", "--urls", "--spam-cluster-size"])
+    def test_negative_count_exit_usage(self, tmp_path, capsys, flag):
+        assert run("synth", "--users", 20, "--hours", 24, flag, -3,
+                   "--out", tmp_path / "o") == EXIT_USAGE
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_unknown_command_exit_usage():

@@ -14,9 +14,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import veloscore
+from veloscore.centrality import build_retweet_graph
 from veloscore.ingest import (
     IngestStats,
     ParseError,
+    StreamDigest,
     UserGraph,
     bucketize,
     load_graph,
@@ -397,6 +399,36 @@ class TestLoadGraph:
     def test_mean_followers(self):
         g = UserGraph.from_edges({("b", "a"), ("c", "a")})
         assert g.mean_followers() == pytest.approx(2 / 3)
+
+
+class TestUserGraphInvariant:
+    """Edge rows must be unique and in row-major order: the retweet graph
+    binary-searches them."""
+
+    COUNTS = np.array([1, 1, 0])
+
+    @pytest.mark.parametrize("edges", [
+        [[2, 0], [0, 1]],  # out of order
+        [[0, 1], [0, 1]],  # a repeat
+        [[0, 2], [0, 1]],  # same follower, followees out of order
+        [[0, 3]],  # past the last user
+        [[-1, 0]],
+        [0, 1],  # not rows of two
+    ])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="UserGraph edges"):
+            UserGraph(["a", "b", "c"], edges, self.COUNTS)
+
+    def test_sorted_hand_built_graph_keeps_retweet_edges(self):
+        graph = UserGraph(["a", "b", "c"], [[0, 1], [2, 0]], self.COUNTS)
+        digest = StreamDigest(authored={"a": 1, "b": 4, "c": 1},
+                              retweets={"a": {"b": 2}, "c": {"a": 1}})  # a -> b, c -> a
+        rg = build_retweet_graph(digest, graph)
+        assert rg.dropped_no_follow == 0
+        assert len(rg.src) == 2
+
+    def test_no_edges(self):
+        assert UserGraph(["a"], [], np.zeros(1, dtype=np.int64)).edges.shape == (0, 2)
 
 
 def universal_lines(data: bytes) -> list[str]:

@@ -208,6 +208,35 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(mode="approximate")
 
+    @pytest.mark.parametrize("name", ["follows_per_user", "url_count", "spam_cluster_size",
+                                      "min_promoters"])
+    def test_negative_count_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            SynthConfig(**{name: -1})
+
+    def test_promoter_range_rejected(self):
+        with pytest.raises(ValueError, match="min_promoters must be <= max_promoters"):
+            SynthConfig(min_promoters=5, max_promoters=4)
+
+    def test_follows_beyond_positive_weights_rejected(self):
+        # 40 users, 4 celebrities never followed at boost 0: 35 candidates
+        SynthConfig(users=40, celebrity_fraction=0.1, celebrity_follow_boost=0.0,
+                    follows_per_user=35)
+        with pytest.raises(ValueError, match="follows_per_user must be <= 35"):
+            SynthConfig(users=40, celebrity_fraction=0.1, celebrity_follow_boost=0.0,
+                         follows_per_user=36)
+        # the uniform model ignores the boost; more follows than users clamp
+        SynthConfig(users=40, celebrity_fraction=0.1, celebrity_follow_boost=0.0,
+                    follows_per_user=39, graph_model="uniform")
+        SynthConfig(users=5, follows_per_user=10)
+
+    def test_zero_boost_celebrities_unfollowed(self, tmp_path):
+        cfg = SynthConfig(seed=4, users=40, hours=24, celebrity_fraction=0.1,
+                          celebrity_follow_boost=0.0, celebrity_mutual_follows=False,
+                          follows_per_user=35)
+        manifest = generate(cfg, tmp_path)
+        assert [manifest["users"][f"u{i:05d}"] for i in range(4)] == [0, 0, 0, 0]
+
 
 class TestUrls:
     def test_all_urls_have_clicks_and_promoters(self, tmp_path):
