@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -265,11 +265,9 @@ def _unique_edges(src: np.ndarray, dst: np.ndarray, rank: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _flat_encoder(depth: int):
-    """json's C encoder, as ``json.dumps`` runs it without ``indent``, for a
-    container at ``depth`` that holds no container: it returns the chunks."""
+    """``encode`` for a container at ``depth`` that holds no container."""
     pad = "\n" + "  " * (depth + 1)
-    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
-                          ": ", "," + pad, True, False, True)
+    return json.JSONEncoder(sort_keys=True, separators=("," + pad, ": ")).encode
 
 
 def _indented_json(obj, depth: int = 0, out: Optional[list] = None) -> list:
@@ -284,7 +282,7 @@ def _indented_json(obj, depth: int = 0, out: Optional[list] = None) -> list:
     values = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else ()
     pad = "\n" + "  " * (depth + 1)
     if not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values))):
-        text = "".join(_flat_encoder(depth)(obj, 0))
+        text = _flat_encoder(depth)(obj)
         if values:  # a non-empty container opens and closes on its own lines
             text = text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
         out.append(text)
@@ -337,7 +335,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     if cfg.graph_model == "preferential" and n_celebs:
         weights[:n_celebs] = cfg.celebrity_follow_boost
     k_follow = min(cfg.follows_per_user, n - 1)
-    drawn = _follow_draws(rng, weights, max(k_follow, 0))
+    drawn = _follow_draws(rng, weights, k_follow)
     spam_handles = [f"spam{i:03d}" for i in range(cfg.spam_cluster_size)]
     all_handles = handles + spam_handles
     n_all = len(all_handles)
@@ -391,8 +389,7 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
     # --- mention/retweet events ----------------------------------------
     # events are columns of (seconds after the epoch, author, text), the
     # author an index into handles and the text an index into texts
-    # (followee, follower) of each user's followers, in (followee, follower
-    # handle) order: a stable sort of the handle-ordered edges by followee
+    # (followee, follower) rows in (followee, follower handle) order
     to_user = dst < n
     fol = np.stack((dst[to_user], src[to_user]), axis=1)
     fol = fol[np.argsort(fol[:, 0], kind="stable")]
