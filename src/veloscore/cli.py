@@ -492,8 +492,8 @@ def main(argv=None) -> int:
                      for cmd, p in commands.items()}
             unknown = sorted(defaults.keys() - set().union(*known.values()))
             if unknown:
-                raise CliError(f"config key {', '.join(unknown)} is not an option "
-                               f"of any command ({argv[pos]})")
+                raise CliError(f"{argv[pos]}: no command has an option "
+                               f"{', '.join(unknown)}")
             for cmd, cmd_parser in commands.items():
                 cmd_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known[cmd]})
         try:
