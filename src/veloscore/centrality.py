@@ -117,7 +117,7 @@ def pagerank(
         src, dst = dst, src
     out_deg = np.bincount(src, minlength=graph.n).astype(np.int64)
     scores, iters, residuals = kernels.pagerank_kernel(
-        src.astype(np.int64), dst.astype(np.int64), out_deg, graph.n,
+        src, dst, out_deg, graph.n,
         float(damping), float(tol), int(max_iter),
     )
     resid = float(residuals[-1]) if len(residuals) else 0.0
@@ -142,8 +142,7 @@ def tunkrank(
     if not 0.0 <= retweet_prob <= 1.0:
         raise ValueError(f"retweet_prob must be in [0, 1], got {retweet_prob}")
     _check_iteration(tol, max_iter)
-    src = graph.edges[:, 0].astype(np.int64)
-    dst = graph.edges[:, 1].astype(np.int64)
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
     out_deg = np.bincount(src, minlength=graph.n).astype(np.int64)
     raw, iters, residuals = kernels.tunkrank_kernel(
         src, dst, out_deg, float(retweet_prob), graph.n, float(tol), int(max_iter)

@@ -516,17 +516,18 @@ class UserGraph:
 
     Edges are (follower, followee) index pairs into a lexicographically
     sorted user list, held as an int64 ``(edge_count, 2)`` array.  The
-    rows are unique and in row-major order, so the keys
-    ``follower * n + followee`` strictly increase; lookups such as
-    ``build_retweet_graph``'s binary search rely on that, and the
-    constructor raises ``ValueError`` for edges that break it.
+    rows are unique and sorted, so the keys ``follower * n + followee``
+    strictly increase; lookups such as ``build_retweet_graph``'s binary
+    search rely on that, and the constructor raises ``ValueError`` for
+    edges that break it.  The array is column-major, so each column is a
+    contiguous view that the scorers and ``bincount`` use without a copy.
     ``follower_count`` defaults to in-degree; an explicit count override
     wins per user.
     """
 
     def __init__(self, users: list[str], edges: np.ndarray, follower_count: np.ndarray):
         n = len(users)
-        edges = np.asarray(edges, dtype=np.int64)
+        edges = np.asarray(edges, dtype=np.int64, order="F")
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -596,7 +597,7 @@ class UserGraph:
         keys = keys[first]
         del first
         duplicates = src.size - keys.size
-        edges = np.empty((keys.size, 2), dtype=np.int64)
+        edges = np.empty((keys.size, 2), dtype=np.int64, order="F")
         np.divmod(keys, max(n, 1), out=(edges[:, 0], edges[:, 1]))
         del keys
         follower_count = np.bincount(edges[:, 1], minlength=n).astype(np.int64)

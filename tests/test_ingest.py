@@ -430,6 +430,13 @@ class TestUserGraphInvariant:
     def test_no_edges(self):
         assert UserGraph(["a"], [], np.zeros(1, dtype=np.int64)).edges.shape == (0, 2)
 
+    def test_columns_are_contiguous(self):
+        # the scorers pass the columns to bincount and take without a copy
+        hand_built = UserGraph(["a", "b", "c"], [[0, 1], [2, 0]], self.COUNTS)
+        loaded = UserGraph.from_edges([("b", "a"), ("c", "a"), ("a", "c")])
+        for graph in (hand_built, loaded):
+            assert graph.edges[:, 0].flags.c_contiguous and graph.edges[:, 1].flags.c_contiguous
+
 
 def universal_lines(data: bytes) -> list[str]:
     """The lines of a file read as text: CRLF, lone CR and LF each end a
