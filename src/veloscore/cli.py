@@ -27,7 +27,9 @@ from .ingest import (
     load_graph,
     parse_timestamp,
     read_events_file,
+    read_graph_cache,
     table_file,
+    write_graph_cache,
 )
 
 EXIT_OK = 0
@@ -41,6 +43,7 @@ REPORT_TSV = "report.tsv"
 REPORT_TXT = "report.txt"
 REPORT_WEEKLY = "report_weekly.tsv"
 STREAM_DIGEST_FILE = "stream_digest.ndjson"
+GRAPH_CACHE_FILE = "graph_cache.ndjson"
 RUN_CONFIG_TEMPLATE = "run_config_{}.txt"
 
 CENTRALITY_FILES = {
@@ -115,6 +118,14 @@ def _parse_epoch(value):
         raise CliError(f"bad --epoch value: {exc}") from exc
 
 
+def _stamp(path: Path | None):
+    """A file's size and modification time, to tell whether it changed while read."""
+    if path is None:
+        return None
+    st = path.stat()
+    return st.st_size, st.st_mtime_ns
+
+
 def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
                   stats: IngestStats, ceiling: float):
     """The stream's force table and its resolved epoch.
@@ -124,19 +135,43 @@ def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
     unless the ceiling on skipped records fails or the file changed while
     it was read.
     """
-    before = events_path.stat()
+    before = _stamp(events_path)
     fingerprint = file_fingerprint(events_path)
     digest = StreamDigest()
     table = dynamics.ForceTable(cfg.force_source)
     for bucket in bucketize(digest.tap(read_events_file(events_path, stats)), epoch, stats):
         table.add(bucket)
     _check_ceiling(stats, ceiling)
-    after = events_path.stat()
-    if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+    if _stamp(events_path) == before:
         digest.write(out_dir / STREAM_DIGEST_FILE, fingerprint)
     if epoch is None and digest.first_ts is not None:
         epoch = floor_to_hour(digest.first_ts)
     return table, epoch
+
+
+def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
+           stats: IngestStats):
+    """The follower graph of ``edges_path`` and ``counts_path``.
+
+    Read from the cache under ``out_dir`` if it was made from the current
+    content of both files (an absent ``counts_path`` included), else
+    parsed anew and cached, unless a file changed while it was read.
+    Either way the load's graph counts are added to ``stats``.
+    """
+    before = [_stamp(edges_path), _stamp(counts_path)]
+    key = [*file_fingerprint(edges_path),
+           *(file_fingerprint(counts_path) if counts_path is not None else (None, None))]
+    cache = out_dir / GRAPH_CACHE_FILE
+    cached = read_graph_cache(cache, key)
+    if cached is not None:
+        graph, load_stats = cached
+    else:
+        load_stats = IngestStats()
+        graph = load_graph(edges_path, counts_path, load_stats)
+        if [_stamp(edges_path), _stamp(counts_path)] == before:
+            write_graph_cache(cache, graph, load_stats, key)
+    stats.add(load_stats)
+    return graph
 
 
 def _stream_events(events_path: Path, out_dir: Path, stats: IngestStats | None = None):
@@ -231,7 +266,7 @@ def cmd_score(args) -> int:
         (out_dir / name).unlink(missing_ok=True)
     stats = IngestStats()
     table, epoch = _score_stream(events_path, epoch, out_dir, cfg, stats, args.error_ceiling)
-    graph = load_graph(edges_path, counts_path, stats)
+    graph = _graph(edges_path, counts_path, out_dir, stats)
 
     if zeta is None:
         try:
@@ -289,18 +324,22 @@ def cmd_centrality(args) -> int:
                 "in [0, 1]")
     _check_flag("--tol", args.tol, 0.0 <= args.tol < math.inf, "finite and >= 0")
     _check_flag("--max-iter", args.max_iter, args.max_iter >= 1, ">= 1")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stats = IngestStats()
-    edges_path = _require_file(args.edges, "edge list")
-    counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
-    graph = load_graph(edges_path, counts_path, stats)
-    if graph.n == 0:
-        raise DataError("graph is empty")
-
     wanted = list(CENTRALITY_FILES) if args.algorithm == "all" \
         else [args.algorithm] if args.algorithm != "ip" \
         else ["ip_influence", "ip_passivity"]
+    # every flag and input file is checked before a file is read or --out is made
+    edges_path = _require_file(args.edges, "edge list")
+    counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
+    if "ip_influence" in wanted:
+        if not args.events:
+            raise CliError("--events is required for the ip algorithm")
+        events_path = _require_file(args.events, "event stream")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    graph = _graph(edges_path, counts_path, out_dir, IngestStats())
+    if graph.n == 0:
+        raise DataError("graph is empty")
+
     vectors: dict[str, ScoreVector] = {}
     if "pagerank" in wanted:
         vectors["pagerank"] = centrality_mod.pagerank(
@@ -308,10 +347,7 @@ def cmd_centrality(args) -> int:
     if "tunkrank" in wanted:
         vectors["tunkrank"] = centrality_mod.tunkrank(
             graph, args.retweet_prob, args.tol, args.max_iter)
-    if "ip_influence" in wanted or "ip_passivity" in wanted:
-        if not args.events:
-            raise CliError("--events is required for the ip algorithm")
-        events_path = _require_file(args.events, "event stream")
+    if "ip_influence" in wanted:
         rg = centrality_mod.build_retweet_graph(_stream_events(events_path, out_dir), graph)
         try:
             inf, pas = centrality_mod.influence_passivity(rg, args.tol, args.max_iter)
@@ -337,24 +373,24 @@ def cmd_eval(args) -> int:
     _check_flag("--iqr-k", args.iqr_k, 0.0 <= args.iqr_k < math.inf, "finite and >= 0")
     out_dir = Path(args.out)
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
-    static_sources = {}
-    for name in ("ip_influence", "pagerank", "tunkrank"):
-        path = _require_artifact(out_dir, CENTRALITY_FILES[name], "centrality")
-        static_sources[name] = ScoreVector.read_tsv(path, name)
-
-    stats = IngestStats()
+    static_paths = {name: _require_artifact(out_dir, CENTRALITY_FILES[name], "centrality")
+                    for name in ("ip_influence", "pagerank", "tunkrank")}
     events_path = _require_file(args.events, "event stream")
     clicks_path = _require_file(args.clicks, "clicks table")
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     epoch = _parse_epoch(args.epoch)
+    # every flag and input file is checked before one is read
+    static_sources = {name: ScoreVector.read_tsv(path, name)
+                      for name, path in static_paths.items()}
     scored = _scored_epoch(out_dir)
     if scored is not None:
         if epoch is not None and epoch != scored:
             raise CliError(f"--epoch {epoch.isoformat()} disagrees with the epoch "
                            f"{scored.isoformat()} that `veloscore score` used")
         epoch = scored
-    graph = load_graph(edges_path, counts_path, stats)
+    stats = IngestStats()
+    graph = _graph(edges_path, counts_path, out_dir, stats)
     clicks_table = evaluation.read_clicks(clicks_path)
 
     ds_stats: dict = {}

@@ -14,10 +14,10 @@ import os
 import re
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -101,6 +101,11 @@ class IngestStats:
     @property
     def skipped(self) -> int:
         return self.parse_errors + self.pre_epoch_events + self.late_events
+
+    def add(self, other: "IngestStats") -> None:
+        """Add every count of ``other`` to this one's."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     @property
     def skip_rate(self) -> float:
@@ -309,6 +314,75 @@ def file_fingerprint(path) -> tuple[int, str]:
     return size, h.hexdigest()
 
 
+# rows decoded per json.loads call when a framed file is read: about this many
+# bytes, so each call's cost is spread over many rows while the decoded batch
+# stays small next to a command's peak
+_FRAME_BATCH = 1 << 16
+
+
+def write_framed(path, header: list, rows: Iterable[list]) -> None:
+    """Write ``header`` and then each of ``rows`` as one JSON array per line.
+
+    The last line holds the BLAKE2b hash of every line before it, so a
+    truncated or damaged file is never read.  The file is ASCII text,
+    written under a temporary name and then renamed into place.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    h = _blake2b()
+    try:
+        with open(tmp, "wb") as fh:
+            def put(row):
+                line = (json.dumps(row) + "\n").encode("ascii")
+                h.update(line)
+                fh.write(line)
+
+            put(header)
+            for row in rows:
+                put(row)
+            fh.write((json.dumps(["end", h.hexdigest()]) + "\n").encode("ascii"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_framed(path, magic: str, version: int,
+                key_matches: Callable[[list], bool]) -> Iterator:
+    """Yield the rows ``write_framed`` wrote to ``path`` after a header
+    ``[magic, version, *key]`` with ``key_matches(key)``.
+
+    Rows are decoded in batches of about ``_FRAME_BATCH`` bytes, one
+    ``json.loads`` each.  Raises ValueError, after the last row if need
+    be, unless the header matches and the file is whole: its last line,
+    and only its last line, is a trailer that ends in a newline and holds
+    the hash of every line before it.  A consumer keeps what it read only
+    once the iteration has ended without an error.
+    """
+    h = _blake2b()
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        got_magic, got_version, *key = json.loads(header)
+        if (got_magic, got_version) != (magic, version) or not key_matches(key):
+            raise ValueError(f"{path} was not made from these inputs")
+        h.update(header)
+        carry = b""
+        while chunk := fh.read(_FRAME_BATCH):
+            buf = carry + chunk
+            # the last whole line may be the trailer, so it waits for the next chunk
+            cut = buf.rfind(b"\n", 0, max(buf.rfind(b"\n"), 0)) + 1
+            batch, carry = buf[:cut], buf[cut:]
+            if batch:
+                h.update(batch)
+                rows = json.loads(b"[" + batch[:-1].replace(b"\n", b",") + b"]")
+                if len(rows) != batch.count(b"\n"):
+                    raise ValueError(f"{path}: a line holds other than one row")
+                yield from rows
+    if not (carry.endswith(b"\n") and carry.count(b"\n") == 1
+            and json.loads(carry) == ["end", h.hexdigest()]):
+        raise ValueError(f"{path} is not whole")
+
+
 _DIGEST_MAGIC = "veloscore stream digest"
 # Bump whenever the parser changes what it yields, so older digests are re-parsed.
 _DIGEST_VERSION = 1
@@ -361,80 +435,54 @@ class StreamDigest:
             yield ev
 
     def write(self, path, fingerprint: tuple[int, str]) -> None:
-        """Write the digest as one JSON array per line, keyed to ``fingerprint``.
+        """Write the digest as a framed file (``write_framed``) keyed to ``fingerprint``."""
+        write_framed(path, [_DIGEST_MAGIC, _DIGEST_VERSION, *fingerprint], self._rows())
 
-        The last line holds the BLAKE2b hash of every line before it, so a
-        truncated or damaged file is never read.  The file is written
-        under a temporary name and then renamed into place.
-        """
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        h = _blake2b()
-        try:
-            with open(tmp, "wb") as fh:
-                def put(row):
-                    line = (json.dumps(row) + "\n").encode("ascii")
-                    h.update(line)
-                    fh.write(line)
-
-                put([_DIGEST_MAGIC, _DIGEST_VERSION, *fingerprint])
-                if self.first_ts is not None:
-                    put(["first", self.first_ts.isoformat()])
-                for author, n in self.authored.items():
-                    put(["author", author, n])
-                for author, counts in self.retweets.items():
-                    for target, n in counts.items():
-                        put(["retweet", author, target, n])
-                for url, author, ts in self.urls:
-                    put(["url", url, author, ts.isoformat()])
-                fh.write((json.dumps(["end", h.hexdigest()]) + "\n").encode("ascii"))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+    def _rows(self) -> Iterator[list]:
+        if self.first_ts is not None:
+            yield ["first", self.first_ts.isoformat()]
+        for author, n in self.authored.items():
+            yield ["author", author, n]
+        for author, counts in self.retweets.items():
+            for target, n in counts.items():
+                yield ["retweet", author, target, n]
+        for url, author, ts in self.urls:
+            yield ["url", url, author, ts.isoformat()]
 
     @classmethod
     def load(cls, path, events_path) -> Optional["StreamDigest"]:
         """The digest at ``path`` if it is whole and was made from the
         current content of ``events_path``; None otherwise."""
-        h = _blake2b()
+
+        def made_from_events(key):
+            size, content_hash = key
+            # the size first: a stale digest is then found without hashing the stream
+            return os.path.getsize(events_path) == size \
+                and file_fingerprint(events_path) == (size, content_hash)
+
         digest = cls()
         names: dict[str, str] = {}  # one str object per handle, as the parser keeps them
         name = names.setdefault
         ts_raw, ts = None, None
         try:
-            with open(path, "rb") as fh:
-                header = fh.readline()
-                magic, version, size, content_hash = json.loads(header)
-                if (magic, version) != (_DIGEST_MAGIC, _DIGEST_VERSION) \
-                        or os.path.getsize(events_path) != size \
-                        or file_fingerprint(events_path) != (size, content_hash):
+            for row in read_framed(path, _DIGEST_MAGIC, _DIGEST_VERSION, made_from_events):
+                tag = row[0]
+                if tag == "url":
+                    if row[3] != ts_raw:
+                        ts_raw, ts = row[3], datetime.fromisoformat(row[3])
+                    digest.urls.append((row[1], name(row[2], row[2]), ts))
+                elif tag == "retweet":
+                    counts = digest.retweets.setdefault(name(row[1], row[1]), {})
+                    counts[name(row[2], row[2])] = row[3]
+                elif tag == "author":
+                    digest.authored[name(row[1], row[1])] = row[2]
+                elif tag == "first":
+                    digest.first_ts = datetime.fromisoformat(row[1])
+                else:  # an unknown row, or a trailer that is not the last line
                     return None
-                h.update(header)
-                for line in fh:
-                    row = json.loads(line)
-                    tag = row[0]
-                    if tag == "url":
-                        if row[3] != ts_raw:
-                            ts_raw, ts = row[3], datetime.fromisoformat(row[3])
-                        digest.urls.append((row[1], name(row[2], row[2]), ts))
-                    elif tag == "retweet":
-                        counts = digest.retweets.setdefault(name(row[1], row[1]), {})
-                        counts[name(row[2], row[2])] = row[3]
-                    elif tag == "author":
-                        digest.authored[name(row[1], row[1])] = row[2]
-                    elif tag == "first":
-                        digest.first_ts = datetime.fromisoformat(row[1])
-                    elif tag == "end":
-                        # the trailer is whole, last, and hashes every line before it
-                        whole = line.endswith(b"\n") and not fh.read(1)
-                        return digest if whole and row[1] == h.hexdigest() else None
-                    else:
-                        return None
-                    h.update(line)
         except (OSError, ValueError, TypeError, LookupError, RecursionError):
             return None
-        return None  # no trailer: the file was cut short
+        return digest
 
 
 @dataclass
@@ -701,3 +749,69 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
     graph, duplicates = UserGraph.from_ids(list(handles), src, dst, overrides)
     stats.duplicate_edges += duplicates
     return graph
+
+
+_GRAPH_MAGIC = "veloscore graph cache"
+# Bump whenever load_graph changes what it returns, so older caches are re-parsed.
+_GRAPH_VERSION = 1
+_GRAPH_ROW = 4096  # values per row, so the cache is written a bounded chunk at a time
+
+
+def write_graph_cache(path, graph: UserGraph, stats: IngestStats, key: list) -> None:
+    """Write ``graph`` as a framed file (``write_framed``) under the header
+    key ``key``, with the graph counts of the ``stats`` its load made.
+
+    Rows: ``["graph", users, edges, bad_graph_lines, self_loops_dropped,
+    duplicate_edges]``, then the users in order, the edge keys
+    ``follower * n + followee`` as differences from the key before, and
+    the follower counts, each in rows of at most ``_GRAPH_ROW`` values
+    tagged ``users``, ``edges`` and ``followers``.
+    """
+    n, m = graph.n, graph.edge_count
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+
+    def rows():
+        yield ["graph", n, m, stats.bad_graph_lines, stats.self_loops_dropped,
+               stats.duplicate_edges]
+        for i in range(0, n, _GRAPH_ROW):
+            yield ["users", *graph.users[i:i + _GRAPH_ROW]]
+        last = 0
+        for i in range(0, m, _GRAPH_ROW):
+            keys = src[i:i + _GRAPH_ROW] * n + dst[i:i + _GRAPH_ROW]
+            yield ["edges", *np.diff(keys, prepend=last).tolist()]
+            last = keys[-1]
+        for i in range(0, n, _GRAPH_ROW):
+            yield ["followers", *graph.follower_count[i:i + _GRAPH_ROW].tolist()]
+
+    write_framed(path, [_GRAPH_MAGIC, _GRAPH_VERSION, *key], rows())
+
+
+def read_graph_cache(path, key: list) -> Optional[tuple[UserGraph, IngestStats]]:
+    """The graph cached at ``path`` and the graph counts of the load that
+    made it, if the cache is whole and its header key equals ``key``;
+    None otherwise."""
+    users: list[str] = []
+    empty = np.zeros(0, dtype=np.int64)
+    parts: dict[str, list[np.ndarray]] = {"edges": [empty], "followers": [empty]}
+    try:
+        rows = read_framed(path, _GRAPH_MAGIC, _GRAPH_VERSION, lambda got: got == key)
+        tag, n, m, *counts = next(rows)
+        if tag != "graph":
+            return None
+        for row in rows:
+            if row[0] == "users":
+                users.extend(row[1:])
+            else:  # a row of another tag is a KeyError
+                parts[row[0]].append(np.array(row[1:], dtype=np.int64))
+        keys, follower_count = np.concatenate(parts["edges"]), np.concatenate(parts["followers"])
+        if (len(users), keys.size, follower_count.size) != (n, m, n):
+            return None
+        np.cumsum(keys, out=keys)
+        edges = np.empty((m, 2), dtype=np.int64, order="F")
+        np.divmod(keys, max(n, 1), out=(edges[:, 0], edges[:, 1]))
+        graph = UserGraph(users, edges, follower_count)
+        stats = IngestStats()
+        stats.bad_graph_lines, stats.self_loops_dropped, stats.duplicate_edges = counts
+    except (OSError, ValueError, TypeError, LookupError, RecursionError, StopIteration):
+        return None
+    return graph, stats

@@ -62,6 +62,20 @@ def assert_rejected_before_any_file(monkeypatch, capsys, out, argv, flag, value)
     assert hash_dir(out) == before
 
 
+def assert_rejected_before_any_read(monkeypatch, capsys, argv, what):
+    """The command exits 1 naming ``what`` before it reads the graph, the
+    stream or a scorer file."""
+    def no_read(*args, **kwargs):
+        raise AssertionError(f"{args[0]} was read before {what} was checked")
+
+    for name in ("load_graph", "read_graph_cache", "read_events_file"):
+        monkeypatch.setattr(cli, name, no_read)
+    monkeypatch.setattr(cli.ScoreVector, "read_tsv", no_read)
+    capsys.readouterr()
+    assert run(*argv) == EXIT_USAGE
+    assert what in capsys.readouterr().err
+
+
 class TestScore:
     def test_runs_and_writes_artifacts(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -271,6 +285,22 @@ class TestCentrality:
             u, s = line.split("\t")
             assert float(s) == result.graph.followers_of(u)
 
+    @pytest.mark.parametrize("flags, what", [
+        ((), "--events is required"),
+        (("--events", "missing.ndjson"), "event stream not readable"),
+        (("--algorithm", "ip"), "--events is required"),
+        (("--edges", "missing.tsv"), "edge list not readable"),
+        (("--counts", "missing.tsv"), "follower-count file not readable"),
+    ], ids=["no-events", "missing-events", "ip-no-events", "missing-edges", "missing-counts"])
+    def test_inputs_checked_before_any_read(self, dataset, tmp_path, monkeypatch, capsys,
+                                            flags, what):
+        out = tmp_path / "out"
+        flags = [tmp_path / f if f.startswith("missing") else f for f in flags]
+        assert_rejected_before_any_read(
+            monkeypatch, capsys,
+            ("centrality", "--edges", dataset / "edges.tsv", "--out", out, *flags), what)
+        assert not out.exists()
+
     def test_ip_requires_events(self, dataset, tmp_path):
         code = run("centrality", "--edges", dataset / "edges.tsv",
                    "--algorithm", "ip", "--out", tmp_path / "o")
@@ -327,6 +357,17 @@ class TestEval:
         assert run(*score_args(dataset, out)) == EXIT_OK
         assert run(*self.eval_args(dataset, out)) == EXIT_USAGE
         assert "centrality" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--events", "event stream"), ("--clicks", "clicks table"), ("--edges", "edge list"),
+        ("--counts", "follower-count file"),
+    ])
+    def test_inputs_checked_before_any_read(self, dataset, scored, monkeypatch, capsys,
+                                            flag, what):
+        before = hash_dir(scored)
+        argv = (*self.eval_args(dataset, scored), flag, scored / "missing.tsv")
+        assert_rejected_before_any_read(monkeypatch, capsys, argv, f"{what} not readable")
+        assert hash_dir(scored) == before
 
     def test_byte_identical_across_runs(self, dataset, tmp_path):
         out = tmp_path / "out"

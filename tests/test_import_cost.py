@@ -3,8 +3,8 @@ OpenSSL's hashlib out of every command.
 
 Importing scipy.stats costs about a second and 70 MB of RSS, and only
 `eval`'s significance test needs scipy at all.  Importing hashlib loads
-OpenSSL (`_hashlib`), about 3.5 MB of RSS; the stream digest's BLAKE2b
-comes from the built-in `_blake2` module instead.
+OpenSSL (`_hashlib`), about 3.5 MB of RSS; the BLAKE2b of the stream
+digest and the graph cache comes from the built-in `_blake2` module instead.
 """
 
 import os
@@ -64,8 +64,8 @@ def test_trend_run_leaves_scipy_out(scored):  # and _hashlib
 
 def test_centrality_run_on_digest_leaves_scipy_and_hashlib_out(scored):
     data, out = scored
-    # no parser to fall back on: the run must use score's stream digest
-    body = ("from veloscore import cli\ncli.read_events_file = None\n"
+    # no parser to fall back on: the run must use score's stream digest and graph cache
+    body = ("from veloscore import cli\ncli.read_events_file = cli.load_graph = None\n"
             "assert cli.main(sys.argv[1:]) == 0")
     assert heavy_modules_after(body, "centrality", "--edges", data / "edges.tsv",
                                "--events", data / "events.ndjson", "--out", out) == []

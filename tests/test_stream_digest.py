@@ -11,12 +11,13 @@ import json
 import os
 import shutil
 from datetime import datetime, timedelta, timezone
+from hashlib import blake2b
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from veloscore import cli
+from veloscore import cli, ingest
 from veloscore.cli import (CENTRALITY_FILES, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                            STREAM_DIGEST_FILE, main)
 from veloscore.ingest import Event, StreamDigest, file_fingerprint, read_events_file
@@ -60,6 +61,68 @@ def test_round_trip(tmp_path, stream):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@given(stream=st.lists(events, max_size=25), batch=st.integers(1, 400))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_round_trip_in_any_batch_size(tmp_path, monkeypatch, stream, batch):
+    """Batches that end inside a line, on its newline, or hold many lines."""
+    monkeypatch.setattr(ingest, "_FRAME_BATCH", batch)
+    source = tmp_path / "events.ndjson"
+    source.write_text("any content\n", encoding="utf-8")
+    digest = StreamDigest.of(stream)
+    path = tmp_path / STREAM_DIGEST_FILE
+    digest.write(path, file_fingerprint(source))
+    assert StreamDigest.load(path, source) == digest
+
+
+T0 = datetime(2025, 1, 6, tzinfo=timezone.utc)
+LONG_STREAM = [Event(str(i), f"u{i % 500}", T0 + timedelta(seconds=i), [],
+                     f"u{i * 7 % 500}" if i % 3 else None, [f"http://example.com/{i}/" + "x" * 40])
+               for i in range(12_000)]
+
+
+def test_digest_spans_many_batches(tmp_path):
+    source = tmp_path / "events.ndjson"
+    source.write_text("any content\n", encoding="utf-8")
+    digest = StreamDigest.of(LONG_STREAM)
+    path = tmp_path / STREAM_DIGEST_FILE
+    digest.write(path, file_fingerprint(source))
+    assert path.stat().st_size > 3 * ingest._FRAME_BATCH
+    assert StreamDigest.load(path, source) == digest
+
+
+def _trailer(lines):
+    return (json.dumps(["end", blake2b(b"".join(lines)).hexdigest()]) + "\n").encode()
+
+
+def _trailer_in_the_middle(lines):
+    mid = len(lines) // 2
+    return lines[:mid] + [_trailer(lines[:mid])] + lines[mid:]
+
+
+def _two_rows_on_one_line(lines):
+    return lines[:2] + [lines[2].rstrip(b"\n") + b", " + lines[3]] + lines[4:]
+
+
+@pytest.mark.parametrize("batch", [1 << 18, 64])
+@pytest.mark.parametrize("edit", [_trailer_in_the_middle, _two_rows_on_one_line])
+def test_lines_that_are_not_one_row_are_rejected(tmp_path, monkeypatch, batch, edit):
+    """Each line but the last holds one row, and the last is the only
+    trailer, even when the trailer's hash holds."""
+    monkeypatch.setattr(ingest, "_FRAME_BATCH", batch)
+    source = tmp_path / "events.ndjson"
+    source.write_text("any content\n", encoding="utf-8")
+    path = tmp_path / STREAM_DIGEST_FILE
+    digest = StreamDigest.of(LONG_STREAM[:40])
+    digest.write(path, file_fingerprint(source))
+    lines = path.read_bytes().splitlines(keepends=True)[:-1]
+    path.write_bytes(b"".join(lines) + _trailer(lines))
+    assert StreamDigest.load(path, source) == digest
+    lines = edit(lines)
+    path.write_bytes(b"".join(lines) + _trailer(lines))
+    assert StreamDigest.load(path, source) is None
+
+
 def test_tallies():
     t0 = datetime(2025, 1, 6, 1, 30, tzinfo=timezone.utc)
     stream = [Event("1", "a", t0, ["b"], "b", ["http://x/1", "http://x/2"]),
@@ -80,7 +143,6 @@ def test_fingerprint_is_size_and_blake2b(tmp_path):
     path.write_bytes(b"abc" * 100_000)
     size, content_hash = file_fingerprint(path)
     assert size == 300_000
-    from hashlib import blake2b
     assert content_hash == blake2b(b"abc" * 100_000).hexdigest()
 
 
