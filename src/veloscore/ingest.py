@@ -761,11 +761,11 @@ def write_graph_cache(path, graph: UserGraph, stats: IngestStats, key: list) -> 
     """Write ``graph`` as a framed file (``write_framed``) under the header
     key ``key``, with the graph counts of the ``stats`` its load made.
 
-    Rows: ``["graph", users, edges, bad_graph_lines, self_loops_dropped,
-    duplicate_edges]``, then the users in order, the edge keys
-    ``follower * n + followee`` as differences from the key before, and
-    the follower counts, each in rows of at most ``_GRAPH_ROW`` values
-    tagged ``users``, ``edges`` and ``followers``.
+    Rows: ``["graph", user_count, edge_count, bad_graph_lines,
+    self_loops_dropped, duplicate_edges]``, then the users in order, the
+    edge keys ``follower * n + followee`` as differences from the key
+    before, and the follower counts, each in rows of at most
+    ``_GRAPH_ROW`` values tagged ``users``, ``edges`` and ``followers``.
     """
     n, m = graph.n, graph.edge_count
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
