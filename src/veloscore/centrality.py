@@ -87,11 +87,26 @@ class ScoreVector:
                     continue
                 try:
                     u, s = line.split("\t")
-                    vals.append(float(s))
+                    value = float(s)
                 except ValueError as exc:
                     raise DataFileError(path, lineno, exc) from None
+                if not math.isfinite(value):
+                    raise DataFileError(path, lineno, f"score {s!r} is not finite")
                 users.append(u)
+                vals.append(value)
         return cls(algorithm or "file", users, np.asarray(vals, dtype=np.float64))
+
+
+def _iterated(algorithm: str, users: list[str], values: np.ndarray, history: list,
+              tol: float) -> ScoreVector:
+    """The ScoreVector of an iterative scorer, from the residual of each
+    round that ``kernels.fixed_point`` ran."""
+    residual = float(history[-1])
+    return ScoreVector(
+        algorithm, list(users), values,
+        iterations=len(history), residual=residual,
+        converged=residual <= tol, residual_history=np.array(history),
+    )
 
 
 def pagerank(
@@ -99,33 +114,27 @@ def pagerank(
     damping: float = DEFAULT_DAMPING,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    reverse: bool = False,
 ) -> ScoreVector:
     """Standard PageRank over follower -> followee edges.
 
-    Dangling mass is redistributed uniformly; scores sum to 1.  ``reverse``
-    flips edge orientation for comparison runs.
+    Dangling mass is redistributed uniformly; scores sum to 1.
     """
     if graph.n == 0:
         raise ValueError("pagerank needs a non-empty graph")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
     _check_iteration(tol, max_iter)
-    src = graph.edges[:, 0]
-    dst = graph.edges[:, 1]
-    if reverse:
-        src, dst = dst, src
-    out_deg = np.bincount(src, minlength=graph.n).astype(np.int64)
-    scores, iters, residuals = kernels.pagerank_kernel(
-        src, dst, out_deg, graph.n,
-        float(damping), float(tol), int(max_iter),
+    n, damping = graph.n, float(damping)
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    out_deg = graph.out_degree
+    dangling = out_deg == 0
+    inv_out = np.zeros(n)
+    inv_out[~dangling] = 1.0 / out_deg[~dangling]
+    scores, history = kernels.fixed_point(
+        lambda r: kernels.pagerank_kernel(r, src, dst, inv_out, dangling, n, damping),
+        np.full(n, 1.0 / n), float(tol), int(max_iter),
     )
-    resid = float(residuals[-1]) if len(residuals) else 0.0
-    return ScoreVector(
-        "pagerank", list(graph.users), scores,
-        iterations=int(iters), residual=resid,
-        converged=resid <= tol, residual_history=residuals,
-    )
+    return _iterated("pagerank", graph.users, scores, history, tol)
 
 
 def tunkrank(
@@ -142,19 +151,16 @@ def tunkrank(
     if not 0.0 <= retweet_prob <= 1.0:
         raise ValueError(f"retweet_prob must be in [0, 1], got {retweet_prob}")
     _check_iteration(tol, max_iter)
+    n, p = graph.n, float(retweet_prob)
     src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    out_deg = np.bincount(src, minlength=graph.n).astype(np.int64)
-    raw, iters, residuals = kernels.tunkrank_kernel(
-        src, dst, out_deg, float(retweet_prob), graph.n, float(tol), int(max_iter)
+    safe_out = np.maximum(graph.out_degree, 1)
+    raw, history = kernels.fixed_point(
+        lambda score: kernels.tunkrank_kernel(score, src, dst, safe_out, p, n),
+        np.zeros(n), float(tol), int(max_iter),
     )
     total = raw.sum()
     scores = raw / total if total > 0 else raw
-    resid = float(residuals[-1]) if len(residuals) else 0.0
-    return ScoreVector(
-        "tunkrank", list(graph.users), scores,
-        iterations=int(iters), residual=resid,
-        converged=resid <= tol, residual_history=residuals,
-    )
+    return _iterated("tunkrank", graph.users, scores, history, tol)
 
 
 @dataclass
@@ -248,13 +254,13 @@ def influence_passivity(
     with np.errstate(divide="ignore", invalid="ignore"):
         f_e = np.where(acc_total[rg.dst] > 0, rg.weights / acc_total[rg.dst], 0.0)
         q_e = np.where(rej_total[rg.dst] > 0, (1.0 - rg.weights) / rej_total[rg.dst], 0.0)
-    influence, passivity, iters, resid = kernels.ip_kernel(
-        rg.src, rg.dst, f_e, q_e, n, float(tol), int(max_iter)
+    (influence, passivity), history = kernels.fixed_point(
+        lambda state: kernels.ip_kernel(state, rg.src, rg.dst, f_e, q_e, n),
+        (np.full(n, 1.0 / n), np.full(n, 1.0 / n)), float(tol), int(max_iter),
     )
-    meta = dict(iterations=int(iters), residual=float(resid), converged=resid <= tol)
     return (
-        ScoreVector("ip_influence", list(rg.users), influence, **meta),
-        ScoreVector("ip_passivity", list(rg.users), passivity, **meta),
+        _iterated("ip_influence", rg.users, influence, history, tol),
+        _iterated("ip_passivity", rg.users, passivity, history, tol),
     )
 
 

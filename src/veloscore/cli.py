@@ -343,7 +343,7 @@ def cmd_centrality(args) -> int:
     vectors: dict[str, ScoreVector] = {}
     if "pagerank" in wanted:
         vectors["pagerank"] = centrality_mod.pagerank(
-            graph, args.damping, args.tol, args.max_iter, reverse=args.reverse_pagerank)
+            graph, args.damping, args.tol, args.max_iter)
     if "tunkrank" in wanted:
         vectors["tunkrank"] = centrality_mod.tunkrank(
             graph, args.retweet_prob, args.tol, args.max_iter)
@@ -488,8 +488,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                         default=centrality_mod.DEFAULT_RETWEET_PROB)
     p_cent.add_argument("--tol", type=float, default=centrality_mod.DEFAULT_TOL)
     p_cent.add_argument("--max-iter", type=int, default=centrality_mod.DEFAULT_MAX_ITER)
-    p_cent.add_argument("--reverse-pagerank", action="store_true",
-                        help="flip edge orientation for comparison runs")
     p_cent.set_defaults(func=cmd_centrality)
 
     p_eval = sub.add_parser("eval", help="click-correlation reports")
@@ -509,9 +507,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, commands
 
 
-_BOOL_KEYS = {"reverse_pagerank"}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
@@ -521,8 +516,6 @@ def main(argv=None) -> int:
             if pos >= len(argv):
                 raise CliError("--config needs a file path")
             defaults = load_config_file(_require_file(argv[pos], "config file"))
-            for key in _BOOL_KEYS & defaults.keys():
-                defaults[key] = defaults[key].lower() in {"1", "true", "yes"}
             # a key of any command is fine: one file can configure a pipeline
             known = {cmd: {a.dest for a in p._actions} - {"help"}  # noqa: SLF001
                      for cmd, p in commands.items()}

@@ -25,9 +25,9 @@ FORCE_SOURCES = ("mentions", "retweets")
 WEEK_HOURS = 168
 
 
-def week_end_hour(week: int, week_hours: int = WEEK_HOURS) -> int:
+def week_end_hour(week: int) -> int:
     """Last hour index of the given week (week 0 ends at hour 167)."""
-    return (week + 1) * week_hours - 1
+    return (week + 1) * WEEK_HOURS - 1
 
 
 @dataclass
@@ -172,7 +172,6 @@ class KineticsEngine:
         self._idx: dict[str, int] = {}
         self._mass = np.zeros(0, dtype=np.float64)
         self._v = np.zeros(0, dtype=np.float64)
-        self._a = np.zeros(0, dtype=np.float64)
         self._week_ends: dict[int, np.ndarray] = {}
         self._hour = -1
 
@@ -196,7 +195,6 @@ class KineticsEngine:
             self.users.append(u)
         self._mass = np.concatenate([self._mass, np.asarray(masses, dtype=np.float64)])
         self._v = np.concatenate([self._v, np.zeros(len(new_users))])
-        self._a = np.concatenate([self._a, np.zeros(len(new_users))])
 
     def step_hour(self, bucket: HourBucket) -> None:
         """Advance state by one contiguous hour of force."""
@@ -212,12 +210,10 @@ class KineticsEngine:
         force = np.zeros(len(self.users))
         for u, c in force_map.items():
             force[self._idx[u]] = c
-        v_new = kernels.velocity_step(self._v, force, self._mass, self.cfg.zeta)
-        self._a = v_new - self._v
-        self._v = v_new
+        self._v = kernels.velocity_step(self._v, force, self._mass, self.cfg.zeta)
         self._hour += 1
         if (self._hour + 1) % WEEK_HOURS == 0:
-            self._week_ends[self._hour] = v_new  # the state is replaced, never written in place
+            self._week_ends[self._hour] = self._v  # the state is replaced, never written in place
 
     def run(self, buckets: Iterable[HourBucket]) -> "KineticsEngine":
         for b in buckets:
@@ -242,10 +238,6 @@ class KineticsEngine:
 
     def velocity(self, user: str) -> float:
         return self.velocity_at(user, self._hour)
-
-    def acceleration(self, user: str) -> float:
-        i = self._idx.get(user)
-        return float(self._a[i]) if i is not None else 0.0
 
     def trending(self, start_hour: int, end_hour: int, threshold: float, k: int,
                  window: str = "") -> list[TrendingEntry]:
@@ -387,10 +379,12 @@ def load_snapshots(path) -> VelocityHistory:
                 continue
             try:
                 h_s, user, v_s, a_s = line.split("\t")
-                rows.setdefault(int(h_s), {})[user] = float(v_s)
-                float(a_s)  # the acceleration is checked, not kept
+                h, v, a = int(h_s), float(v_s), float(a_s)  # a is checked, not kept
             except ValueError as exc:
                 raise DataFileError(path, lineno, exc) from None
+            if not (math.isfinite(v) and math.isfinite(a)):
+                raise DataFileError(path, lineno, "velocity and acceleration must be finite")
+            rows.setdefault(h, {})[user] = v
     users = sorted(set().union(*rows.values()))
     col = {u: i for i, u in enumerate(users)}
     hours = sorted(rows)

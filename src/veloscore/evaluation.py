@@ -45,7 +45,7 @@ class CorrelationReport:
 
 
 def read_clicks(path) -> dict[str, int]:
-    """Load a url<TAB>clicks table."""
+    """Load a url<TAB>clicks table; a count must be a non-negative integer."""
     table: dict[str, int] = {}
     with table_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -54,9 +54,12 @@ def read_clicks(path) -> dict[str, int]:
                 continue
             try:
                 url, clicks = line.split("\t")
-                table[url] = int(clicks)
+                count = int(clicks)
             except ValueError as exc:
                 raise DataFileError(path, lineno, exc) from None
+            if count < 0:
+                raise DataFileError(path, lineno, f"negative click count {count}")
+            table[url] = count
     return table
 
 
@@ -65,7 +68,6 @@ def build_url_datasets(
     clicks_table: Mapping[str, int],
     graph: UserGraph,
     epoch=None,
-    week_hours: int = WEEK_HOURS,
     stats: Optional[dict] = None,
 ) -> tuple[list[UrlRecord], list[UrlRecord]]:
     """Build the global and the single-week URL datasets.
@@ -83,7 +85,7 @@ def build_url_datasets(
         epoch = floor_to_hour(digest.first_ts)
     occurrences: dict[str, list[tuple[str, int]]] = {}
     for url, author, ts in digest.urls:
-        occurrences.setdefault(url, []).append((author, hours_since(ts, epoch) // week_hours))
+        occurrences.setdefault(url, []).append((author, hours_since(ts, epoch) // WEEK_HOURS))
 
     global_records: list[UrlRecord] = []
     weekly_records: list[UrlRecord] = []
@@ -167,7 +169,6 @@ def accumulate_scores(
     record: UrlRecord,
     source,
     flavor: str = "final_date",
-    week_hours: int = WEEK_HOURS,
 ) -> float:
     """Sum the promoters' scores for one URL.
 
@@ -186,7 +187,7 @@ def accumulate_scores(
             if record.week_index is None:
                 raise ValueError(f"record {record.url} has no week index for flavor {flavor}")
             week = record.week_index if flavor == "on_week" else record.week_index - 1
-            hour = week_end_hour(week, week_hours)
+            hour = week_end_hour(week)
         return float(sum(source.at(u, hour) for u in record.promoters))
     return float(sum(source.get(u, 0.0) for u in record.promoters))
 
@@ -219,8 +220,8 @@ def _p_from_r(r: float, n: int) -> float:
 def pearson(xs, ys) -> tuple[float, float, float]:
     """Product-moment correlation with two-tailed Student-t significance.
 
-    Returns (r, r_squared, p_value).  Requires n >= 3 and nonzero
-    variance in both series.
+    Returns (r, r_squared, p_value).  Requires n >= 3, finite values and
+    nonzero variance in both series.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -229,6 +230,8 @@ def pearson(xs, ys) -> tuple[float, float, float]:
     n = x.size
     if n < 3:
         raise ValueError(f"pearson needs at least 3 points, got {n}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite value; correlation undefined")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(np.dot(dx, dx))
@@ -293,7 +296,6 @@ def run_full_evaluation(
     velocity_source,
     iqr_k: float = 1.5,
     quartile_rule: str = "linear",
-    week_hours: int = WEEK_HOURS,
     stats: Optional[dict] = None,
 ) -> list[EvalSection]:
     """Produce the four report sections.
@@ -315,7 +317,7 @@ def run_full_evaluation(
 
     def accumulated(records, name, flavor="final_date"):
         if name == "velocity":
-            return [accumulate_scores(r, velocity_source, flavor, week_hours) for r in records]
+            return [accumulate_scores(r, velocity_source, flavor) for r in records]
         return [accumulate_scores(r, static_sources[name]) for r in records]
 
     score_names = [n for n in static_sources] + ["velocity"]
@@ -350,8 +352,7 @@ def run_full_evaluation(
             by_week.setdefault(r.week_index, []).append(r)
 
     last_hour = velocity_source.final_hour
-    usable_weeks = [w for w in sorted(by_week)
-                    if week_end_hour(w, week_hours) <= last_hour]
+    usable_weeks = [w for w in sorted(by_week) if week_end_hour(w) <= last_hour]
     stats["weekly_weeks_skipped"] = len(by_week) - len(usable_weeks)
 
     weekly_specs = [(n, "final_date") for n in score_names if n != "velocity"]

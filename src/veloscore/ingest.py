@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 HOUR_SECONDS = 3600.0
+WINDOW_HOURS = 1  # hours an event may lag the newest one seen and still be bucketed
 
 # Historical handle rule: 1-15 chars of [A-Za-z0-9_], case-insensitive.
 _HANDLE_RE = re.compile(r"^[a-z0-9_]{1,15}$")
@@ -129,9 +130,6 @@ class Event:
     retweet_of: Optional[str] = None
     urls: list[str] = field(default_factory=list)
     self_mentions: int = 0
-
-    def hour_since(self, epoch: datetime) -> int:
-        return hours_since(self.timestamp, epoch)
 
 
 def hours_since(ts: datetime, epoch: datetime) -> int:
@@ -517,13 +515,12 @@ def bucketize(
     events: Iterable[Event],
     epoch: Optional[datetime] = None,
     stats: Optional[IngestStats] = None,
-    window_hours: int = 1,
 ) -> Iterator[HourBucket]:
     """Discretize events into contiguous one-hour buckets.
 
     Buckets are emitted in increasing hour order starting at the epoch
     hour; empty hours are emitted as zero-force buckets so damping applies
-    every hour.  A bucket seals once an event ``window_hours + 1`` hours
+    every hour.  A bucket seals once an event ``WINDOW_HOURS + 1`` hours
     newer arrives; events for sealed buckets are counted and dropped, as
     are events before the epoch.  When ``epoch`` is omitted it defaults to
     the first event's timestamp floored to the hour.
@@ -536,16 +533,16 @@ def bucketize(
     for ev in events:
         if epoch is None:
             epoch = floor_to_hour(ev.timestamp)
-        h = ev.hour_since(epoch)
+        h = hours_since(ev.timestamp, epoch)
         if h < 0:
             stats.pre_epoch_events += 1
             continue
-        if h < max_hour - window_hours:
+        if h < max_hour - WINDOW_HOURS:
             stats.late_events += 1
             continue
         if h > max_hour:
             max_hour = h
-            seal_through = max_hour - window_hours - 1
+            seal_through = max_hour - WINDOW_HOURS - 1
             while emitted_through < seal_through:
                 emitted_through += 1
                 yield open_buckets.pop(emitted_through, HourBucket(emitted_through))
@@ -671,10 +668,6 @@ class UserGraph:
     def followers_of(self, user: str) -> int:
         i = self._idx.get(user)
         return int(self.follower_count[i]) if i is not None else 0
-
-    @property
-    def in_degree(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 1], minlength=self.n).astype(np.int64)
 
     @property
     def out_degree(self) -> np.ndarray:

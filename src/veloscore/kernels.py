@@ -1,9 +1,10 @@
 """Hot numeric inner loops, numpy only.
 
-One implementation each: the velocity law and its replay, and the
-PageRank, TunkRank and influence/passivity iterations.  Every kernel is
-a sequence of whole-array numpy operations in plain IEEE float64
-arithmetic, so a given input always gives the same bits.
+One implementation each: the velocity law and its replay, the
+fixed-point loop, and the PageRank, TunkRank and influence/passivity
+steps it runs.  Every kernel is a sequence of whole-array numpy
+operations in plain IEEE float64 arithmetic, so a given input always
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -46,85 +47,71 @@ def velocity_replay(hour_indptr, f_users, f_counts, mass, zeta, n_users, rows=No
 
 
 # ---------------------------------------------------------------------------
+# the one fixed-point loop; each scorer below supplies only its step
+# ---------------------------------------------------------------------------
+
+def fixed_point(step, state, tol, max_iter):
+    """Repeat ``state, residual = step(state)`` until ``residual <= tol`` or
+    ``max_iter`` rounds have run.  Returns the last state and the residual
+    of every round, as a list that grows one entry per round."""
+    history = []
+    for _ in range(max_iter):
+        state, residual = step(state)
+        history.append(residual)
+        if residual <= tol:
+            break
+    return state, history
+
+
+# ---------------------------------------------------------------------------
 # PageRank power iteration over follower -> followee edges
 # ---------------------------------------------------------------------------
 
-def pagerank_kernel(src, dst, out_deg, n, damping, tol, max_iter):
-    """Returns (scores, iterations, residual_history)."""
-    r = np.full(n, 1.0 / n)
-    dangling = out_deg == 0
-    inv_out = np.zeros(n)
-    inv_out[~dangling] = 1.0 / out_deg[~dangling]
-    residuals = np.zeros(max_iter)
-    iters = 0
-    for it in range(max_iter):
-        contrib = r * inv_out
-        new = np.bincount(dst, weights=contrib[src], minlength=n)
-        dmass = r[dangling].sum()
-        new = (1.0 - damping) / n + damping * (new + dmass / n)
-        resid = np.abs(new - r).sum()
-        residuals[it] = resid
-        r = new
-        iters = it + 1
-        if resid <= tol:
-            break
-    return r, iters, residuals[:iters].copy()
+def pagerank_kernel(r, src, dst, inv_out, dangling, n, damping):
+    """One round: (new scores, L1 change).  ``inv_out`` is 1/out-degree, 0
+    for a dangling user, whose mass is spread uniformly."""
+    contrib = r * inv_out
+    new = np.bincount(dst, weights=contrib[src], minlength=n)
+    dmass = r[dangling].sum()
+    new = (1.0 - damping) / n + damping * (new + dmass / n)
+    return new, np.abs(new - r).sum()
 
 
 # ---------------------------------------------------------------------------
 # TunkRank fixed point: I(u) = sum over followers f of (1 + p*I(f)) / out(f)
 # ---------------------------------------------------------------------------
 
-def tunkrank_kernel(src, dst, out_deg, p, n, tol, max_iter):
-    """Returns (raw_scores, iterations, residual_history)."""
-    score = np.zeros(n)
-    safe_out = np.maximum(out_deg, 1)
-    residuals = np.zeros(max_iter)
-    iters = 0
-    for it in range(max_iter):
-        contrib = (1.0 + p * score) / safe_out
-        new = np.bincount(dst, weights=contrib[src], minlength=n)
-        resid = np.abs(new - score).sum()
-        residuals[it] = resid
-        score = new
-        iters = it + 1
-        if resid <= tol:
-            break
-    return score, iters, residuals[:iters].copy()
+def tunkrank_kernel(score, src, dst, safe_out, p, n):
+    """One round: (new raw scores, L1 change).  ``safe_out`` is the
+    out-degree with 0 raised to 1."""
+    contrib = (1.0 + p * score) / safe_out
+    new = np.bincount(dst, weights=contrib[src], minlength=n)
+    return new, np.abs(new - score).sum()
 
 
 # ---------------------------------------------------------------------------
 # influence/passivity iteration over a weighted retweet graph
 # ---------------------------------------------------------------------------
 
-def ip_kernel(src, dst, f_e, q_e, n, tol, max_iter):
-    """Returns (influence, passivity, iterations, residual).
+def ip_kernel(state, src, dst, f_e, q_e, n):
+    """One round: ((influence, passivity), summed L1 change).
 
     Edge (src=follower, dst=followee) with precomputed acceptance share
-    ``f_e`` and rejection share ``q_e``.  Each round: influence of a
-    followee accumulates followers' passivity weighted by acceptance, is
+    ``f_e`` and rejection share ``q_e``.  Influence of a followee
+    accumulates followers' passivity weighted by acceptance, is
     L1-normalized, then passivity accumulates followees' influence
     weighted by rejection and is L1-normalized.  A zero-total influence
     update carries no information and holds the previous vector; a
     zero-total passivity update means nothing was rejected and stays
     zero.
     """
-    influence = np.full(n, 1.0 / n)
-    passivity = np.full(n, 1.0 / n)
-    resid = 0.0
-    iters = 0
-    for it in range(max_iter):
-        inf_new = np.bincount(dst, weights=f_e * passivity[src], minlength=n)
-        total = inf_new.sum()
-        inf_new = inf_new / total if total > 0.0 else influence.copy()
-        pas_new = np.bincount(src, weights=q_e * inf_new[dst], minlength=n)
-        total = pas_new.sum()
-        if total > 0.0:
-            pas_new = pas_new / total
-        resid = np.abs(inf_new - influence).sum() + np.abs(pas_new - passivity).sum()
-        influence = inf_new
-        passivity = pas_new
-        iters = it + 1
-        if resid <= tol:
-            break
-    return influence, passivity, iters, resid
+    influence, passivity = state
+    inf_new = np.bincount(dst, weights=f_e * passivity[src], minlength=n)
+    total = inf_new.sum()
+    inf_new = inf_new / total if total > 0.0 else influence.copy()
+    pas_new = np.bincount(src, weights=q_e * inf_new[dst], minlength=n)
+    total = pas_new.sum()
+    if total > 0.0:
+        pas_new = pas_new / total
+    resid = np.abs(inf_new - influence).sum() + np.abs(pas_new - passivity).sum()
+    return (inf_new, pas_new), resid

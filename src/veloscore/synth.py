@@ -30,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-WEEK_HOURS = 168
+from .dynamics import WEEK_HOURS
+
 _BLOCK_USERS = 1024  # users per block of exact counts
 _WRITE_CHUNK = 1 << 14  # event lines joined per write
 _KEY_BLOCK = 1 << 19  # keys per block of rows finished by exponential races

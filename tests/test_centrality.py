@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veloscore.centrality import (
+    DEFAULT_TOL,
     RetweetGraph,
     build_retweet_graph,
     followers_score,
@@ -288,6 +289,18 @@ def test_one_iteration_and_zero_tol_accepted(scorer):
     result = SCORERS[scorer](max_iter=1, tol=0.0)
     for sv in result if isinstance(result, tuple) else (result,):
         assert sv.iterations == 1 and not sv.converged
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+@pytest.mark.parametrize("budget, converges", [({}, True), ({"max_iter": 1, "tol": 0.0}, False)],
+                         ids=["converging", "unconverging"])
+def test_convergence_record_matches_residual_history(scorer, budget, converges):
+    result = SCORERS[scorer](**budget)
+    tol = budget.get("tol", DEFAULT_TOL)
+    for sv in result if isinstance(result, tuple) else (result,):
+        assert sv.iterations == len(sv.residual_history)
+        assert sv.residual == sv.residual_history[-1]
+        assert sv.converged == (sv.residual <= tol) == converges
 
 
 RT_USERS = ["a", "b", "c", "d"]

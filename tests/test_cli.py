@@ -301,6 +301,28 @@ class TestCentrality:
             ("centrality", "--edges", dataset / "edges.tsv", "--out", out, *flags), what)
         assert not out.exists()
 
+    def test_huge_max_iter_runs_as_far_as_convergence(self, dataset, tmp_path):
+        # nothing is allocated per allowed round, only per round run
+        outs = {m: tmp_path / f"max_iter_{m}" for m in ("default", "huge")}
+        for m, out in outs.items():
+            extra = ("--max-iter", "1000000000000") if m == "huge" else ()
+            assert run("centrality", "--edges", dataset / "edges.tsv",
+                       "--algorithm", "pagerank", "--out", out, *extra) == EXIT_OK
+        assert ((outs["huge"] / "pagerank.tsv").read_bytes()
+                == (outs["default"] / "pagerank.tsv").read_bytes())
+
+    def test_reverse_pagerank_is_no_option(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "reverse.cfg"
+        cfg.write_text("reverse_pagerank = true\n")
+        argv = ("centrality", "--edges", dataset / "edges.tsv", "--algorithm", "pagerank",
+                "--out", tmp_path / "o")
+        for extra, named in ((("--reverse-pagerank",), "--reverse-pagerank"),
+                             (("--config", cfg), "reverse_pagerank")):
+            capsys.readouterr()
+            assert run(*argv, *extra) == EXIT_USAGE
+            assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_ip_requires_events(self, dataset, tmp_path):
         code = run("centrality", "--edges", dataset / "edges.tsv",
                    "--algorithm", "ip", "--out", tmp_path / "o")
@@ -379,8 +401,13 @@ class TestEval:
 
     @pytest.mark.parametrize("name, bad_line", [
         ("clicks.tsv", "http://sho.rt/x\tmany"),
+        ("clicks.tsv", "http://sho.rt/x\t-150"),
         ("snapshots.tsv", "167\tu00001\tfast\t0.0"),
+        ("snapshots.tsv", "167\tu00001\tinf\t0.0"),
+        ("snapshots.tsv", "167\tu00001\t0.5\tnan"),
         ("pagerank.tsv", "u00001"),
+        ("pagerank.tsv", "u00001\tnan"),
+        ("pagerank.tsv", "u00001\t-inf"),
     ])
     def test_malformed_data_file_exit_data(self, dataset, tmp_path, capsys, name, bad_line):
         out = tmp_path / "out"

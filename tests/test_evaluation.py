@@ -313,6 +313,13 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1, 2], [3, 4])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # clamped, a nan r would read as a perfect correlation
+        for xs, ys in (([1, 2, bad, 4], [2, 1, 3, 5]), ([2, 1, 3, 5], [1, 2, bad, 4])):
+            with pytest.raises(ValueError, match="non-finite"):
+                pearson(xs, ys)
+
 
 class TestAverageWeeklyR:
     def test_identical_r_exact(self):
