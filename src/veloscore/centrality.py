@@ -78,8 +78,7 @@ class ScoreVector:
 
     @classmethod
     def read_tsv(cls, path, algorithm: str = "") -> "ScoreVector":
-        users: list[str] = []
-        vals: list[float] = []
+        scores: dict[str, float] = {}
         with table_file(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -92,9 +91,11 @@ class ScoreVector:
                     raise DataFileError(path, lineno, exc) from None
                 if not math.isfinite(value):
                     raise DataFileError(path, lineno, f"score {s!r} is not finite")
-                users.append(u)
-                vals.append(value)
-        return cls(algorithm or "file", users, np.asarray(vals, dtype=np.float64))
+                if u in scores:
+                    raise DataFileError(path, lineno, f"user {u!r} is listed again")
+                scores[u] = value
+        return cls(algorithm or "file", list(scores),
+                   np.fromiter(scores.values(), dtype=np.float64, count=len(scores)))
 
 
 def _iterated(algorithm: str, users: list[str], values: np.ndarray, history: list,

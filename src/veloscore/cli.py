@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import centrality as centrality_mod
 from . import dynamics, evaluation, synth
@@ -20,6 +21,7 @@ from .dynamics import KineticsConfig, week_end_hour
 from .ingest import (
     DataFileError,
     IngestStats,
+    ParseError,
     StreamDigest,
     bucketize,
     file_fingerprint,
@@ -84,19 +86,22 @@ def _require_artifact(out_dir: Path, filename: str, producer: str) -> Path:
     return p
 
 
-def load_config_file(path) -> dict[str, str]:
-    """Flat key = value defaults; command-line flags win over these."""
-    out: dict[str, str] = {}
+def _config_lines(path) -> Iterator[tuple[int, str, str]]:
+    """Each ``key = value`` line of a flat config file: its number, key and value."""
     with table_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise CliError(f"config line {lineno} is not key = value: {line!r}")
+                raise CliError(f"{path}:{lineno}: not key = value: {line!r}")
             k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
-    return out
+            yield lineno, k.strip().replace("-", "_"), v.strip()
+
+
+def load_config_file(path) -> dict[str, str]:
+    """Flat key = value defaults; command-line flags win over these."""
+    return {k: v for _, k, v in _config_lines(path)}
 
 
 def _write_run_config(out_dir: Path, args: argparse.Namespace, extra: dict) -> None:
@@ -118,12 +123,19 @@ def _parse_epoch(value):
         raise CliError(f"bad --epoch value: {exc}") from exc
 
 
-def _stamp(path: Path | None):
-    """A file's size and modification time, to tell whether it changed while read."""
-    if path is None:
-        return None
-    st = path.stat()
-    return st.st_size, st.st_mtime_ns
+def _keyed(*paths: Path | None):
+    """The key of the files ``paths``, and a check that none has changed since.
+
+    The key lists each file's byte size and BLAKE2b hash, or None and None
+    for an absent one.  The check tells whether each file still has the
+    size and modification time it had before the key was taken.
+    """
+    def stamps():
+        return [(st.st_size, st.st_mtime_ns) for st in (p.stat() for p in paths if p)]
+
+    before = stamps()
+    key = [x for p in paths for x in (file_fingerprint(p) if p else (None, None))]
+    return key, lambda: stamps() == before
 
 
 def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
@@ -135,15 +147,14 @@ def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
     unless the ceiling on skipped records fails or the file changed while
     it was read.
     """
-    before = _stamp(events_path)
-    fingerprint = file_fingerprint(events_path)
+    key, unchanged = _keyed(events_path)
     digest = StreamDigest()
     table = dynamics.ForceTable(cfg.force_source)
     for bucket in bucketize(digest.tap(read_events_file(events_path, stats)), epoch, stats):
         table.add(bucket)
     _check_ceiling(stats, ceiling)
-    if _stamp(events_path) == before:
-        digest.write(out_dir / STREAM_DIGEST_FILE, fingerprint)
+    if unchanged():
+        digest.write(out_dir / STREAM_DIGEST_FILE, key)
     if epoch is None and digest.first_ts is not None:
         epoch = floor_to_hour(digest.first_ts)
     return table, epoch
@@ -158,9 +169,7 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
     parsed anew and cached, unless a file changed while it was read.
     Either way the load's graph counts are added to ``stats``.
     """
-    before = [_stamp(edges_path), _stamp(counts_path)]
-    key = [*file_fingerprint(edges_path),
-           *(file_fingerprint(counts_path) if counts_path is not None else (None, None))]
+    key, unchanged = _keyed(edges_path, counts_path)
     cache = out_dir / GRAPH_CACHE_FILE
     cached = read_graph_cache(cache, key)
     if cached is not None:
@@ -168,7 +177,7 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
     else:
         load_stats = IngestStats()
         graph = load_graph(edges_path, counts_path, load_stats)
-        if [_stamp(edges_path), _stamp(counts_path)] == before:
+        if unchanged():
             write_graph_cache(cache, graph, load_stats, key)
     stats.add(load_stats)
     return graph
@@ -177,21 +186,26 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
 def _stream_events(events_path: Path, out_dir: Path, stats: IngestStats | None = None):
     """The digest `score` wrote under ``out_dir`` if it matches the events
     file's current content, else the file's events, parsed anew."""
-    digest = StreamDigest.load(out_dir / STREAM_DIGEST_FILE, events_path)
+    digest = StreamDigest.load(out_dir / STREAM_DIGEST_FILE, _keyed(events_path)[0])
     return digest if digest is not None else read_events_file(events_path, stats)
 
 
 def _scored_epoch(out_dir: Path):
     """The epoch the `score` run under ``out_dir`` resolved, or None if it
-    recorded none."""
+    recorded none; a damaged record is a data error."""
     path = out_dir / RUN_CONFIG_TEMPLATE.format("score")
-    raw = load_config_file(path).get("resolved_epoch") if path.is_file() else None
-    if raw is None:
+    if not path.is_file():
         return None
+    epoch = None
     try:
-        return parse_timestamp(raw)
-    except Exception as exc:
-        raise CliError(f"bad resolved_epoch in {path}: {exc}") from exc
+        for lineno, k, v in _config_lines(path):
+            if k == "resolved_epoch":
+                epoch = parse_timestamp(v)
+    except CliError as exc:  # a line that is not key = value
+        raise DataError(str(exc)) from exc
+    except ParseError as exc:
+        raise DataFileError(path, lineno, f"resolved_epoch: {exc}") from exc
+    return epoch
 
 
 def _check_flag(flag: str, value, ok: bool, want: str) -> None:
@@ -379,16 +393,10 @@ def cmd_eval(args) -> int:
     clicks_path = _require_file(args.clicks, "clicks table")
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
-    epoch = _parse_epoch(args.epoch)
     # every flag and input file is checked before one is read
     static_sources = {name: ScoreVector.read_tsv(path, name)
                       for name, path in static_paths.items()}
-    scored = _scored_epoch(out_dir)
-    if scored is not None:
-        if epoch is not None and epoch != scored:
-            raise CliError(f"--epoch {epoch.isoformat()} disagrees with the epoch "
-                           f"{scored.isoformat()} that `veloscore score` used")
-        epoch = scored
+    epoch = _scored_epoch(out_dir)
     stats = IngestStats()
     graph = _graph(edges_path, counts_path, out_dir, stats)
     clicks_table = evaluation.read_clicks(clicks_path)
@@ -496,8 +504,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p_eval.add_argument("--edges", required=True)
     p_eval.add_argument("--counts")
     p_eval.add_argument("--clicks", required=True)
-    p_eval.add_argument("--epoch", help="ISO-8601 stream epoch; must match the "
-                                        "epoch the score run used")
     p_eval.add_argument("--iqr-k", type=float, default=1.5)
     p_eval.add_argument("--quartile-rule", choices=["linear", "tukey"], default="linear")
     p_eval.set_defaults(func=cmd_eval)
@@ -511,22 +517,20 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        if "--config" in argv:
-            pos = argv.index("--config") + 1
-            if pos >= len(argv):
-                raise CliError("--config needs a file path")
-            defaults = load_config_file(_require_file(argv[pos], "config file"))
-            # a key of any command is fine: one file can configure a pipeline
-            known = {cmd: {a.dest for a in p._actions} - {"help"}  # noqa: SLF001
-                     for cmd, p in commands.items()}
-            unknown = sorted(defaults.keys() - set().union(*known.values()))
-            if unknown:
-                raise CliError(f"{argv[pos]}: no command has an option "
-                               f"{', '.join(unknown)}")
-            for cmd, cmd_parser in commands.items():
-                cmd_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known[cmd]})
         try:
             args = parser.parse_args(argv)
+            if args.config is not None:
+                defaults = load_config_file(_require_file(args.config, "config file"))
+                # a key of any command is fine: one file can configure a pipeline
+                known = {cmd: {a.dest for a in p._actions} - {"help"}  # noqa: SLF001
+                         for cmd, p in commands.items()}
+                unknown = sorted(defaults.keys() - set().union(*known.values()))
+                if unknown:
+                    raise CliError(f"{args.config}: no command has an option "
+                                   f"{', '.join(unknown)}")
+                commands[args.command].set_defaults(
+                    **{k: v for k, v in defaults.items() if k in known[args.command]})
+                args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
         return args.func(args)

@@ -384,7 +384,10 @@ def load_snapshots(path) -> VelocityHistory:
                 raise DataFileError(path, lineno, exc) from None
             if not (math.isfinite(v) and math.isfinite(a)):
                 raise DataFileError(path, lineno, "velocity and acceleration must be finite")
-            rows.setdefault(h, {})[user] = v
+            row = rows.setdefault(h, {})
+            if user in row:
+                raise DataFileError(path, lineno, f"user {user!r} is listed again at hour {h}")
+            row[user] = v
     users = sorted(set().union(*rows.values()))
     col = {u: i for i, u in enumerate(users)}
     hours = sorted(rows)

@@ -59,6 +59,8 @@ def read_clicks(path) -> dict[str, int]:
                 raise DataFileError(path, lineno, exc) from None
             if count < 0:
                 raise DataFileError(path, lineno, f"negative click count {count}")
+            if url in table:
+                raise DataFileError(path, lineno, f"url {url!r} is listed again")
             table[url] = count
     return table
 

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -120,7 +120,8 @@ class Event:
     ``mentions`` lists every non-self '@' token in text order, duplicates
     included: force counts token occurrences, not distinct mentioners.
     Self-mentions are dropped from the list but tallied in
-    ``self_mentions``.
+    ``self_mentions``; a self-attributed retweet is dropped from
+    ``retweet_of`` and tallied in ``self_retweets``.
     """
 
     event_id: str
@@ -130,6 +131,7 @@ class Event:
     retweet_of: Optional[str] = None
     urls: list[str] = field(default_factory=list)
     self_mentions: int = 0
+    self_retweets: int = 0
 
 
 def hours_since(ts: datetime, epoch: datetime) -> int:
@@ -244,7 +246,9 @@ class EventDecoder:
         else:
             mentions, self_mentions = raw_mentions, 0
         if retweet_of == author:
-            retweet_of = None  # self-attribution carries no outside attention
+            retweet_of, self_retweets = None, 1  # self-attribution carries no outside attention
+        else:
+            self_retweets = 0
         if retweet_of is not None and retweet_of not in mentions:
             mentions.insert(0, retweet_of)
 
@@ -258,7 +262,8 @@ class EventDecoder:
             urls = []
 
         event_id = str(rec.get("id", ""))
-        return Event(event_id, author, ts, mentions, retweet_of, urls, self_mentions)
+        return Event(event_id, author, ts, mentions, retweet_of, urls, self_mentions,
+                     self_retweets)
 
 
 def parse_event(line: str) -> Event:
@@ -280,6 +285,7 @@ def read_events(lines: Iterable[str], stats: Optional[IngestStats] = None) -> It
             stats.parse_errors += 1
             continue
         stats.self_mentions += ev.self_mentions
+        stats.self_retweets += ev.self_retweets
         yield ev
 
 
@@ -345,10 +351,9 @@ def write_framed(path, header: list, rows: Iterable[list]) -> None:
         raise
 
 
-def read_framed(path, magic: str, version: int,
-                key_matches: Callable[[list], bool]) -> Iterator:
-    """Yield the rows ``write_framed`` wrote to ``path`` after a header
-    ``[magic, version, *key]`` with ``key_matches(key)``.
+def read_framed(path, magic: str, version: int, key: list) -> Iterator:
+    """Yield the rows ``write_framed`` wrote to ``path`` after the header
+    ``[magic, version, *key]``.
 
     Rows are decoded in batches of about ``_FRAME_BATCH`` bytes, one
     ``json.loads`` each.  Raises ValueError, after the last row if need
@@ -360,8 +365,7 @@ def read_framed(path, magic: str, version: int,
     h = _blake2b()
     with open(path, "rb") as fh:
         header = fh.readline()
-        got_magic, got_version, *key = json.loads(header)
-        if (got_magic, got_version) != (magic, version) or not key_matches(key):
+        if json.loads(header) != [magic, version, *key]:
             raise ValueError(f"{path} was not made from these inputs")
         h.update(header)
         carry = b""
@@ -432,9 +436,9 @@ class StreamDigest:
                 urls.append((url, author, ev.timestamp))
             yield ev
 
-    def write(self, path, fingerprint: tuple[int, str]) -> None:
-        """Write the digest as a framed file (``write_framed``) keyed to ``fingerprint``."""
-        write_framed(path, [_DIGEST_MAGIC, _DIGEST_VERSION, *fingerprint], self._rows())
+    def write(self, path, key: list) -> None:
+        """Write the digest as a framed file (``write_framed``) under the header key ``key``."""
+        write_framed(path, [_DIGEST_MAGIC, _DIGEST_VERSION, *key], self._rows())
 
     def _rows(self) -> Iterator[list]:
         if self.first_ts is not None:
@@ -448,22 +452,15 @@ class StreamDigest:
             yield ["url", url, author, ts.isoformat()]
 
     @classmethod
-    def load(cls, path, events_path) -> Optional["StreamDigest"]:
-        """The digest at ``path`` if it is whole and was made from the
-        current content of ``events_path``; None otherwise."""
-
-        def made_from_events(key):
-            size, content_hash = key
-            # the size first: a stale digest is then found without hashing the stream
-            return os.path.getsize(events_path) == size \
-                and file_fingerprint(events_path) == (size, content_hash)
-
+    def load(cls, path, key: list) -> Optional["StreamDigest"]:
+        """The digest at ``path`` if it is whole and its header key equals
+        ``key``; None otherwise."""
         digest = cls()
         names: dict[str, str] = {}  # one str object per handle, as the parser keeps them
         name = names.setdefault
         ts_raw, ts = None, None
         try:
-            for row in read_framed(path, _DIGEST_MAGIC, _DIGEST_VERSION, made_from_events):
+            for row in read_framed(path, _DIGEST_MAGIC, _DIGEST_VERSION, key):
                 tag = row[0]
                 if tag == "url":
                     if row[3] != ts_raw:
@@ -787,7 +784,7 @@ def read_graph_cache(path, key: list) -> Optional[tuple[UserGraph, IngestStats]]
     empty = np.zeros(0, dtype=np.int64)
     parts: dict[str, list[np.ndarray]] = {"edges": [empty], "followers": [empty]}
     try:
-        rows = read_framed(path, _GRAPH_MAGIC, _GRAPH_VERSION, lambda got: got == key)
+        rows = read_framed(path, _GRAPH_MAGIC, _GRAPH_VERSION, key)
         tag, n, m, *counts = next(rows)
         if tag != "graph":
             return None

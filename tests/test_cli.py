@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,10 @@ from pipeline_helpers import score_dataset
 from veloscore import cli
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from veloscore.synth import SynthConfig, generate
+
+
+# a test's bad line that repeats the key of the line before it
+LINE_2_AGAIN = "<line 2 again>"
 
 
 def run(*argv):
@@ -408,6 +414,10 @@ class TestEval:
         ("pagerank.tsv", "u00001"),
         ("pagerank.tsv", "u00001\tnan"),
         ("pagerank.tsv", "u00001\t-inf"),
+        # a key listed twice: a url, an (hour, user) pair, a user
+        ("clicks.tsv", LINE_2_AGAIN),
+        ("snapshots.tsv", LINE_2_AGAIN),
+        ("pagerank.tsv", LINE_2_AGAIN),
     ])
     def test_malformed_data_file_exit_data(self, dataset, tmp_path, capsys, name, bad_line):
         out = tmp_path / "out"
@@ -416,7 +426,7 @@ class TestEval:
         clicks.write_text((dataset / "clicks.tsv").read_text())
         target = clicks if name == "clicks.tsv" else out / name
         lines = target.read_text().splitlines()
-        lines[2] = bad_line
+        lines[2] = lines[1] if bad_line == LINE_2_AGAIN else bad_line
         target.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run("eval", "--events", dataset / "events.ndjson",
@@ -442,8 +452,6 @@ class TestEval:
                    "--events", dataset / "events.ndjson", "--out", out) == EXIT_OK
         assert run(*self.eval_args(dataset, out)) == EXIT_OK
         plain = (out / "report_weekly.tsv").read_bytes()
-        assert run(*self.eval_args(dataset, out), "--epoch", epoch) == EXIT_OK
-        assert (out / "report_weekly.tsv").read_bytes() == plain
         # without the recorded epoch, eval falls back to the first event's hour
         config = out / "run_config_score.txt"
         config.write_text("".join(line for line in config.read_text().splitlines(True)
@@ -458,19 +466,31 @@ class TestEval:
         assert "epoch = None\n" in config
         assert "resolved_epoch = 2025-01-06T00:00:00+00:00\n" in config
 
-    def test_mismatched_epoch_exit_usage(self, dataset, tmp_path, capsys):
+    def test_mismatched_epoch_exit_usage(self, dataset, scored, capsys):
+        """`eval` takes the epoch `score` recorded and has no --epoch of its
+        own: one that names another instant, or the same, exits 1."""
+        before = hash_dir(scored)
+        for epoch in ("2025-01-07T00:00:00Z", "2025-01-06T01:00:00+01:00"):
+            capsys.readouterr()
+            assert run(*self.eval_args(dataset, scored), "--epoch", epoch) == EXIT_USAGE
+            assert "--epoch" in capsys.readouterr().err
+        assert hash_dir(scored) == before
+
+    @pytest.mark.parametrize("bad_line", ["garbage line", "resolved_epoch = yesterday"])
+    def test_damaged_score_record_exit_data(self, dataset, tmp_path, capsys, bad_line):
+        """`eval` reads its epoch from `run_config_score.txt`, so a line there
+        that is not key = value, or a resolved_epoch that is no instant, is
+        a data error naming the file and the line."""
         out = tmp_path / "out"
-        assert run(*score_args(dataset, out), "--epoch", "2025-01-06T00:00:00Z") == EXIT_OK
-        assert run("centrality", "--edges", dataset / "edges.tsv",
-                   "--events", dataset / "events.ndjson", "--out", out) == EXIT_OK
+        self.prepare(dataset, out)
+        record = out / "run_config_score.txt"
+        lines = [ln for ln in record.read_text().splitlines()
+                 if not ln.startswith("resolved_epoch")] + [bad_line]
+        record.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert run(*self.eval_args(dataset, out), "--epoch", "2025-01-07T00:00:00Z") == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "2025-01-07T00:00:00+00:00" in err and "2025-01-06T00:00:00+00:00" in err
+        assert run(*self.eval_args(dataset, out)) == EXIT_DATA
+        assert f"{record}:{len(lines)}:" in capsys.readouterr().err
         assert not (out / "report.tsv").exists()
-        # the same instant in another spelling agrees
-        assert run(*self.eval_args(dataset, out), "--epoch", "2025-01-06T01:00:00+01:00") \
-            == EXIT_OK
 
     def test_r_squared_consistency(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -501,6 +521,36 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")
         assert run(*score_args(dataset, tmp_path / "o"), "--config", cfg) == EXIT_USAGE
+
+    @pytest.mark.parametrize("spelling", ["--config=FILE", "--conf FILE"])
+    def test_every_spelling_of_config_is_read(self, scored, tmp_path, capsys, spelling):
+        """argparse takes `--config=FILE` and the prefix `--conf` as `--config`;
+        the file is applied, and checked, whichever spelling names it."""
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(scored / "snapshots.tsv", out)
+        cfg = tmp_path / "trend.cfg"
+        flag = [f"--config={cfg}"] if spelling == "--config=FILE" else ["--conf", cfg]
+
+        def trend(*extra):
+            capsys.readouterr()
+            code = run("trend", "--out", out, "--week", "1", *extra)
+            captured = capsys.readouterr()
+            return code, captured.out.splitlines()[:-1], captured.err
+
+        code, rows, _ = trend()
+        assert code == EXIT_OK and len(rows) > 1
+        cfg.write_text("top_k = 1\n")
+        code, rows, _ = trend(*flag)
+        assert code == EXIT_OK and len(rows) == 1
+        cfg.write_text("bogus_key = 1\n")
+        code, _, err = trend(*flag)
+        assert code == EXIT_USAGE and "bogus_key" in err
+
+    def test_config_without_path_exit_usage(self, tmp_path, capsys):
+        assert run("synth", "--out", tmp_path / "o", "--config") == EXIT_USAGE
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_exit_usage(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
@@ -545,6 +595,26 @@ class TestSynthCommand:
                    "--out", tmp_path / "o") == EXIT_USAGE
         assert "must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def test_readme_cli_flags_are_options():
+    """Every --flag in the README's CLI block is an option of the command it
+    follows, so a removed flag cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    _, commands = cli.build_parser()
+    seen = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split("#", 1)[0].split()
+        if not words:
+            continue
+        assert words[:1] == ["veloscore"] and words[1] in commands, line
+        options = {s for a in commands[words[1]]._actions for s in a.option_strings}
+        for word in words[2:]:
+            if word.startswith("--"):
+                assert word.split("=", 1)[0] in options, f"{word} is no option of {words[1]}"
+                seen.add(words[1])
+    assert seen == set(commands)
 
 
 def test_unknown_command_exit_usage():

@@ -175,6 +175,15 @@ class TestParseEvent:
         assert stats.parse_errors == 2
         assert stats.skip_rate == 0.5
 
+    def test_self_retweets_counted(self):
+        lines = [record("bob", "RT @bob: mine"), record("bob", "", rt_of="bob"),
+                 record("bob", "RT @alice: theirs")]
+        stats = IngestStats()
+        events = list(read_events(lines, stats))
+        assert [ev.retweet_of for ev in events] == [None, None, "alice"]
+        assert [ev.self_retweets for ev in events] == [1, 1, 0]
+        assert (stats.self_mentions, stats.self_retweets) == (1, 2)
+
 
 def test_normalize_handle_rules():
     assert normalize_handle("@Alice_1") == "alice_1"
