@@ -86,6 +86,16 @@ def _require_artifact(out_dir: Path, filename: str, producer: str) -> Path:
     return p
 
 
+def _out_dir(path: str) -> Path:
+    """The directory ``path``, made if it is absent; exit 1 if it cannot be one."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"--out {out_dir} cannot be a directory: {exc.strerror}") from exc
+    return out_dir
+
+
 def _config_lines(path) -> Iterator[tuple[int, str, str]]:
     """Each ``key = value`` line of a flat config file: its number, key and value."""
     with table_file(path) as fh:
@@ -186,7 +196,8 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
 def _stream_events(events_path: Path, out_dir: Path, stats: IngestStats | None = None):
     """The digest `score` wrote under ``out_dir`` if it matches the events
     file's current content, else the file's events, parsed anew."""
-    digest = StreamDigest.load(out_dir / STREAM_DIGEST_FILE, _keyed(events_path)[0])
+    path = out_dir / STREAM_DIGEST_FILE
+    digest = StreamDigest.load(path, _keyed(events_path)[0]) if path.is_file() else None
     return digest if digest is not None else read_events_file(events_path, stats)
 
 
@@ -243,7 +254,7 @@ def cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    out_dir = Path(args.out)
+    out_dir = _out_dir(args.out)
     manifest = synth.generate(cfg, out_dir)
     _write_run_config(out_dir, args, {})
     print(f"generated {manifest['totals']['events']} events, "
@@ -273,8 +284,7 @@ def cmd_score(args) -> int:
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     events_path = _require_file(args.events, "event stream")
     epoch = _parse_epoch(args.epoch)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     # a failed run must not leave an earlier run's results for trend and eval
     for name in (SNAPSHOT_FILE, FINAL_VELOCITY_FILE, RUN_CONFIG_TEMPLATE.format("score")):
         (out_dir / name).unlink(missing_ok=True)
@@ -348,8 +358,7 @@ def cmd_centrality(args) -> int:
         if not args.events:
             raise CliError("--events is required for the ip algorithm")
         events_path = _require_file(args.events, "event stream")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     graph = _graph(edges_path, counts_path, out_dir, IngestStats())
     if graph.n == 0:
         raise DataError("graph is empty")
@@ -531,6 +540,12 @@ def main(argv=None) -> int:
                 commands[args.command].set_defaults(
                     **{k: v for k, v in defaults.items() if k in known[args.command]})
                 args = parser.parse_args(argv)
+                # argparse checks the choices of a flag, not of a default
+                for a in commands[args.command]._actions:  # noqa: SLF001
+                    value = getattr(args, a.dest, None)
+                    if a.choices is not None and value not in a.choices:
+                        raise CliError(f"{args.config}: {a.dest} = {value} is not one of "
+                                       f"{', '.join(a.choices)}")
         except SystemExit as exc:
             return int(exc.code or 0)
         return args.func(args)

@@ -151,7 +151,7 @@ class ForceTable:
         self.f_counts.extend(map(float, force.values()))
         for u in other:
             ids.setdefault(u, len(ids))
-        self.total_force += sum(bucket.force.values())
+        self.total_force += bucket.total_force
         self.indptr.append(len(self.f_users))
 
 

@@ -283,6 +283,13 @@ def audience_confound_report(records: Sequence[UrlRecord], source, name: str) ->
     return correlate(name, xs, ys)
 
 
+def _corrected(records: Sequence[UrlRecord], source, flavor: str = "final_date"
+               ) -> tuple[list[float], list[float]]:
+    """The audience-corrected scores and clicks of ``records``, in order."""
+    pairs = [audience_correct(r, accumulate_scores(r, source, flavor)) for r in records]
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
 @dataclass
 class EvalSection:
     """One report table: a named analysis over a list of score rows."""
@@ -303,9 +310,11 @@ def run_full_evaluation(
     """Produce the four report sections.
 
     1. uncorrected_global: accumulated score vs clicks.
-    2. audience_confound: audience vs accumulated score.
-    3. corrected_global: score/audience vs clicks/audience.
-    4. corrected_weekly: per-week corrected correlations averaged via
+    2. audience_confound: audience vs accumulated score, by
+       ``audience_confound_report``.
+    3. corrected_global: score/audience vs clicks/audience, each pair
+       from ``audience_correct``.
+    4. corrected_weekly: the same correction per week, averaged via
        Fisher z, with the three velocity lookup flavors.
 
     ``static_sources`` maps score names to mappings; ``velocity_source``
@@ -316,32 +325,23 @@ def run_full_evaluation(
     g_stats: dict = {}
     filtered_global = iqr_filter(global_records, iqr_k, rule=quartile_rule, stats=g_stats)
     stats["global_dropped"] = g_stats.get("dropped", 0)
-
-    def accumulated(records, name, flavor="final_date"):
-        if name == "velocity":
-            return [accumulate_scores(r, velocity_source, flavor) for r in records]
-        return [accumulate_scores(r, static_sources[name]) for r in records]
-
-    score_names = [n for n in static_sources] + ["velocity"]
+    sources = {**static_sources, "velocity": velocity_source}
 
     uncorrected = EvalSection("uncorrected_global", [])
     clicks = [float(r.clicks) for r in filtered_global]
     followers_xs = [float(r.audience) for r in filtered_global]
     uncorrected.rows.append(correlate("followers", followers_xs, clicks))
-    for name in score_names:
-        uncorrected.rows.append(correlate(name, accumulated(filtered_global, name), clicks))
+    for name, source in sources.items():
+        xs = [accumulate_scores(r, source) for r in filtered_global]
+        uncorrected.rows.append(correlate(name, xs, clicks))
 
     confound = EvalSection("audience_confound", [])
-    for name in score_names:
-        confound.rows.append(correlate(name, followers_xs, accumulated(filtered_global, name)))
-
     corrected = EvalSection("corrected_global", [])
     correctable = [r for r in filtered_global if r.audience > 0]
     stats["zero_audience_excluded"] = len(filtered_global) - len(correctable)
-    corr_clicks = [r.clicks / r.audience for r in correctable]
-    for name in score_names:
-        xs = [s / r.audience for s, r in zip(accumulated(correctable, name), correctable)]
-        corrected.rows.append(correlate(name, xs, corr_clicks))
+    for name, source in sources.items():
+        confound.rows.append(audience_confound_report(filtered_global, source, name))
+        corrected.rows.append(correlate(name, *_corrected(correctable, source)))
 
     weekly = EvalSection("corrected_weekly", [])
     w_stats: dict = {}
@@ -357,17 +357,15 @@ def run_full_evaluation(
     usable_weeks = [w for w in sorted(by_week) if week_end_hour(w) <= last_hour]
     stats["weekly_weeks_skipped"] = len(by_week) - len(usable_weeks)
 
-    weekly_specs = [(n, "final_date") for n in score_names if n != "velocity"]
-    weekly_specs += [(f"velocity_{fl}", fl) for fl in VELOCITY_FLAVORS]
-    for label, flavor in weekly_specs:
-        name = "velocity" if label.startswith("velocity_") else label
+    weekly_specs = [(name, source, "final_date") for name, source in static_sources.items()]
+    weekly_specs += [(f"velocity_{fl}", velocity_source, fl) for fl in VELOCITY_FLAVORS]
+    for label, source, flavor in weekly_specs:
         per_week: list[tuple[int, float, int]] = []
         for w in usable_weeks:
             recs = by_week[w]
             if len(recs) < 3:
                 continue
-            ys = [r.clicks / r.audience for r in recs]
-            xs = [s / r.audience for s, r in zip(accumulated(recs, name, flavor), recs)]
+            xs, ys = _corrected(recs, source, flavor)
             try:
                 r_w, _, _ = pearson(xs, ys)
             except ValueError:

@@ -105,8 +105,10 @@ class SynthConfig:
                      "celebrity_mention_boost", "mention_follower_exponent",
                      "mention_rate_cap", "weekly_rate_sigma",
                      "base_click_prob", "click_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.signal):
+            raise ValueError("signal must be finite")
         for name in ("url_week_min", "follows_per_user", "spam_cluster_size", "url_count",
                      "min_promoters", "originals_per_week", "retweet_every", "cc_every"):
             if getattr(self, name) < 0:
@@ -119,10 +121,13 @@ class SynthConfig:
             raise ValueError("retweet_targets must be all or celebrities")
         if self.mode not in ("exact", "sampled"):
             raise ValueError("mode must be exact or sampled")
+        handles = set(self.handles) if self.bursts else set()
         for b in self.bursts:
-            if b.rate < 0 or b.start_hour < 0 or b.end_hour > self.hours \
+            if not 0 <= b.rate < math.inf or b.start_hour < 0 or b.end_hour > self.hours \
                     or b.start_hour >= b.end_hour:
                 raise ValueError(f"invalid burst {b}")
+            if b.user not in handles:
+                raise ValueError(f"burst user {b.user!r} is not a generated user")
         # a celebrity at boost 0 is never followed; each user follows at
         # most every other user of positive weight
         unfollowed = self.celebrities if self.celebrity_follow_boost == 0 \
@@ -131,6 +136,11 @@ class SynthConfig:
         if min(self.follows_per_user, self.users - 1) > candidates:
             raise ValueError(f"follows_per_user must be <= {candidates}, the users "
                              f"of positive follow weight besides the follower")
+
+    @property
+    def handles(self) -> list[str]:
+        """The generated users' handles, user 0 first."""
+        return [f"u{i:05d}" for i in range(self.users)]
 
     @property
     def celebrities(self) -> int:
@@ -318,11 +328,8 @@ def generate(cfg: SynthConfig, out_dir) -> dict:
         epoch = epoch.replace(tzinfo=timezone.utc)
 
     n = cfg.users
-    handles = [f"u{i:05d}" for i in range(n)]
+    handles = cfg.handles
     idx = {h: i for i, h in enumerate(handles)}
-    for b in cfg.bursts:
-        if b.user not in idx:
-            raise ValueError(f"burst user {b.user!r} is not a generated user")
     n_celebs = cfg.celebrities
     n_weeks = max(1, cfg.hours // WEEK_HOURS)
     # [lo, hi) hours of each week; the last week runs to the stream's end

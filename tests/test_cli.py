@@ -329,6 +329,21 @@ class TestCentrality:
             assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_fresh_out_does_not_hash_events(self, dataset, tmp_path, monkeypatch):
+        """With no stream digest under --out there is no key to compare, so
+        the events file is parsed without being hashed first."""
+        hashed = []
+        real = cli.file_fingerprint
+
+        def fingerprint(path):
+            hashed.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(cli, "file_fingerprint", fingerprint)
+        assert run("centrality", "--edges", dataset / "edges.tsv", "--algorithm", "ip",
+                   "--events", dataset / "events.ndjson", "--out", tmp_path / "o") == EXIT_OK
+        assert hashed == ["edges.tsv"]
+
     def test_ip_requires_events(self, dataset, tmp_path):
         code = run("centrality", "--edges", dataset / "edges.tsv",
                    "--algorithm", "ip", "--out", tmp_path / "o")
@@ -559,6 +574,22 @@ class TestConfigFile:
         assert "celebrity_follow_boost" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, key", [("centrality", "algorithm"),
+                                              ("eval", "quartile_rule")])
+    def test_value_outside_choices_exit_usage(self, dataset, scored, tmp_path, monkeypatch,
+                                              capsys, command, key):
+        """A --config value is held to its flag's choices before any read."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = foo\n")
+        fresh = tmp_path / "o"
+        argv = {"centrality": ("centrality", "--edges", dataset / "edges.tsv", "--out", fresh),
+                "eval": TestEval().eval_args(dataset, scored)}[command]
+        before = hash_dir(scored)
+        assert_rejected_before_any_read(monkeypatch, capsys, (*argv, "--config", cfg),
+                                        f"{key} = foo")
+        assert hash_dir(scored) == before
+        assert not fresh.exists()
+
     def test_other_commands_keys_allowed(self, tmp_path):
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_text("users = 20\nhours = 24\nzeta = 0\nmax-iter = 50\n")
@@ -589,6 +620,21 @@ class TestSynthCommand:
     def test_invalid_config_exit_usage(self, tmp_path):
         assert run("synth", "--users", 0, "--out", tmp_path) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--signal", "nan", "--urls", 5), "signal"),
+        (("--click-noise", "nan", "--urls", 5), "click_noise"),
+        (("--base-click-prob", "inf", "--urls", 5), "base_click_prob"),
+        (("--base-mention-rate", "nan"), "base_mention_rate"),
+        (("--base-mention-rate", "inf"), "base_mention_rate"),
+        (("--burst", "u00001:0:10:nan"), "invalid burst"),
+        (("--burst", "nobody:0:10:1.0"), "burst user 'nobody'"),
+    ])
+    def test_bad_value_exit_usage_writes_nothing(self, tmp_path, capsys, flags, named):
+        assert run("synth", "--users", 20, "--hours", 24, *flags,
+                   "--out", tmp_path / "o") == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag", ["--follows-per-user", "--urls", "--spam-cluster-size"])
     def test_negative_count_exit_usage(self, tmp_path, capsys, flag):
         assert run("synth", "--users", 20, "--hours", 24, flag, -3,
@@ -615,6 +661,22 @@ def test_readme_cli_flags_are_options():
                 assert word.split("=", 1)[0] in options, f"{word} is no option of {words[1]}"
                 seen.add(words[1])
     assert seen == set(commands)
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["synth", "score", "centrality"])
+def test_out_that_cannot_be_a_directory_exit_usage(dataset, tmp_path, capsys, command, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below else blocker
+    argv = {"synth": ("synth", "--users", 20, "--hours", 24),
+            "score": score_args(dataset, out)[:-2],
+            "centrality": ("centrality", "--edges", dataset / "edges.tsv",
+                           "--algorithm", "pagerank")}[command]
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == EXIT_USAGE
+    assert f"--out {out} cannot be a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "kept\n"
 
 
 def test_unknown_command_exit_usage():

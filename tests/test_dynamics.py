@@ -460,6 +460,19 @@ class TestCheckpointReplay:
         with pytest.raises(ValueError, match="2"):
             ForceTable.of([HourBucket(0), HourBucket(2)])
 
+    def test_total_force_is_the_buckets(self):
+        """The table sums each hour's ``HourBucket.total_force``; it does
+        not count the mentions again."""
+        class Tallied(HourBucket):
+            @property
+            def total_force(self):
+                return 99
+
+        table = ForceTable("retweets")
+        table.add(HourBucket(0, {"a": 2}, {"b": 5}))
+        table.add(Tallied(1, {"a": 1}))
+        assert table.total_force == 2 + 99
+
     def test_memory_grows_with_checkpoints_not_hours(self):
         # a dense (hours, users) float64 history would take 24 MB
         hours, users = 3000, 1000

@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from veloscore import evaluation
 from veloscore.dynamics import VelocityHistory
 from veloscore.evaluation import (
     UrlRecord,
@@ -435,6 +436,44 @@ class TestFullEvaluation:
         for row in weekly.rows:
             assert row.per_week
             assert all(n >= 3 for _, _, n in row.per_week)
+
+    @pytest.mark.parametrize("negate", [0, 1], ids=["score", "clicks"])
+    def test_corrected_rows_come_from_audience_correct(self, monkeypatch, negate):
+        """A spy that negates one side of each corrected pair flips the sign
+        of every corrected_global and corrected_weekly row, and of no other."""
+        records_g, records_w, static, hist = self.build()
+        plain = run_full_evaluation(records_g, records_w, static, hist)
+        real = evaluation.audience_correct
+
+        def negated(record, accumulated_score, clicks=None):
+            pair = list(real(record, accumulated_score, clicks))
+            pair[negate] = -pair[negate]
+            return tuple(pair)
+
+        monkeypatch.setattr(evaluation, "audience_correct", negated)
+        spied = run_full_evaluation(records_g, records_w, static, hist)
+        assert spied[:2] == plain[:2]
+        for before, after in zip(plain[2:], spied[2:]):
+            assert after.rows and len(after.rows) == len(before.rows)
+            for b, a in zip(before.rows, after.rows):
+                assert (a.score, a.n) == (b.score, b.n)
+                assert a.pearson_r == pytest.approx(-b.pearson_r, rel=1e-12)
+                assert a.p_value == pytest.approx(b.p_value, rel=1e-9)
+                assert [w for w, _, _ in a.per_week or ()] == [w for w, _, _ in b.per_week or ()]
+
+    def test_confound_rows_come_from_audience_confound_report(self, monkeypatch):
+        records_g, records_w, static, hist = self.build()
+        real = evaluation.audience_confound_report
+        made = []
+
+        def spy(records, source, name):
+            made.append(real(records, source, name))
+            return made[-1]
+
+        monkeypatch.setattr(evaluation, "audience_confound_report", spy)
+        confound = run_full_evaluation(records_g, records_w, static, hist)[1]
+        assert made and len(made) == len(confound.rows)
+        assert all(row is report for row, report in zip(confound.rows, made))
 
 
 def test_correlate_builds_report():

@@ -181,10 +181,8 @@ class TestBursts:
         assert planted == int(2.5 * 40)  # count-exact, not rate-sampled
 
     def test_unknown_burst_user_rejected(self, tmp_path):
-        cfg = SynthConfig(seed=8, users=5, hours=24,
-                          bursts=(Burst("nobody", 0, 5, 1.0),))
-        with pytest.raises(ValueError):
-            generate(cfg, tmp_path)
+        with pytest.raises(ValueError, match="burst user 'nobody'"):
+            SynthConfig(seed=8, users=5, hours=24, bursts=(Burst("nobody", 0, 5, 1.0),))
 
     def test_invalid_burst_rejected(self):
         with pytest.raises(ValueError):
