@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -160,7 +160,8 @@ def tunkrank(
         np.zeros(n), float(tol), int(max_iter),
     )
     total = raw.sum()
-    scores = raw / total if total > 0 else raw
+    # with no edges, bincount's sums (so every raw score) are int64 zeros
+    scores = raw / total if total > 0 else np.zeros(n)
     return _iterated("tunkrank", graph.users, scores, history, tol)
 
 
@@ -276,3 +277,32 @@ def ratio_score(graph: UserGraph) -> ScoreVector:
     out_deg = np.maximum(graph.out_degree, 1)
     values = graph.follower_count.astype(np.float64) / out_deg
     return ScoreVector("ratio", list(graph.users), values)
+
+
+@dataclass(frozen=True)
+class Scorer:
+    """One ``--algorithm`` choice: the vectors it writes, those ``eval`` reports,
+    whether it needs the stream, and its run on (graph, retweet graph, flags)."""
+
+    outputs: tuple[str, ...]
+    reported: tuple[str, ...]
+    needs_stream: bool
+    run: Callable[..., tuple[ScoreVector, ...]]
+
+
+# every scorer `centrality` runs, in the order it writes them
+SCORERS = {
+    "pagerank": Scorer(("pagerank",), ("pagerank",), False,
+                       lambda g, rg, a: (pagerank(g, a.damping, a.tol, a.max_iter),)),
+    "tunkrank": Scorer(("tunkrank",), ("tunkrank",), False,
+                       lambda g, rg, a: (tunkrank(g, a.retweet_prob, a.tol, a.max_iter),)),
+    # passivity is the dual vector of the fixed point, not an influence score
+    "ip": Scorer(("ip_influence", "ip_passivity"), ("ip_influence",), True,
+                 lambda g, rg, a: influence_passivity(rg, a.tol, a.max_iter)),
+    # eval's `followers` row is this score already: a URL's audience is the
+    # sum of it over the URL's promoters, and corrected it is identically 1
+    "followers": Scorer(("followers",), (), False, lambda g, rg, a: (followers_score(g),)),
+    # most users follow the same number of users, so its corrected values are
+    # one constant up to rounding: a row would be noise or a zero variance
+    "ratio": Scorer(("ratio",), (), False, lambda g, rg, a: (ratio_score(g),)),
+}

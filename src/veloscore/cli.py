@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import centrality as centrality_mod
 from . import dynamics, evaluation, synth
-from .centrality import ScoreVector
+from .centrality import SCORERS, ScoreVector
 from .dynamics import KineticsConfig, week_end_hour
 from .ingest import (
     DataFileError,
@@ -47,15 +47,7 @@ REPORT_WEEKLY = "report_weekly.tsv"
 STREAM_DIGEST_FILE = "stream_digest.ndjson"
 GRAPH_CACHE_FILE = "graph_cache.ndjson"
 RUN_CONFIG_TEMPLATE = "run_config_{}.txt"
-
-CENTRALITY_FILES = {
-    "pagerank": "pagerank.tsv",
-    "tunkrank": "tunkrank.tsv",
-    "ip_influence": "ip_influence.tsv",
-    "ip_passivity": "ip_passivity.tsv",
-    "followers": "followers.tsv",
-    "ratio": "ratio.tsv",
-}
+SCORE_FILE_TEMPLATE = "{}.tsv"
 
 
 class CliError(Exception):
@@ -348,45 +340,30 @@ def cmd_centrality(args) -> int:
                 "in [0, 1]")
     _check_flag("--tol", args.tol, 0.0 <= args.tol < math.inf, "finite and >= 0")
     _check_flag("--max-iter", args.max_iter, args.max_iter >= 1, ">= 1")
-    wanted = list(CENTRALITY_FILES) if args.algorithm == "all" \
-        else [args.algorithm] if args.algorithm != "ip" \
-        else ["ip_influence", "ip_passivity"]
+    chosen = SCORERS if args.algorithm == "all" else {args.algorithm: SCORERS[args.algorithm]}
+    streamed = [name for name, scorer in chosen.items() if scorer.needs_stream]
     # every flag and input file is checked before a file is read or --out is made
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
-    if "ip_influence" in wanted:
+    if streamed:
         if not args.events:
-            raise CliError("--events is required for the ip algorithm")
+            raise CliError(f"--events is required for the {', '.join(streamed)} algorithm")
         events_path = _require_file(args.events, "event stream")
     out_dir = _out_dir(args.out)
     graph = _graph(edges_path, counts_path, out_dir, IngestStats())
     if graph.n == 0:
         raise DataError("graph is empty")
 
-    vectors: dict[str, ScoreVector] = {}
-    if "pagerank" in wanted:
-        vectors["pagerank"] = centrality_mod.pagerank(
-            graph, args.damping, args.tol, args.max_iter)
-    if "tunkrank" in wanted:
-        vectors["tunkrank"] = centrality_mod.tunkrank(
-            graph, args.retweet_prob, args.tol, args.max_iter)
-    if "ip_influence" in wanted:
-        rg = centrality_mod.build_retweet_graph(_stream_events(events_path, out_dir), graph)
-        try:
-            inf, pas = centrality_mod.influence_passivity(rg, args.tol, args.max_iter)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-        vectors["ip_influence"] = inf
-        vectors["ip_passivity"] = pas
-    if "followers" in wanted:
-        vectors["followers"] = centrality_mod.followers_score(graph)
-    if "ratio" in wanted:
-        vectors["ratio"] = centrality_mod.ratio_score(graph)
-
-    for name, sv in vectors.items():
-        sv.write_tsv(out_dir / CENTRALITY_FILES[name])
+    rg = centrality_mod.build_retweet_graph(_stream_events(events_path, out_dir), graph) \
+        if streamed else None
+    try:
+        vectors = [sv for scorer in chosen.values() for sv in scorer.run(graph, rg, args)]
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    for sv in vectors:
+        sv.write_tsv(out_dir / SCORE_FILE_TEMPLATE.format(sv.algorithm))
         note = "" if sv.converged else " (NOT converged)"
-        print(f"{name}: {len(sv.users)} users, {sv.iterations} iterations, "
+        print(f"{sv.algorithm}: {len(sv.users)} users, {sv.iterations} iterations, "
               f"residual {sv.residual:.3g}{note}")
     _write_run_config(out_dir, args, {})
     return EXIT_OK
@@ -396,8 +373,9 @@ def cmd_eval(args) -> int:
     _check_flag("--iqr-k", args.iqr_k, 0.0 <= args.iqr_k < math.inf, "finite and >= 0")
     out_dir = Path(args.out)
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
-    static_paths = {name: _require_artifact(out_dir, CENTRALITY_FILES[name], "centrality")
-                    for name in ("ip_influence", "pagerank", "tunkrank")}
+    reported = sorted(name for scorer in SCORERS.values() for name in scorer.reported)
+    static_paths = {name: _require_artifact(out_dir, SCORE_FILE_TEMPLATE.format(name),
+                                            "centrality") for name in reported}
     events_path = _require_file(args.events, "event stream")
     clicks_path = _require_file(args.clicks, "clicks table")
     edges_path = _require_file(args.edges, "edge list")
@@ -497,9 +475,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     add_common(p_cent)
     p_cent.add_argument("--edges", required=True)
     p_cent.add_argument("--counts")
-    p_cent.add_argument("--events", help="event stream (needed for ip)")
-    p_cent.add_argument("--algorithm", default="all",
-                        choices=["all", "pagerank", "tunkrank", "ip", "followers", "ratio"])
+    p_cent.add_argument("--events", help="event stream (needed for the retweet graph)")
+    p_cent.add_argument("--algorithm", default="all", choices=["all", *SCORERS])
     p_cent.add_argument("--damping", type=float, default=centrality_mod.DEFAULT_DAMPING)
     p_cent.add_argument("--retweet-prob", type=float,
                         default=centrality_mod.DEFAULT_RETWEET_PROB)

@@ -3,9 +3,15 @@
 from dataclasses import dataclass
 from pathlib import Path
 
+from veloscore.centrality import SCORERS
+from veloscore.cli import SCORE_FILE_TEMPLATE
 from veloscore.dynamics import KineticsConfig, VelocityHistory, estimate_zeta, replay
 from veloscore.evaluation import build_url_datasets, read_clicks
 from veloscore.ingest import IngestStats, UserGraph, bucketize, load_graph, parse_timestamp, read_events_file
+
+# every file `centrality --algorithm all` writes, in the order it writes them
+SCORE_FILES = tuple(SCORE_FILE_TEMPLATE.format(name)
+                    for scorer in SCORERS.values() for name in scorer.outputs)
 
 
 @dataclass

@@ -13,14 +13,9 @@ import time
 import numpy as np
 import pytest
 
+from dense_oracles import dense_ip, dense_pagerank, dense_tunkrank, graph_from_adj, rg_from_matrix
 from pipeline_helpers import score_dataset, url_datasets
-from veloscore.centrality import (
-    RetweetGraph,
-    build_retweet_graph,
-    influence_passivity,
-    pagerank,
-    tunkrank,
-)
+from veloscore.centrality import build_retweet_graph, influence_passivity, pagerank, tunkrank
 from veloscore.cli import EXIT_OK, main as cli_main
 from veloscore.dynamics import (
     KineticsConfig,
@@ -124,106 +119,25 @@ def test_criterion_2_decay_law():
     verdict("C2 decay-law", ok, "(exact -zeta per quiet hour over 100 hours, clamp at 0)")
 
 
-def _dense_pagerank(adj, damping, tol, max_iter):
-    n = adj.shape[0]
-    out_deg = adj.sum(axis=1)
-    m = np.zeros((n, n))
-    for i in range(n):
-        m[:, i] = adj[i] / out_deg[i] if out_deg[i] > 0 else 1.0 / n
-    r = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        new = (1.0 - damping) / n + damping * (m @ r)
-        resid = np.abs(new - r).sum()
-        r = new
-        if resid <= tol:
-            break
-    return r
-
-
-def _dense_tunkrank(adj, p, tol, max_iter):
-    n = adj.shape[0]
-    out_deg = adj.sum(axis=1)
-    score = np.zeros(n)
-    for _ in range(max_iter):
-        new = np.zeros(n)
-        for u in range(n):
-            for f in range(n):
-                if adj[f, u]:
-                    new[u] += (1.0 + p * score[f]) / out_deg[f]
-        resid = np.abs(new - score).sum()
-        score = new
-        if resid <= tol:
-            break
-    total = score.sum()
-    return score / total if total > 0 else score
-
-
-def _dense_ip(weight, mask, tol, max_iter):
-    n = mask.shape[0]
-    acc_total = (weight * mask).sum(axis=0)
-    rej_total = ((1.0 - weight) * mask).sum(axis=0)
-    f_mat = np.zeros((n, n))
-    q_mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if mask[i, j]:
-                if acc_total[j] > 0:
-                    f_mat[i, j] = weight[i, j] / acc_total[j]
-                if rej_total[j] > 0:
-                    q_mat[i, j] = (1.0 - weight[i, j]) / rej_total[j]
-    influence = np.full(n, 1.0 / n)
-    passivity = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        inf_new = f_mat.T @ passivity
-        total = inf_new.sum()
-        inf_new = inf_new / total if total > 0 else influence.copy()
-        pas_new = q_mat @ inf_new
-        total = pas_new.sum()
-        if total > 0:
-            pas_new = pas_new / total
-        resid = np.abs(inf_new - influence).sum() + np.abs(pas_new - passivity).sum()
-        influence, passivity = inf_new, pas_new
-        if resid <= tol:
-            break
-    return influence, passivity
-
-
-def _graph_from_adj(adj):
-    n = adj.shape[0]
-    names = [f"u{i}" for i in range(n)]
-    pairs = {(names[i], names[j]) for i in range(n) for j in range(n) if adj[i, j]}
-    return UserGraph.from_edges(pairs, overrides={u: 0 for u in names})
-
-
 def _check_graph(adj, rng, errs):
     n = adj.shape[0]
-    graph = _graph_from_adj(adj)
+    graph = graph_from_adj(adj)
     sv = pagerank(graph, damping=0.85, tol=1e-12, max_iter=400)
-    expected = _dense_pagerank(adj, 0.85, 1e-12, 400)
+    expected = dense_pagerank(adj, 0.85, 1e-12, 400)
     got = np.array([sv.get(f"u{i}") for i in range(n)])
     errs["pagerank"] = max(errs["pagerank"], float(np.abs(got - expected).max()))
     errs["pr_norm"] = max(errs["pr_norm"], abs(sv.total() - 1.0))
 
     sv = tunkrank(graph, retweet_prob=0.05, tol=1e-12, max_iter=300)
-    expected = _dense_tunkrank(adj, 0.05, 1e-12, 300)
+    expected = dense_tunkrank(adj, 0.05, 1e-12, 300)
     got = np.array([sv.get(f"u{i}") for i in range(n)])
     errs["tunkrank"] = max(errs["tunkrank"], float(np.abs(got - expected).max()))
 
     if adj.sum() == 0:
         return
     weight = np.where(adj > 0, rng.uniform(0.05, 0.95, size=adj.shape), 0.0)
-    names = [f"u{i}" for i in range(n)]
-    src, dst, w = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if adj[i, j]:
-                src.append(i)
-                dst.append(j)
-                w.append(weight[i, j])
-    rg = RetweetGraph(names, np.array(src, dtype=np.int64),
-                      np.array(dst, dtype=np.int64), np.array(w))
-    inf, pas = influence_passivity(rg, tol=1e-12, max_iter=500)
-    e_inf, e_pas = _dense_ip(weight, adj, 1e-12, 500)
+    inf, pas = influence_passivity(rg_from_matrix(weight, adj), tol=1e-12, max_iter=500)
+    e_inf, e_pas = dense_ip(weight, adj, 1e-12, 500)
     got_i = np.array([inf.get(f"u{i}") for i in range(n)])
     got_p = np.array([pas.get(f"u{i}") for i in range(n)])
     errs["ip"] = max(errs["ip"], float(np.abs(got_i - e_inf).max()),

@@ -8,9 +8,10 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import dense_ip, dense_pagerank, dense_tunkrank, graph_from_adj, rg_from_matrix
 from veloscore.centrality import (
     DEFAULT_TOL,
     RetweetGraph,
@@ -24,98 +25,6 @@ from veloscore.centrality import (
 from veloscore.ingest import StreamDigest, UserGraph, parse_event
 
 EPOCH = datetime(2025, 1, 6, tzinfo=timezone.utc)
-
-
-# --- independent dense oracles -------------------------------------------
-
-def dense_pagerank(adj, damping, tol, max_iter):
-    """adj[i, j] = 1 when i follows j; straight matrix power iteration."""
-    n = adj.shape[0]
-    out_deg = adj.sum(axis=1)
-    m = np.zeros((n, n))
-    for i in range(n):
-        if out_deg[i] > 0:
-            m[:, i] = adj[i] / out_deg[i]
-        else:
-            m[:, i] = 1.0 / n
-    r = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        new = (1.0 - damping) / n + damping * (m @ r)
-        resid = np.abs(new - r).sum()
-        r = new
-        if resid <= tol:
-            break
-    return r
-
-
-def dense_tunkrank(adj, p, tol, max_iter):
-    n = adj.shape[0]
-    out_deg = adj.sum(axis=1)
-    score = np.zeros(n)
-    for _ in range(max_iter):
-        new = np.zeros(n)
-        for u in range(n):
-            for f in range(n):
-                if adj[f, u]:
-                    new[u] += (1.0 + p * score[f]) / out_deg[f]
-        resid = np.abs(new - score).sum()
-        score = new
-        if resid <= tol:
-            break
-    total = score.sum()
-    return score / total if total > 0 else score
-
-
-def dense_ip(weight, mask, tol, max_iter):
-    """weight[i, j] on follower i -> followee j edges (mask marks edges)."""
-    n = mask.shape[0]
-    acc_total = (weight * mask).sum(axis=0)
-    rej_total = ((1.0 - weight) * mask).sum(axis=0)
-    f_mat = np.zeros((n, n))
-    q_mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if mask[i, j]:
-                if acc_total[j] > 0:
-                    f_mat[i, j] = weight[i, j] / acc_total[j]
-                if rej_total[j] > 0:
-                    q_mat[i, j] = (1.0 - weight[i, j]) / rej_total[j]
-    influence = np.full(n, 1.0 / n)
-    passivity = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        inf_new = f_mat.T @ passivity
-        total = inf_new.sum()
-        inf_new = inf_new / total if total > 0 else influence.copy()
-        pas_new = q_mat @ inf_new
-        total = pas_new.sum()
-        if total > 0:
-            pas_new = pas_new / total
-        resid = np.abs(inf_new - influence).sum() + np.abs(pas_new - passivity).sum()
-        influence, passivity = inf_new, pas_new
-        if resid <= tol:
-            break
-    return influence, passivity
-
-
-def graph_from_adj(adj):
-    n = adj.shape[0]
-    names = [f"u{i}" for i in range(n)]
-    pairs = {(names[i], names[j]) for i in range(n) for j in range(n) if adj[i, j]}
-    return UserGraph.from_edges(pairs, overrides={u: 0 for u in names})
-
-
-def rg_from_matrix(weight, mask):
-    n = mask.shape[0]
-    names = [f"u{i}" for i in range(n)]
-    src, dst, w = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if mask[i, j]:
-                src.append(i)
-                dst.append(j)
-                w.append(weight[i, j])
-    return RetweetGraph(names, np.array(src, dtype=np.int64),
-                        np.array(dst, dtype=np.int64), np.array(w))
 
 
 class TestPagerank:
@@ -223,6 +132,12 @@ class TestTunkrank:
         with pytest.raises(ValueError):
             tunkrank(g, retweet_prob=1.5)
 
+    def test_no_edges_scores_are_float_zeros(self):
+        g = UserGraph(["a", "b", "c"], np.zeros((0, 2), dtype=np.int64), np.zeros(3, dtype=np.int64))
+        sv = tunkrank(g)
+        assert sv.values.dtype == pagerank(g).values.dtype == np.float64
+        assert sv.values.tolist() == [0.0, 0.0, 0.0]
+
 
 class TestInfluencePassivity:
     def test_single_edge_total_acceptance(self):
@@ -259,6 +174,25 @@ class TestInfluencePassivity:
         for i in range(4):
             assert inf.get(f"u{i}") == pytest.approx(e_inf[i], abs=1e-9)
             assert pas.get(f"u{i}") == pytest.approx(e_pas[i], abs=1e-9)
+
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+        st.lists(st.booleans(), min_size=n * n, max_size=n * n),
+        st.lists(st.floats(0.01, 1.0), min_size=n * n, max_size=n * n))))
+    @settings(max_examples=200, deadline=None)
+    def test_both_vectors_sum_to_one(self, graph):
+        """Influence and passivity are each L1-normalized, on any retweet
+        graph, disconnected ones included, with an edge weight below 1 (with
+        every weight 1 nothing is rejected and passivity stays zero)."""
+        mask_bits, weight_bits = graph
+        n = int(len(mask_bits) ** 0.5)
+        mask = np.array(mask_bits).reshape(n, n)
+        np.fill_diagonal(mask, False)
+        weight = np.where(mask, np.array(weight_bits).reshape(n, n), 0.0)
+        assume(mask.any() and (weight[mask] < 1.0).any())
+        inf, pas = influence_passivity(rg_from_matrix(weight, mask))
+        for sv in (inf, pas):
+            assert abs(sv.total() - 1.0) <= 1e-12
+            assert len(sv.residual_history) == sv.iterations
 
     def test_empty_retweet_graph_rejected(self):
         rg = RetweetGraph([], np.empty(0, dtype=np.int64),

@@ -2,14 +2,19 @@
 
 import hashlib
 import json
+import random
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from pipeline_helpers import score_dataset
+from pipeline_helpers import SCORE_FILES, score_dataset, url_datasets
 from veloscore import cli
+from veloscore.centrality import SCORERS, ScoreVector, ratio_score
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from veloscore.evaluation import UrlRecord, accumulate_scores, audience_correct, pearson
+from veloscore.ingest import UserGraph
 from veloscore.synth import SynthConfig, generate
 
 
@@ -270,8 +275,7 @@ class TestCentrality:
         code = run("centrality", "--edges", dataset / "edges.tsv",
                    "--events", dataset / "events.ndjson", "--out", out)
         assert code == EXIT_OK
-        for name in ("pagerank.tsv", "tunkrank.tsv", "ip_influence.tsv",
-                     "ip_passivity.tsv", "followers.tsv", "ratio.tsv"):
+        for name in SCORE_FILES:
             assert (out / name).is_file(), name
 
     def test_single_algorithm(self, dataset, tmp_path):
@@ -368,6 +372,65 @@ class TestCentrality:
         argv = ("centrality", "--edges", dataset / "edges.tsv",
                 "--events", dataset / "events.ndjson", "--out", scored)
         assert_rejected_before_any_file(monkeypatch, capsys, scored, argv, flag, value)
+
+
+class TestScorerTable:
+    """`centrality.SCORERS` is the one list of scorers: `--algorithm`'s
+    choices, the files `centrality` writes and the ones `eval` reads."""
+
+    def test_choices_are_the_table(self):
+        _, commands = cli.build_parser()
+        choices = next(a.choices for a in commands["centrality"]._actions
+                       if a.dest == "algorithm")
+        assert list(choices) == ["all", *SCORERS]
+
+    @pytest.mark.parametrize("key", list(SCORERS))
+    def test_entry(self, dataset, scored, tmp_path, capsys, key):
+        scorer = SCORERS[key]
+        argv = ("centrality", "--edges", dataset / "edges.tsv", "--algorithm", key)
+        assert set(scorer.reported) <= set(scorer.outputs)
+        # the stream is asked for exactly when the scorer needs it
+        code = run(*argv, "--out", tmp_path / "no_events")
+        assert code == (EXIT_USAGE if scorer.needs_stream else EXIT_OK)
+        out = tmp_path / "out"
+        assert run(*argv, "--events", dataset / "events.ndjson", "--out", out) == EXIT_OK
+        assert sorted(p.name for p in out.glob("*.tsv")) == sorted(
+            cli.SCORE_FILE_TEMPLATE.format(name) for name in scorer.outputs)
+        for name in scorer.reported:
+            partial = tmp_path / f"without_{name}"
+            shutil.copytree(scored, partial)
+            missing = partial / cli.SCORE_FILE_TEMPLATE.format(name)
+            missing.unlink()
+            capsys.readouterr()
+            assert run(*TestEval().eval_args(dataset, partial)) == EXIT_USAGE
+            assert f"missing {missing}; run `veloscore centrality` first" in capsys.readouterr().err
+
+    def test_followers_is_the_audience(self, dataset, scored):
+        """No `followers` row is needed: each URL's audience already is the
+        sum of `followers.tsv` over its promoters."""
+        followers = ScoreVector.read_tsv(scored / "followers.tsv")
+        global_records, weekly_records = url_datasets(score_dataset(dataset), dataset)
+        assert global_records and weekly_records
+        for record in (*global_records, *weekly_records):
+            assert accumulate_scores(record, followers) == record.audience
+
+    def test_corrected_ratio_is_constant_when_followees_are(self):
+        """No `ratio` row: where every user follows 8 others, each corrected
+        ratio is exactly 1/8, so its correlation has zero variance."""
+        rng = random.Random(8)
+        users = [f"u{i:02d}" for i in range(30)]
+        graph = UserGraph.from_edges({(u, v) for u in users
+                                      for v in rng.sample([w for w in users if w != u], 8)})
+        assert set(graph.out_degree.tolist()) == {8}
+        assert len(set(graph.follower_count.tolist())) > 1
+        ratio = ratio_score(graph)
+        records = [UrlRecord(f"url{i}", rng.randint(0, 100), tuple(promoters),
+                             sum(graph.followers_of(u) for u in promoters))
+                   for i, promoters in enumerate(rng.sample(users, 4) for _ in range(12))]
+        corrected = [audience_correct(r, accumulate_scores(r, ratio)) for r in records]
+        assert [score for score, _ in corrected] == [0.125] * len(records)
+        with pytest.raises(ValueError, match="zero variance"):
+            pearson(*zip(*corrected))
 
 
 class TestEval:
@@ -661,6 +724,13 @@ def test_readme_cli_flags_are_options():
                 assert word.split("=", 1)[0] in options, f"{word} is no option of {words[1]}"
                 seen.add(words[1])
     assert seen == set(commands)
+
+
+def test_readme_algorithm_choices_are_the_table():
+    """The README lists `--algorithm`'s choices in the order of `SCORERS`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("`--algorithm` takes ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == ["all", *SCORERS]
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])

@@ -186,6 +186,26 @@ class TestIqrFilter:
         kept = iqr_filter(records, 1.5, rule="tukey")
         assert 100 not in {r.clicks for r in kept}
 
+    @pytest.mark.parametrize("n, hinges", [(7, (2.5, 5.5)), (8, (2.5, 6.5))])
+    def test_tukey_hinges(self, n, hinges):
+        values = np.arange(1.0, n + 1)
+        assert evaluation._quartiles(values, "tukey") == hinges
+        assert evaluation._quartiles(values[::-1].copy(), "tukey") == hinges
+
+    def test_tukey_keeps_every_non_outlier(self):
+        clicks = (1, 2, 3, 4, 5, 6, 7, 100)  # hinges 2.5 and 6.5, fences -3.5 and 12.5
+        kept = iqr_filter([rec(url=str(c), clicks=c) for c in clicks], 1.5, rule="tukey")
+        assert [r.clicks for r in kept] == [1, 2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("rule", ["linear", "tukey"])
+    def test_zero_k_keeps_records_on_the_quartiles(self, rule):
+        """``--iqr-k 0`` fences at Q1 and Q3 themselves, and keeps them."""
+        clicks = (1, 3, 3, 4, 5, 5, 9)
+        assert evaluation._quartiles(np.array(clicks, dtype=float), rule) == (3.0, 5.0)
+        kept = iqr_filter([rec(url=str(i), clicks=c) for i, c in enumerate(clicks)], 0.0,
+                          rule=rule)
+        assert [r.clicks for r in kept] == [3, 3, 4, 5, 5]
+
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             iqr_filter([rec()], k=-1)

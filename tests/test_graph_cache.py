@@ -16,14 +16,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from pipeline_helpers import SCORE_FILES
 from veloscore import cli, ingest
-from veloscore.cli import CENTRALITY_FILES, EXIT_OK, GRAPH_CACHE_FILE, main
+from veloscore.cli import EXIT_OK, GRAPH_CACHE_FILE, main
 from veloscore.ingest import (IngestStats, file_fingerprint, load_graph, read_graph_cache,
                               write_graph_cache)
 from veloscore.synth import SynthConfig, generate
 
 REPORTS = ("report.tsv", "report.txt", "report_weekly.tsv")
-OUTPUTS = (*CENTRALITY_FILES.values(), *REPORTS)
+OUTPUTS = (*SCORE_FILES, *REPORTS)
 GRAPH_COUNTS = ("bad_graph_lines", "self_loops_dropped", "duplicate_edges")
 
 

@@ -17,14 +17,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pipeline_helpers import SCORE_FILES
 from veloscore import cli, ingest
-from veloscore.cli import (CENTRALITY_FILES, EXIT_DATA, EXIT_OK, EXIT_USAGE,
-                           STREAM_DIGEST_FILE, main)
+from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, STREAM_DIGEST_FILE, main
 from veloscore.ingest import Event, StreamDigest, file_fingerprint, read_events_file
 from veloscore.synth import SynthConfig, generate
 
 REPORTS = ("report.tsv", "report.txt", "report_weekly.tsv")
-OUTPUTS = (*CENTRALITY_FILES.values(), *REPORTS)
+OUTPUTS = (*SCORE_FILES, *REPORTS)
 
 
 def run(*argv):
