@@ -11,6 +11,7 @@ averaged through the Fisher z-transform.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -204,19 +205,71 @@ def audience_correct(record: UrlRecord, accumulated_score: float, clicks: Option
     return accumulated_score / record.audience, c / record.audience
 
 
+_CF_MAX_TERMS = 10_000
+_TINY = 1e-300
+
+
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), within 1 / (1680 z**7)."""
+    z2 = z * z
+    return (1 / 12 - (1 / 360 - 1 / (1260 * z2)) / z2) / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  For large a, lgamma(a + b) - lgamma(a) would cancel the
+    leading digits of two numbers near a log a; Stirling's series of that
+    difference, its log terms joined through log1p, keeps them."""
+    if a < 20.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    s = a + b
+    return (math.lgamma(b) - (a - 0.5) * math.log1p(b / a) - b * math.log(s) + b
+            + _stirling_tail(a) - _stirling_tail(s))
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """1 / (1 + d_1 / (1 + d_2 / (1 + ...))), the continued fraction of
+    I_x(a, b) (Numerical Recipes, section 6.4), by Lentz's method as revised
+    by Thompson & Barnett (J. Comput. Phys. 1986)."""
+    f = c = 1.0
+    d = 0.0
+    for j in range(1, _CF_MAX_TERMS):
+        m = j // 2
+        num = m * (b - m) if j % 2 == 0 else -(a + m) * (a + b + m)
+        coef = num * x / ((a + j - 1) * (a + j))
+        d = 1.0 + coef * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = 1.0 + coef / c
+        c = c if abs(c) > _TINY else _TINY
+        f *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            return 1.0 / f
+    raise ArithmeticError(f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta function I_x(a, b), given x and y = 1 - x.
+
+    The caller passes both: for x near 1, 1 - x would keep few of y's digits.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) + b * math.log(y) - _log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
+
+
 def _p_from_r(r: float, n: int) -> float:
+    """Two-tailed p of Pearson's r on n points: the Student-t tail at
+    df = n - 2, which is I_{1 - r^2}(df / 2, 1 / 2).  Against scipy's
+    Student-t tail the relative error is at most 1e-9 where p >= 1e-290, and
+    the absolute error at most 1e-290 below (tests/test_evaluation.py)."""
     if n <= 2:
         raise ValueError("significance needs n > 2")
-    denom = 1.0 - r * r
-    if denom <= 0.0:
-        return 0.0
-    t = abs(r) * math.sqrt((n - 2) / denom)
-    # The Student-t survival function sf(t) is stdtr(df, -t).  Importing
-    # scipy.special here, not scipy.stats at module level, keeps scipy out
-    # of every command that computes no p-value.
-    from scipy.special import stdtr
-
-    return float(2.0 * stdtr(n - 2, -t))
+    r2 = r * r
+    return _betainc((n - 2) / 2.0, 0.5, 1.0 - r2, r2)
 
 
 def pearson(xs, ys) -> tuple[float, float, float]:
@@ -240,7 +293,10 @@ def pearson(xs, ys) -> tuple[float, float, float]:
     syy = float(np.dot(dy, dy))
     if sxx <= 0.0 or syy <= 0.0:
         raise ValueError("zero variance; correlation undefined")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    scale = math.sqrt(sxx * syy)
+    if not 0.0 < scale < math.inf:  # the product under- or overflowed
+        scale = math.sqrt(sxx) * math.sqrt(syy)
+    r = float(np.dot(dx, dy)) / scale
     r = max(-1.0, min(1.0, r))
     return r, r * r, _p_from_r(r, n)
 

@@ -1,11 +1,14 @@
 """URL datasets, outlier fences, correlation statistics."""
 
+import dataclasses
 import math
 import random
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from veloscore import evaluation
 from veloscore.dynamics import VelocityHistory
@@ -34,6 +37,39 @@ def ev(author, urls, week=0, hour_in_week=5):
 
 def rec(url="u", clicks=10, promoters=("a", "b", "c"), audience=100, week=None):
     return UrlRecord(url, clicks, tuple(promoters), audience, week)
+
+
+# The stated bound of `_p_from_r` against scipy's Student-t tail: relative
+# error at most P_REL where scipy's p is at least P_FLOOR, absolute error at
+# most P_FLOOR below it.
+P_REL, P_FLOOR = 1e-9, 1e-290
+
+
+def within_p_bound(got, expected) -> np.ndarray:
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    err = np.abs(got - expected)
+    return np.where(expected >= P_FLOOR, err <= P_REL * expected, err <= P_FLOOR)
+
+
+def t_stat(r: float, n: int) -> float:
+    """Student's t of Pearson's r on n points, from the same 1 - r*r as `_p_from_r`."""
+    denom = 1.0 - r * r
+    return math.inf if denom <= 0.0 else abs(r) * math.sqrt((n - 2) / denom)
+
+
+def scipy_p(r: float, n: int) -> float:
+    from scipy import stats as ss  # test-only oracle; veloscore does not import scipy
+    return float(2 * ss.t.sf(t_stat(r, n), n - 2))
+
+
+def scipy_beta_p(r: float, n: int) -> float:
+    """The same tail from scipy's incomplete beta, 1 - I_{r^2}(1/2, df/2), fed
+    r^2 itself.  Near r = 0 at small df, `t.sf` is off by more than the bound:
+    it rounds x = df / (df + t^2) to within 1e-16 of 1, and p depends on
+    sqrt(1 - x).  At r = 1e-8, n = 3 it reads 0.9999999905136262, where the
+    closed form 1 - (2/pi) asin(r) is 0.9999999936338023."""
+    from scipy import special
+    return float(special.betaincc(0.5, (n - 2) / 2, r * r))
 
 
 class TestBuildUrlDatasets:
@@ -302,12 +338,9 @@ class TestPearson:
         r, r2, p = pearson(xs, ys)
         assert r == pytest.approx(num / den, abs=1e-12)
         assert r2 == r * r  # exact by construction
-        t = abs(r) * math.sqrt((n - 2) / (1 - r * r))
-        from scipy import stats as ss
-        assert p == pytest.approx(2 * ss.t.sf(t, n - 2), abs=1e-15)
+        assert within_p_bound(p, scipy_p(r, n))
 
-    def test_p_value_equals_student_t_sf_exactly(self):
-        # scipy.stats is the reference; veloscore itself imports only scipy.special
+    def test_p_value_within_bound_of_student_t_sf(self):
         from scipy import stats as ss
         ns = np.array(list(range(3, 64)) + [100, 257, 1000, 4096, 100_000])
         rs = np.concatenate([np.linspace(-0.999999, 0.999999, 201), [0.0, 1e-12, -1e-6]])
@@ -316,7 +349,63 @@ class TestPearson:
         expected = 2 * ss.t.sf(t, n_grid - 2)
         got = np.array([_p_from_r(float(r), int(n)) for r, n in zip(r_grid, n_grid)])
         assert got.size > 12_000
-        assert np.array_equal(got, expected)
+        assert within_p_bound(got, expected).all()
+
+    @settings(max_examples=400, deadline=None)
+    @given(r=st.one_of(st.floats(-1.0, 1.0),
+                       st.floats(-1e-6, 1e-6),
+                       st.floats(0.0, 1e-6).map(lambda e: 1.0 - e),
+                       st.floats(0.0, 1e-6).map(lambda e: e - 1.0)),
+           n=st.integers(3, 100_000))
+    @example(r=0.0, n=3)
+    @example(r=1e-6, n=100_000)
+    @example(r=1.0 - 2.0 ** -53, n=3)
+    @example(r=0.0063, n=73_533)  # p about 0.086: the fraction's switch between tails
+    @example(r=1e-8, n=3)
+    def test_p_value_within_bound_property(self, r, n):
+        assert within_p_bound(_p_from_r(r, n), scipy_beta_p(r, n))
+
+    @pytest.mark.parametrize("a", [0.5, 19.5, 20.0, 1000.5, 49_999.0, 5e6])
+    def test_log_beta_recurrence(self, a):
+        # B(a + 1, 1/2) = B(a, 1/2) a / (a + 1/2), exactly and without lgamma.  Across
+        # a = 20 it ties the Stirling branch to the lgamma one; above, lgamma(a + 1/2)
+        # - lgamma(a) alone would miss by more than the 1e-13 asked here.
+        step = evaluation._log_beta(a + 1.0, 0.5) - evaluation._log_beta(a, 0.5)
+        assert step == pytest.approx(-math.log1p(0.5 / a), rel=0, abs=1e-13)
+
+    def test_unconverged_fraction_raises(self):
+        # at a = b = 1e12 and x at the switch the fraction needs about 1e6 terms
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            evaluation._beta_cf(1e12, 1e12, 0.5)
+
+    @pytest.mark.parametrize("n", [3, 4, 100, 100_000])
+    def test_p_value_at_zero_and_unit_r_exact(self, n):
+        assert _p_from_r(0.0, n) == 1.0
+        assert _p_from_r(1.0, n) == 0.0
+        assert _p_from_r(-1.0, n) == 0.0
+
+    # df = 1 and df = 2 have closed forms, independent of scipy.  They are
+    # written without cancellation: 1 - (2/pi) atan(t) = (2/pi) atan2(1, t),
+    # and 1 - t / s = 2 / (s (s + t)) with s = sqrt(2 + t^2).
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=3, max_size=4))
+    @example([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)])
+    @example([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.5)])
+    @example([(0.0, 0.0), (0.0, 2.3512228356758577e-139), (4.883624495134981e-55, 0.0)])
+    def test_small_n_closed_forms(self, points):
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        try:
+            r, _, p = pearson(xs, ys)
+        except ValueError as exc:
+            assert "zero variance" in str(exc)
+            return
+        t = t_stat(r, len(points))
+        if len(points) == 3:
+            closed = 2 / math.pi * math.atan2(1.0, t)
+        else:
+            s = math.sqrt(2.0 + t * t)
+            closed = 2.0 / (s * (s + t)) if math.isfinite(t) else 0.0
+        assert within_p_bound(p, closed)
 
     def test_affine_invariance(self):
         rng = random.Random(12)
@@ -329,6 +418,22 @@ class TestPearson:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             pearson([1, 1, 1, 1], [1, 2, 3, 4])
+
+    def test_zero_variance_clicks_rejected(self):
+        with pytest.raises(ValueError, match="zero variance"):
+            pearson([1, 2, 3, 4], [5, 5, 5, 5])
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_r_survives_a_variance_product_out_of_range(self, scale):
+        # sxx * syy under- or overflows at these scales, but sxx and syy do not
+        xs, ys = [1.0, 2.0, 4.0], [3.0, 1.0, 2.0]
+        r = pearson(xs, ys)[0]
+        assert pearson([x * scale for x in xs], [y * scale for y in ys])[0] == pytest.approx(r)
+
+    def test_three_points_accepted(self):
+        r, _, p = pearson([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
+        assert r == pytest.approx(0.5)
+        assert within_p_bound(p, 1 - 2 / math.pi * math.atan(t_stat(r, 3)))
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -369,6 +474,13 @@ class TestAverageWeeklyR:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             average_weekly_r([(0.5, 2)])
+
+    def test_three_point_week_accepted_two_point_week_named(self):
+        mean_r, p, n_eff = average_weekly_r([(0.5, 3), (0.5, 3)])
+        assert (mean_r, n_eff) == (0.5, 3)
+        assert p == _p_from_r(0.5, 3)
+        with pytest.raises(ValueError, match="week 1 has n=2"):
+            average_weekly_r([(0.5, 3), (0.5, 2)])
 
 
 class TestConfoundReport:
@@ -494,6 +606,21 @@ class TestFullEvaluation:
         confound = run_full_evaluation(records_g, records_w, static, hist)[1]
         assert made and len(made) == len(confound.rows)
         assert all(row is report for row, report in zip(confound.rows, made))
+
+    def test_zero_audience_record_left_out_of_corrected_rows(self):
+        records_g, records_w, static, hist = self.build()
+        zero_g = dataclasses.replace(records_g[0], url="zero", audience=0)
+        zero_w = dataclasses.replace(zero_g, week_index=0)
+        # fences wide enough that the extra record moves no other record across them
+        stats: dict = {}
+        with_zero = run_full_evaluation(records_g + [zero_g], records_w + [zero_w], static, hist,
+                                        iqr_k=1e9, stats=stats)
+        plain = run_full_evaluation(records_g, records_w, static, hist, iqr_k=1e9)
+        assert stats["zero_audience_excluded"] == 1
+        assert with_zero[2:] == plain[2:]
+        assert any(0 in {w for w, _, _ in row.per_week} for row in plain[3].rows)  # the zero's week
+        for after, before in zip(with_zero[:2], plain[:2]):
+            assert [r.n for r in after.rows] == [r.n + 1 for r in before.rows]
 
 
 def test_correlate_builds_report():

@@ -1,10 +1,10 @@
-"""scipy stays out of every process that computes no p-value, and
-OpenSSL's hashlib out of every command.
+"""scipy and OpenSSL's hashlib stay out of every command.
 
-Importing scipy.stats costs about a second and 70 MB of RSS, and only
-`eval`'s significance test needs scipy at all.  Importing hashlib loads
-OpenSSL (`_hashlib`), about 3.5 MB of RSS; the BLAKE2b of the stream
-digest and the graph cache comes from the built-in `_blake2` module instead.
+Importing scipy.special costs about half a second and 23 MB of RSS; `eval`'s
+p-values come from a pure-Python incomplete beta instead, and scipy is only
+a test oracle.  Importing hashlib loads OpenSSL (`_hashlib`), about 3.5 MB of
+RSS; the BLAKE2b of the stream digest and the graph cache comes from the
+built-in `_blake2` module instead.
 """
 
 import os
@@ -40,16 +40,16 @@ def heavy_modules_after(body: str, *argv) -> list[str]:
     return last.split()[2:]
 
 
-@pytest.mark.parametrize("module", ["veloscore", "veloscore.cli"])
+@pytest.mark.parametrize("module", ["veloscore", "veloscore.cli", "veloscore.evaluation"])
 def test_import_leaves_scipy_out(module):  # and _hashlib
     assert heavy_modules_after(f"import {module}") == []
 
 
 @pytest.fixture(scope="module")
 def scored(tmp_path_factory):
-    """A synth dataset and the --out of a `score` run over it."""
+    """A synth dataset with clicks, and the --out of a `score` run over it."""
     data = tmp_path_factory.mktemp("data")
-    generate(SynthConfig(seed=5, users=30, hours=336, follows_per_user=4), data)
+    generate(SynthConfig(seed=5, users=30, hours=336, follows_per_user=4, url_count=40), data)
     out = data / "out"
     assert main(["score", "--events", str(data / "events.ndjson"),
                  "--edges", str(data / "edges.tsv"), "--out", str(out)]) == EXIT_OK
@@ -69,3 +69,13 @@ def test_centrality_run_on_digest_leaves_scipy_and_hashlib_out(scored):
             "assert cli.main(sys.argv[1:]) == 0")
     assert heavy_modules_after(body, "centrality", "--edges", data / "edges.tsv",
                                "--events", data / "events.ndjson", "--out", out) == []
+
+
+def test_eval_run_leaves_scipy_and_hashlib_out(scored):
+    data, out = scored
+    body = ("from veloscore.cli import main\n"
+            "argv = sys.argv[1:]\ncut = argv.index('--')\n"
+            "assert main(argv[:cut]) == 0\nassert main(argv[cut + 1:]) == 0")
+    inputs = ["--edges", data / "edges.tsv", "--events", data / "events.ndjson", "--out", out]
+    assert heavy_modules_after(body, "centrality", *inputs, "--",
+                               "eval", *inputs, "--clicks", data / "clicks.tsv") == []
