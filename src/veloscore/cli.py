@@ -299,8 +299,8 @@ def cmd_score(args) -> int:
                               checkpoints={h - d for h in snap_hours for d in (0, 1) if h >= d})
     dynamics.write_snapshots(out_dir / SNAPSHOT_FILE, history, snap_hours)
     with open(out_dir / FINAL_VELOCITY_FILE, "w", encoding="utf-8") as fh:
-        for u in history.users:
-            fh.write(f"{u}\t{history.at(u, final):.12g}\n")
+        for u, v in history.row(final).items():
+            fh.write(f"{u}\t{v:.12g}\n")
     resolved = {"resolved_zeta": repr(zeta)}
     if epoch is not None:
         resolved["resolved_epoch"] = epoch.isoformat()
@@ -318,8 +318,8 @@ def cmd_trend(args) -> int:
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
     history = dynamics.load_snapshots(snap_path)
     try:
-        entries = dynamics.trending_for_window(
-            history, week_end_hour(args.week - 1), week_end_hour(args.week),
+        entries = dynamics.rank_trending(
+            history.row(week_end_hour(args.week - 1)), history.row(week_end_hour(args.week)),
             args.threshold, args.top_k, window=f"week{args.week}")
     except ValueError as exc:
         raise CliError(f"{exc}; run `veloscore score` over a stream covering week {args.week}") \
@@ -508,17 +508,20 @@ def main(argv=None) -> int:
             if args.config is not None:
                 defaults = load_config_file(_require_file(args.config, "config file"))
                 # a key of any command is fine: one file can configure a pipeline
-                known = {cmd: {a.dest for a in p._actions} - {"help"}  # noqa: SLF001
+                known = {cmd: {a.dest: a for a in p._actions if a.dest != "help"}  # noqa: SLF001
                          for cmd, p in commands.items()}
                 unknown = sorted(defaults.keys() - set().union(*known.values()))
                 if unknown:
                     raise CliError(f"{args.config}: no command has an option "
                                    f"{', '.join(unknown)}")
-                commands[args.command].set_defaults(
-                    **{k: v for k, v in defaults.items() if k in known[args.command]})
+                actions = known[args.command]
+                # the key of a repeatable flag is one value, and its flags add to it
+                commands[args.command].set_defaults(**{
+                    k: [v] if isinstance(actions[k], argparse._AppendAction) else v  # noqa: SLF001
+                    for k, v in defaults.items() if k in actions})
                 args = parser.parse_args(argv)
                 # argparse checks the choices of a flag, not of a default
-                for a in commands[args.command]._actions:  # noqa: SLF001
+                for a in actions.values():
                     value = getattr(args, a.dest, None)
                     if a.choices is not None and value not in a.choices:
                         raise CliError(f"{args.config}: {a.dest} = {value} is not one of "

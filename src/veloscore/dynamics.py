@@ -84,24 +84,24 @@ class VelocityHistory:
         self.users = users
         self.matrix = matrix
         self.hours = list(range(matrix.shape[0]) if hours is None else hours)
-        self._idx = {u: i for i, u in enumerate(users)}
         self._row = {h: k for k, h in enumerate(self.hours)}
 
     @property
     def final_hour(self) -> int:
         return self.hours[-1] if self.hours else -1
 
-    def at(self, user: str, hour: int) -> float:
+    def row(self, hour: int) -> dict[str, float]:
+        """Every tracked user's velocity at the end of ``hour``, in ``users`` order."""
         if hour < 0:
-            return 0.0
+            return dict.fromkeys(self.users, 0.0)
         k = self._row.get(hour)
         if k is None:
             raise ValueError(f"no velocity recorded for hour {hour}")
-        i = self._idx.get(user)
-        return float(self.matrix[k, i]) if i is not None else 0.0
+        return dict(zip(self.users, self.matrix[k].tolist()))
 
-    def acceleration_at(self, user: str, hour: int) -> float:
-        return self.at(user, hour) - self.at(user, hour - 1)
+    def at(self, user: str, hour: int) -> float:
+        """One user's entry of ``row(hour)``."""
+        return self.row(hour).get(user, 0.0)
 
 
 class ForceTable:
@@ -220,6 +220,12 @@ class KineticsEngine:
             self.step_hour(b)
         return self
 
+    def _state(self, hour: int) -> np.ndarray:
+        v = self._v if hour == self._hour else self._week_ends.get(hour)
+        if v is None:
+            raise ValueError(f"no velocity recorded for hour {hour}")
+        return v
+
     def velocity_at(self, user: str, hour: int) -> float:
         """Velocity of a user at the end of the given hour; untracked -> 0.
 
@@ -228,20 +234,24 @@ class KineticsEngine:
         """
         if hour < 0:
             return 0.0
-        v = self._v if hour == self._hour else self._week_ends.get(hour)
-        if v is None:
-            raise ValueError(f"no velocity recorded for hour {hour}")
+        v = self._state(hour)
         i = self._idx.get(user)
         return float(v[i]) if i is not None and i < v.shape[0] else 0.0
 
-    at = velocity_at
+    def row(self, hour: int) -> dict[str, float]:
+        """Every tracked user's velocity at the end of ``hour``, one that
+        ``velocity_at`` answers, in ``users`` order; users first seen later read 0."""
+        row = dict.fromkeys(self.users, 0.0)
+        if hour >= 0:
+            row.update(zip(self.users, self._state(hour).tolist()))
+        return row
 
     def velocity(self, user: str) -> float:
         return self.velocity_at(user, self._hour)
 
     def trending(self, start_hour: int, end_hour: int, threshold: float, k: int,
                  window: str = "") -> list[TrendingEntry]:
-        return trending_for_window(self, start_hour, end_hour, threshold, k, window)
+        return rank_trending(self.row(start_hour), self.row(end_hour), threshold, k, window)
 
 
 def replay(
@@ -335,36 +345,14 @@ def rank_trending(
     return entries[:k]
 
 
-def trending_for_window(
-    source,
-    start_hour: int,
-    end_hour: int,
-    threshold: float,
-    k: int,
-    window: str = "",
-) -> list[TrendingEntry]:
-    """Trending ranking of ``source.users`` between two recorded hour
-    boundaries; ``source`` is a VelocityHistory or a KineticsEngine.
-
-    A boundary ``source.at`` cannot answer is an error naming it, also
-    when no user is tracked.
-    """
-    for hour in (start_hour, end_hour):
-        source.at("", hour)  # "" is never a handle, so this checks only the hour
-    v_start = {u: source.at(u, start_hour) for u in source.users}
-    v_end = {u: source.at(u, end_hour) for u in source.users}
-    return rank_trending(v_start, v_end, threshold, k, window)
-
-
 def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> None:
     """Persist checkpoints as hour<TAB>user<TAB>velocity<TAB>acceleration,
     lexicographic user order within each hour."""
     with open(path, "w", encoding="utf-8") as fh:
         for h in sorted(set(hours)):
-            for u in history.users:
-                v = history.at(u, h)
-                a = history.acceleration_at(u, h)
-                fh.write(f"{h}\t{u}\t{v!r}\t{a!r}\n")
+            before = history.row(h - 1)
+            for u, v in history.row(h).items():
+                fh.write(f"{h}\t{u}\t{v!r}\t{v - before[u]!r}\n")
 
 
 def load_snapshots(path) -> VelocityHistory:

@@ -21,9 +21,6 @@ from .dynamics import WEEK_HOURS, week_end_hour
 from .ingest import (DataFileError, Event, StreamDigest, UserGraph, floor_to_hour, hours_since,
                      table_file)
 
-VELOCITY_FLAVORS = ("final_date", "on_week", "prior_week")
-
-
 @dataclass(frozen=True)
 class UrlRecord:
     """A promoted URL: click count, qualified promoters, audience reach."""
@@ -168,30 +165,12 @@ def iqr_filter(
     return out
 
 
-def accumulate_scores(
-    record: UrlRecord,
-    source,
-    flavor: str = "final_date",
-) -> float:
-    """Sum the promoters' scores for one URL.
+def accumulate_scores(record: UrlRecord, source: Mapping[str, float]) -> float:
+    """Sum the promoters' scores for one URL; a user ``source`` lacks adds 0.
 
-    ``source`` is either a static mapping with ``.get`` (centrality
-    scores; untracked users contribute 0) or an hour-indexed velocity
-    source with ``.at``/``.final_hour``, in which case ``flavor`` picks
-    the lookup boundary: the stream's final checkpoint, the record's week
-    end, or the prior week's end.
+    ``source`` maps users to one score: a centrality vector, or the
+    velocities of one checkpoint (``VelocityHistory.row``).
     """
-    if flavor not in VELOCITY_FLAVORS:
-        raise ValueError(f"flavor must be one of {VELOCITY_FLAVORS}")
-    if hasattr(source, "at"):
-        if flavor == "final_date":
-            hour = source.final_hour
-        else:
-            if record.week_index is None:
-                raise ValueError(f"record {record.url} has no week index for flavor {flavor}")
-            week = record.week_index if flavor == "on_week" else record.week_index - 1
-            hour = week_end_hour(week)
-        return float(sum(source.at(u, hour) for u in record.promoters))
     return float(sum(source.get(u, 0.0) for u in record.promoters))
 
 
@@ -272,6 +251,10 @@ def _p_from_r(r: float, n: int) -> float:
     return _betainc((n - 2) / 2.0, 0.5, 1.0 - r2, r2)
 
 
+def _cross_sums(dx: np.ndarray, dy: np.ndarray) -> tuple[float, float, float]:
+    return float(np.dot(dx, dx)), float(np.dot(dy, dy)), float(np.dot(dx, dy))
+
+
 def pearson(xs, ys) -> tuple[float, float, float]:
     """Product-moment correlation with two-tailed Student-t significance.
 
@@ -287,16 +270,21 @@ def pearson(xs, ys) -> tuple[float, float, float]:
         raise ValueError(f"pearson needs at least 3 points, got {n}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("non-finite value; correlation undefined")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
+    with np.errstate(all="ignore"):  # an overflow is caught below, not warned about
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sums = _cross_sums(dx, dy)
+        if not all(map(math.isfinite, sums)):  # r does not depend on scale
+            sums = _cross_sums(dx / (np.abs(dx).max() or 1.0), dy / (np.abs(dy).max() or 1.0))
+    if not all(map(math.isfinite, sums)):
+        raise ValueError("sums of squares overflow; correlation undefined")
+    sxx, syy, sxy = sums
     if sxx <= 0.0 or syy <= 0.0:
         raise ValueError("zero variance; correlation undefined")
     scale = math.sqrt(sxx * syy)
     if not 0.0 < scale < math.inf:  # the product under- or overflowed
         scale = math.sqrt(sxx) * math.sqrt(syy)
-    r = float(np.dot(dx, dy)) / scale
+    r = sxy / scale
     r = max(-1.0, min(1.0, r))
     return r, r * r, _p_from_r(r, n)
 
@@ -339,10 +327,9 @@ def audience_confound_report(records: Sequence[UrlRecord], source, name: str) ->
     return correlate(name, xs, ys)
 
 
-def _corrected(records: Sequence[UrlRecord], source, flavor: str = "final_date"
-               ) -> tuple[list[float], list[float]]:
+def _corrected(records: Sequence[UrlRecord], source) -> tuple[list[float], list[float]]:
     """The audience-corrected scores and clicks of ``records``, in order."""
-    pairs = [audience_correct(r, accumulate_scores(r, source, flavor)) for r in records]
+    pairs = [audience_correct(r, accumulate_scores(r, source)) for r in records]
     return [x for x, _ in pairs], [y for _, y in pairs]
 
 
@@ -371,17 +358,20 @@ def run_full_evaluation(
     3. corrected_global: score/audience vs clicks/audience, each pair
        from ``audience_correct``.
     4. corrected_weekly: the same correction per week, averaged via
-       Fisher z, with the three velocity lookup flavors.
+       Fisher z, with three velocity rows: velocity at the final
+       checkpoint, at the end of the URL's week and at the end of the
+       week before it.
 
     ``static_sources`` maps score names to mappings; ``velocity_source``
-    is the hour-indexed velocity lookup.  The followers score appears
-    only uncorrected (corrected it is identically 1).
+    is a VelocityHistory, read one ``row`` at a time.  The followers
+    score appears only uncorrected (corrected it is identically 1).
     """
     stats = stats if stats is not None else {}
     g_stats: dict = {}
     filtered_global = iqr_filter(global_records, iqr_k, rule=quartile_rule, stats=g_stats)
     stats["global_dropped"] = g_stats.get("dropped", 0)
-    sources = {**static_sources, "velocity": velocity_source}
+    final = velocity_source.row(velocity_source.final_hour)
+    sources = {**static_sources, "velocity": final}
 
     uncorrected = EvalSection("uncorrected_global", [])
     clicks = [float(r.clicks) for r in filtered_global]
@@ -409,19 +399,21 @@ def run_full_evaluation(
         if r.audience > 0:
             by_week.setdefault(r.week_index, []).append(r)
 
-    last_hour = velocity_source.final_hour
-    usable_weeks = [w for w in sorted(by_week) if week_end_hour(w) <= last_hour]
+    usable_weeks = [w for w in sorted(by_week) if week_end_hour(w) <= velocity_source.final_hour]
     stats["weekly_weeks_skipped"] = len(by_week) - len(usable_weeks)
 
-    weekly_specs = [(name, source, "final_date") for name, source in static_sources.items()]
-    weekly_specs += [(f"velocity_{fl}", velocity_source, fl) for fl in VELOCITY_FLAVORS]
-    for label, source, flavor in weekly_specs:
+    # each row's scores of week w: a fixed mapping, or the velocities at a week's end
+    weekly_specs = [(name, lambda w, s=source: s) for name, source in static_sources.items()]
+    weekly_specs += [("velocity_final_date", lambda w: final),
+                     ("velocity_on_week", lambda w: velocity_source.row(week_end_hour(w))),
+                     ("velocity_prior_week", lambda w: velocity_source.row(week_end_hour(w - 1)))]
+    for label, scores_of_week in weekly_specs:
         per_week: list[tuple[int, float, int]] = []
         for w in usable_weeks:
             recs = by_week[w]
             if len(recs) < 3:
                 continue
-            xs, ys = _corrected(recs, source, flavor)
+            xs, ys = _corrected(recs, scores_of_week(w))
             try:
                 r_w, _, _ = pearson(xs, ys)
             except ValueError:

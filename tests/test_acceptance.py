@@ -19,8 +19,8 @@ from veloscore.centrality import build_retweet_graph, influence_passivity, pager
 from veloscore.cli import EXIT_OK, main as cli_main
 from veloscore.dynamics import (
     KineticsConfig,
+    rank_trending,
     replay,
-    trending_for_window,
     week_end_hour,
 )
 from veloscore.evaluation import average_weekly_r, iqr_filter, pearson, run_full_evaluation
@@ -268,7 +268,7 @@ def test_criterion_7_trending_detection(tmp_path):
     start, end = week_end_hour(2), week_end_hour(3)
     celeb_rel = hist.at("u00000", end) / hist.at("u00000", start) - 1
     burst_ratio = hist.at("u00001", end) / hist.at("u00001", start)
-    entries = trending_for_window(hist, start, end, threshold=0.10, k=5)
+    entries = rank_trending(hist.row(start), hist.row(end), threshold=0.10, k=5)
     users = [e.user for e in entries]
     ok = (users and users[0] == "u00001" and "u00000" not in users
           and burst_ratio >= 10 and 0 < celeb_rel < 0.10)

@@ -653,6 +653,25 @@ class TestConfigFile:
         assert hash_dir(scored) == before
         assert not fresh.exists()
 
+    def test_burst_key_is_one_burst_and_flags_add_to_it(self, tmp_path):
+        """A file's ``burst`` acts as one --burst flag, and each --burst
+        flag on the command line adds one more."""
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("burst = u00001:0:10:2.0\n")
+        synth = ("synth", "--seed", 3, "--users", 30, "--hours", 48)
+        second = ("--burst", "u00002:0:5:1.0")
+        runs = {"file": ("--config", cfg), "flag": ("--burst", "u00001:0:10:2.0"),
+                "file+flag": ("--config", cfg, *second),
+                "flags": ("--burst", "u00001:0:10:2.0", *second)}
+        for name, flags in runs.items():
+            assert run(*synth, *flags, "--out", tmp_path / name) == EXIT_OK
+        for a, b in (("file", "flag"), ("file+flag", "flags")):
+            assert hash_dir(tmp_path / a, skip={"run_config_synth.txt"}) == \
+                hash_dir(tmp_path / b, skip={"run_config_synth.txt"})
+        bursts = "burst = ['u00001:0:10:2.0', 'u00002:0:5:1.0']\n"
+        assert bursts in (tmp_path / "file+flag" / "run_config_synth.txt").read_text()
+        assert hash_dir(tmp_path / "file") != hash_dir(tmp_path / "flags")
+
     def test_other_commands_keys_allowed(self, tmp_path):
         cfg = tmp_path / "pipeline.cfg"
         cfg.write_text("users = 20\nhours = 24\nzeta = 0\nmax-iter = 50\n")

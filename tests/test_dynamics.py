@@ -22,7 +22,6 @@ from veloscore.dynamics import (
     load_snapshots,
     rank_trending,
     replay,
-    trending_for_window,
     week_end_hour,
     write_snapshots,
 )
@@ -355,6 +354,19 @@ class TestSnapshots:
             if u != dropped:
                 assert table.at(u, 19) == hist.at(u, 19)
 
+    def test_acceleration_is_the_change_from_the_hour_before(self, tmp_path):
+        g, buckets = random_fixture(55, hours=30)
+        hist = replay(buckets, KineticsConfig(zeta=0.01), g)
+        path = tmp_path / "snapshots.tsv"
+        write_snapshots(path, hist, [0, 10, 29])
+        lines = [line.split("\t") for line in path.read_text().splitlines()]
+        assert [(int(h), u) for h, u, _, _ in lines] == \
+            [(h, u) for h in (0, 10, 29) for u in hist.users]
+        for h, u, v, a in lines:
+            assert float(v) == hist.at(u, int(h))
+            assert float(a) == hist.at(u, int(h)) - hist.at(u, int(h) - 1)
+        assert any(float(a) not in (0.0, float(v)) for _, _, v, a in lines)
+
     def test_deterministic_bytes(self, tmp_path):
         g, buckets = random_fixture(53, hours=30)
         hist = replay(buckets, KineticsConfig(zeta=0.01), g)
@@ -429,6 +441,19 @@ class TestCheckpointReplay:
         for h in set(range(len(buckets))) - set(checkpoints):
             with pytest.raises(ValueError, match=rf"\b{h}\b"):
                 kept.at(dense.users[0] if dense.users else "anyone", h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(streams())
+    def test_row_is_every_users_velocity_at(self, case):
+        buckets, graph, cfg, checkpoints = case
+        kept = replay(buckets, cfg, graph, checkpoints=checkpoints)
+        for h in kept.hours + [-1]:
+            row = kept.row(h)
+            assert list(row) == kept.users
+            assert row == {u: kept.at(u, h) for u in kept.users}
+        for h in set(range(len(buckets) + 1)) - set(checkpoints):
+            with pytest.raises(ValueError, match=rf"\b{h}\b"):
+                kept.row(h)
 
     @settings(max_examples=50, deadline=None)
     @given(streams())
@@ -545,7 +570,23 @@ class TestEngineCheckpoints:
         kept = replay(buckets, cfg, graph, checkpoints=week_ends)
         for start, end in zip([-1] + week_ends, week_ends):
             assert engine.trending(start, end, 0.1, 3, "w") == \
-                trending_for_window(kept, start, end, 0.1, 3, "w")
+                rank_trending(kept.row(start), kept.row(end), 0.1, 3, "w")
+
+    @settings(max_examples=60, deadline=None)
+    @given(week_streams())
+    def test_row_is_every_tracked_users_velocity_at(self, case):
+        """Users first seen after a week end are in its row, at 0."""
+        buckets, graph, cfg = case
+        engine = KineticsEngine(cfg, graph).run(buckets)
+        current = engine.hour
+        week_ends = [h for h in range(current) if (h + 1) % WEEK_HOURS == 0]
+        for h in week_ends + [current, -1]:
+            row = engine.row(h)
+            assert list(row) == engine.users
+            assert row == {u: engine.velocity_at(u, h) for u in engine.users}
+        for h in set(range(current + 2)) - set(week_ends) - {current}:
+            with pytest.raises(ValueError, match=rf"\b{h}\b"):
+                engine.row(h)
 
     def test_memory_grows_with_weeks_not_hours(self):
         # a per-hour copy of the state would take 3,000 x 1,000 float64 = 24 MB

@@ -7,11 +7,11 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from veloscore import evaluation
-from veloscore.dynamics import VelocityHistory
+from veloscore.dynamics import VelocityHistory, week_end_hour
 from veloscore.evaluation import (
     UrlRecord,
     accumulate_scores,
@@ -267,11 +267,13 @@ class TestAccumulate:
         return VelocityHistory(users, matrix)
 
     def test_velocity_flavors(self):
+        """The velocity rows of a week-1 URL: its week end, the week end
+        before it and the final checkpoint."""
         hist = self.velocity_history()
         r = rec(week=1)
-        on_week = accumulate_scores(r, hist, "on_week")
-        prior = accumulate_scores(r, hist, "prior_week")
-        final = accumulate_scores(r, hist, "final_date")
+        on_week = accumulate_scores(r, hist.row(week_end_hour(1)))
+        prior = accumulate_scores(r, hist.row(week_end_hour(0)))
+        final = accumulate_scores(r, hist.row(hist.final_hour))
         h_on, h_prior = 335, 167
         assert on_week == pytest.approx(sum(h_on * x for x in (0.01, 0.02, 0.03)))
         assert prior == pytest.approx(sum(h_prior * x for x in (0.01, 0.02, 0.03)))
@@ -279,15 +281,9 @@ class TestAccumulate:
 
     def test_prior_week_of_week_zero_is_zero(self):
         hist = self.velocity_history()
-        assert accumulate_scores(rec(week=0), hist, "prior_week") == 0.0
-
-    def test_bad_flavor_rejected(self):
-        with pytest.raises(ValueError):
-            accumulate_scores(rec(), {}, "sometime")
-
-    def test_weekly_flavor_needs_week(self):
-        with pytest.raises(ValueError):
-            accumulate_scores(rec(week=None), self.velocity_history(), "on_week")
+        assert week_end_hour(0 - 1) == -1
+        assert hist.row(-1) == {"a": 0.0, "b": 0.0, "c": 0.0}
+        assert accumulate_scores(rec(week=0), hist.row(-1)) == 0.0
 
 
 class TestAudienceCorrect:
@@ -429,6 +425,29 @@ class TestPearson:
         xs, ys = [1.0, 2.0, 4.0], [3.0, 1.0, 2.0]
         r = pearson(xs, ys)[0]
         assert pearson([x * scale for x in xs], [y * scale for y in ys])[0] == pytest.approx(r)
+
+    def test_r_survives_sums_of_squares_out_of_range(self, recwarn):
+        """Every sum of squares overflows at 1e200: r comes from the
+        deviations scaled to at most 1, and numpy warns of nothing."""
+        r, r2, p = pearson([1e200, 2e200, 4e200], [3e200, 1e200, 2e200])
+        assert r == pytest.approx(-0.3273268353539886, abs=1e-15)
+        assert (r2, p) == pytest.approx((r * r, pearson([1, 2, 4], [3, 1, 2])[2]), rel=1e-12)
+        assert not recwarn.list
+
+    def test_deviations_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            pearson([1.7e308, 1.5e308, -1.7e308], [3.0, 1.0, 2.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=3,
+                    max_size=30),
+           st.floats(1e150, 1e300), st.floats(1e150, 1e300))
+    def test_r_does_not_depend_on_scale(self, pairs, x_scale, y_scale):
+        xs, ys = [float(x) for x, _ in pairs], [float(y) for _, y in pairs]
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        r = pearson(xs, ys)[0]
+        scaled = pearson([x * x_scale for x in xs], [y * y_scale for y in ys])[0]
+        assert scaled == pytest.approx(r, abs=1e-12)
 
     def test_three_points_accepted(self):
         r, _, p = pearson([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
@@ -621,6 +640,48 @@ class TestFullEvaluation:
         assert any(0 in {w for w, _, _ in row.per_week} for row in plain[3].rows)  # the zero's week
         for after, before in zip(with_zero[:2], plain[:2]):
             assert [r.n for r in after.rows] == [r.n + 1 for r in before.rows]
+
+    def test_weekly_velocity_rows_read_their_week_ends(self):
+        """velocity_final_date reads the final checkpoint, velocity_on_week
+        the end of the URL's week, velocity_prior_week the end of the week
+        before it: all zeros for week 0, a zero-variance week left out."""
+        records_g, records_w, static, hist = self.build()
+        rng = np.random.default_rng(3)
+        hist = VelocityHistory(hist.users, rng.uniform(0.0, 1.0, hist.matrix.shape))
+        stats: dict = {}
+        weekly = run_full_evaluation(records_g, records_w, static, hist, iqr_k=1e9,
+                                     stats=stats)[3]
+        rows = {row.score: row.per_week for row in weekly.rows}
+        col = {u: i for i, u in enumerate(hist.users)}
+
+        def week_r(week, hour):
+            recs = [r for r in records_w if r.week_index == week]
+            xs = [sum(hist.matrix[hour, col[u]] for u in r.promoters) / r.audience
+                  for r in recs]
+            return week, pearson(xs, [r.clicks / r.audience for r in recs])[0], len(recs)
+
+        assert rows["velocity_final_date"] == [week_r(0, 335), week_r(1, 335)]
+        assert rows["velocity_on_week"] == [week_r(0, 167), week_r(1, 335)]
+        assert rows["velocity_prior_week"] == [week_r(1, 167)]
+        assert stats["weekly_degenerate_weeks"] == 1
+
+    def test_three_record_week_counted_two_record_week_not(self):
+        """A week needs 3 usable records: week 0 has 3 and gives an entry
+        with n = 3, week 1 has 2 and gives none."""
+        rng = random.Random(12)
+        users = [f"p{i}" for i in range(6)]
+        hist = VelocityHistory(users, np.array([[rng.uniform(0, 1) for _ in users]
+                                                for _ in range(2 * 168)]))
+        static = {"pagerank": {u: rng.uniform(0, 1) for u in users}}
+        weeks = [0, 0, 0, 1, 1]
+        records_w = [UrlRecord(f"u{i}", 10 + 7 * i * i, tuple(users[i:i + 3]), 50 + 3 * i, w)
+                     for i, w in enumerate(weeks)]
+        records_g = [dataclasses.replace(r, week_index=None) for r in records_w]
+        weekly = run_full_evaluation(records_g, records_w, static, hist)[3]
+        per_week = {row.score: row.per_week for row in weekly.rows}
+        assert set(per_week) == {"pagerank", "velocity_final_date", "velocity_on_week"}
+        for entries in per_week.values():
+            assert [(w, n) for w, _, n in entries] == [(0, 3)]
 
 
 def test_correlate_builds_report():

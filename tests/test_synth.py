@@ -270,7 +270,8 @@ def corrected_velocity_r(tmp_path, seed, signal):
     result = score_dataset(tmp_path)
     global_recs, _ = url_datasets(result, tmp_path)
     kept = [r for r in iqr_filter(global_recs, 1.5) if r.audience > 0]
-    xs = [accumulate_scores(r, result.history) / r.audience for r in kept]
+    final = result.history.row(result.history.final_hour)
+    xs = [accumulate_scores(r, final) / r.audience for r in kept]
     ys = [r.clicks / r.audience for r in kept]
     return pearson(xs, ys)[0]
 
