@@ -54,21 +54,9 @@ class ScoreVector:
         i = self._idx.get(user)
         return float(self.values[i]) if i is not None else default
 
-    def __getitem__(self, user: str) -> float:
-        i = self._idx.get(user)
-        if i is None:
-            raise KeyError(user)
-        return float(self.values[i])
-
-    def __contains__(self, user: str) -> bool:
-        return user in self._idx
-
     def items(self):
         for u in sorted(self.users):
             yield u, self.get(u)
-
-    def total(self) -> float:
-        return float(self.values.sum())
 
     def write_tsv(self, path) -> None:
         """user<TAB>score lines, lexicographic user order, 12 significant digits."""

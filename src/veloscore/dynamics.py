@@ -246,9 +246,6 @@ class KineticsEngine:
             row.update(zip(self.users, self._state(hour).tolist()))
         return row
 
-    def velocity(self, user: str) -> float:
-        return self.velocity_at(user, self._hour)
-
     def trending(self, start_hour: int, end_hour: int, threshold: float, k: int,
                  window: str = "") -> list[TrendingEntry]:
         return rank_trending(self.row(start_hour), self.row(end_hour), threshold, k, window)

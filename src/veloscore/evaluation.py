@@ -279,7 +279,8 @@ def pearson(xs, ys) -> tuple[float, float, float]:
     if not all(map(math.isfinite, sums)):
         raise ValueError("sums of squares overflow; correlation undefined")
     sxx, syy, sxy = sums
-    if sxx <= 0.0 or syy <= 0.0:
+    # a constant series whose mean rounds leaves only rounding error in its sum
+    if sxx <= 0.0 or syy <= 0.0 or x.min() == x.max() or y.min() == y.max():
         raise ValueError("zero variance; correlation undefined")
     scale = math.sqrt(sxx * syy)
     if not 0.0 < scale < math.inf:  # the product under- or overflowed

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines.  Fixture seeds are fixed; every run is deterministic.
 """
 
-import hashlib
 import itertools
 import math
 import random
@@ -14,16 +13,12 @@ import numpy as np
 import pytest
 
 from dense_oracles import dense_ip, dense_pagerank, dense_tunkrank, graph_from_adj, rg_from_matrix
-from pipeline_helpers import score_dataset, url_datasets
-from veloscore.centrality import build_retweet_graph, influence_passivity, pagerank, tunkrank
-from veloscore.cli import EXIT_OK, main as cli_main
-from veloscore.dynamics import (
-    KineticsConfig,
-    rank_trending,
-    replay,
-    week_end_hour,
-)
-from veloscore.evaluation import average_weekly_r, iqr_filter, pearson, run_full_evaluation
+from pipeline_helpers import (DETERMINISM_DATA, hash_dir, read_report, run, run_pipeline,
+                              scored_history)
+from veloscore.centrality import influence_passivity, pagerank, tunkrank
+from veloscore.cli import EXIT_OK, TRENDING_FILE
+from veloscore.dynamics import KineticsConfig, replay, week_end_hour
+from veloscore.evaluation import average_weekly_r, iqr_filter, pearson
 from veloscore.ingest import HourBucket, UserGraph
 from veloscore.synth import Burst, SynthConfig, generate
 
@@ -54,18 +49,7 @@ def pipeline_cfg(seed, signal):
 def full_evaluation_run(seed, signal, base_dir):
     data = base_dir / f"run_{seed}_{signal}"
     generate(pipeline_cfg(seed, signal), data)
-    result = score_dataset(data)
-    pr = pagerank(result.graph)
-    tr = tunkrank(result.graph)
-    rg = build_retweet_graph(result.events, result.graph)
-    inf, _ = influence_passivity(rg)
-    global_recs, weekly_recs = url_datasets(result, data)
-    sections = run_full_evaluation(
-        global_recs, weekly_recs,
-        {"ip_influence": inf, "pagerank": pr, "tunkrank": tr},
-        result.history,
-    )
-    return {s.section: {r.score: r for r in s.rows} for s in sections}
+    return read_report(run_pipeline(data, data / "out"))
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +75,14 @@ def test_criterion_1_frictionless_oracle(tmp_path):
     manifest = generate(cfg, tmp_path)
     assert manifest["totals"]["events"] >= 10_000
     t0 = time.perf_counter()
-    result = score_dataset(tmp_path, zeta=0.0)
+    history = scored_history(tmp_path, tmp_path / "out", "--zeta", "0")
     elapsed = time.perf_counter() - t0
     worst = 0.0
     for user, per_hour in manifest["mention_counts"].items():
         total = sum(per_hour.values())
         mass = manifest["users"][user] if manifest["users"][user] > 0 else 1
         expected = total / mass
-        got = result.history.at(user, result.history.final_hour)
+        got = history.at(user, history.final_hour)
         worst = max(worst, abs(got - expected) / expected)
     verdict("C1 frictionless-oracle", worst < 1e-9 and elapsed < 10.0,
             f"(max rel err {worst:.2e}, {manifest['totals']['events']} events "
@@ -126,7 +110,7 @@ def _check_graph(adj, rng, errs):
     expected = dense_pagerank(adj, 0.85, 1e-12, 400)
     got = np.array([sv.get(f"u{i}") for i in range(n)])
     errs["pagerank"] = max(errs["pagerank"], float(np.abs(got - expected).max()))
-    errs["pr_norm"] = max(errs["pr_norm"], abs(sv.total() - 1.0))
+    errs["pr_norm"] = max(errs["pr_norm"], abs(sv.values.sum() - 1.0))
 
     sv = tunkrank(graph, retweet_prob=0.05, tol=1e-12, max_iter=300)
     expected = dense_tunkrank(adj, 0.05, 1e-12, 300)
@@ -264,46 +248,25 @@ def test_criterion_7_trending_detection(tmp_path):
         ),
     )
     generate(cfg, tmp_path)
-    hist = score_dataset(tmp_path, zeta=zeta).history
+    out = tmp_path / "out"
+    hist = scored_history(tmp_path, out, "--zeta", str(zeta))
     start, end = week_end_hour(2), week_end_hour(3)
     celeb_rel = hist.at("u00000", end) / hist.at("u00000", start) - 1
     burst_ratio = hist.at("u00001", end) / hist.at("u00001", start)
-    entries = rank_trending(hist.row(start), hist.row(end), threshold=0.10, k=5)
-    users = [e.user for e in entries]
+    assert run("trend", "--week", 3, "--threshold", 0.10, "--top-k", 5, "--out", out) == EXIT_OK
+    users = [row.split("\t")[1] for row in (out / TRENDING_FILE).read_text().splitlines()[1:]]
     ok = (users and users[0] == "u00001" and "u00000" not in users
-          and burst_ratio >= 10 and 0 < celeb_rel < 0.10)
+          and burst_ratio >= 10 and 0.04 <= celeb_rel <= 0.06)
     verdict("C7 trending-detection", ok,
             f"(burst jump {burst_ratio:.0f}x ranked {users.index('u00001') + 1 if 'u00001' in users else '-'}; "
             f"celebrity +{celeb_rel:.1%} excluded)")
 
 
-def _hash_outputs(out_dir):
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out_dir.iterdir()) if p.is_file()}
-
-
 def test_criterion_8_determinism(tmp_path):
     data = tmp_path / "data"
-    generate(SynthConfig(seed=88, users=200, hours=336, follows_per_user=8,
-                         url_count=120, signal=1.0, base_mention_rate=0.05,
-                         mention_follower_exponent=1.0, mention_rate_cap=2.0,
-                         mutual_retweet_pairs=True, base_click_prob=2.0), data)
-    out = tmp_path / "out"
-    score_args = ["score", "--events", str(data / "events.ndjson"),
-                  "--edges", str(data / "edges.tsv"), "--out", str(out)]
-    eval_args = ["eval", "--events", str(data / "events.ndjson"),
-                 "--edges", str(data / "edges.tsv"),
-                 "--clicks", str(data / "clicks.tsv"), "--out", str(out)]
-    cent_args = ["centrality", "--edges", str(data / "edges.tsv"),
-                 "--events", str(data / "events.ndjson"), "--out", str(out)]
-    assert cli_main(score_args) == EXIT_OK
-    assert cli_main(cent_args) == EXIT_OK
-    assert cli_main(eval_args) == EXIT_OK
-    first = _hash_outputs(out)
-    assert cli_main(score_args) == EXIT_OK
-    assert cli_main(cent_args) == EXIT_OK
-    assert cli_main(eval_args) == EXIT_OK
-    second = _hash_outputs(out)
+    generate(DETERMINISM_DATA, data)
+    first = hash_dir(run_pipeline(data, tmp_path / "out"))
+    second = hash_dir(run_pipeline(data, tmp_path / "out"))
     ok = first == second and len(first) >= 10
     verdict("C8 determinism", ok,
             f"({len(first)} output files byte-identical across reruns)")

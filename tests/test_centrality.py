@@ -53,7 +53,7 @@ class TestPagerank:
         g = UserGraph.from_edges({("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")})
         for iters in range(1, 12):
             sv = pagerank(g, max_iter=iters, tol=0.0)
-            assert sv.total() == pytest.approx(1.0, abs=1e-9)
+            assert sv.values.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_residual_monotone_after_burn_in(self):
         rng = np.random.default_rng(3)
@@ -73,7 +73,7 @@ class TestPagerank:
             expected = dense_pagerank(adj, 0.85, 1e-12, 500)
             got = np.array([sv.get(f"u{i}") for i in range(3)])
             assert np.abs(got - expected).max() < 1e-6
-            assert abs(sv.total() - 1.0) < 1e-9
+            assert abs(sv.values.sum() - 1.0) < 1e-9
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -191,7 +191,7 @@ class TestInfluencePassivity:
         assume(mask.any() and (weight[mask] < 1.0).any())
         inf, pas = influence_passivity(rg_from_matrix(weight, mask))
         for sv in (inf, pas):
-            assert abs(sv.total() - 1.0) <= 1e-12
+            assert abs(sv.values.sum() - 1.0) <= 1e-12
             assert len(sv.residual_history) == sv.iterations
 
     def test_empty_retweet_graph_rejected(self):

@@ -1,6 +1,5 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
-import hashlib
 import json
 import random
 import re
@@ -9,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from pipeline_helpers import SCORE_FILES, score_dataset, url_datasets
+from pipeline_helpers import CLI_DATA, SCORE_FILES, hash_dir, run, run_pipeline
 from veloscore import cli
 from veloscore.centrality import SCORERS, ScoreVector, ratio_score
-from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from veloscore.evaluation import UrlRecord, accumulate_scores, audience_correct, pearson
-from veloscore.ingest import UserGraph
+from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
+from veloscore.evaluation import (UrlRecord, accumulate_scores, audience_correct,
+                                  build_url_datasets, pearson, read_clicks)
+from veloscore.ingest import UserGraph, load_graph, read_events_file
 from veloscore.synth import SynthConfig, generate
 
 
@@ -22,24 +22,10 @@ from veloscore.synth import SynthConfig, generate
 LINE_2_AGAIN = "<line 2 again>"
 
 
-def run(*argv):
-    return main([str(a) for a in argv])
-
-
-def hash_dir(path, skip=()):
-    out = {}
-    for p in sorted(path.iterdir()):
-        if p.is_file() and p.name not in skip:
-            out[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
-    return out
-
-
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     data = tmp_path_factory.mktemp("data")
-    generate(SynthConfig(seed=21, users=60, hours=336, follows_per_user=6,
-                         url_count=50, signal=1.0, base_mention_rate=0.1,
-                         base_click_prob=2.0), data)
+    generate(CLI_DATA, data)
     return data
 
 
@@ -51,11 +37,8 @@ def score_args(data, out):
 @pytest.fixture(scope="module")
 def scored(dataset, tmp_path_factory):
     """An --out directory holding `score` and `centrality` results."""
-    out = tmp_path_factory.mktemp("scored")
-    assert run(*score_args(dataset, out)) == EXIT_OK
-    assert run("centrality", "--edges", dataset / "edges.tsv",
-               "--events", dataset / "events.ndjson", "--out", out) == EXIT_OK
-    return out
+    return run_pipeline(dataset, tmp_path_factory.mktemp("scored"),
+                        commands=("score", "centrality"))
 
 
 def assert_rejected_before_any_file(monkeypatch, capsys, out, argv, flag, value):
@@ -93,26 +76,6 @@ class TestScore:
         assert run(*score_args(dataset, out)) == EXIT_OK
         for name in ("snapshots.tsv", "velocity_final.tsv", "run_config_score.txt"):
             assert (out / name).is_file()
-
-    def test_frictionless_matches_mention_sums(self, dataset, tmp_path):
-        out = tmp_path / "out"
-        assert run(*score_args(dataset, out), "--zeta", "0") == EXIT_OK
-        manifest = json.loads((dataset / "manifest.json").read_text())
-        table = {}
-        for line in (out / "velocity_final.tsv").read_text().splitlines():
-            u, v = line.split("\t")
-            table[u] = float(v)
-        for u, per_hour in manifest["mention_counts"].items():
-            total = sum(per_hour.values())
-            mass = manifest["users"][u] or 1
-            assert table[u] == pytest.approx(total / mass, rel=1e-9)
-
-    def test_byte_identical_across_runs(self, dataset, tmp_path):
-        out = tmp_path / "out"
-        assert run(*score_args(dataset, out)) == EXIT_OK
-        first = hash_dir(out)
-        assert run(*score_args(dataset, out)) == EXIT_OK
-        assert hash_dir(out) == first
 
     def test_empty_stream_ok(self, dataset, tmp_path):
         empty = tmp_path / "empty.ndjson"
@@ -290,10 +253,10 @@ class TestCentrality:
         out = tmp_path / "out"
         run("centrality", "--edges", dataset / "edges.tsv",
             "--algorithm", "followers", "--out", out)
-        result = score_dataset(dataset)
+        graph = load_graph(dataset / "edges.tsv")
         for line in (out / "followers.tsv").read_text().splitlines():
             u, s = line.split("\t")
-            assert float(s) == result.graph.followers_of(u)
+            assert float(s) == graph.followers_of(u)
 
     @pytest.mark.parametrize("flags, what", [
         ((), "--events is required"),
@@ -409,7 +372,9 @@ class TestScorerTable:
         """No `followers` row is needed: each URL's audience already is the
         sum of `followers.tsv` over its promoters."""
         followers = ScoreVector.read_tsv(scored / "followers.tsv")
-        global_records, weekly_records = url_datasets(score_dataset(dataset), dataset)
+        global_records, weekly_records = build_url_datasets(
+            read_events_file(dataset / "events.ndjson"), read_clicks(dataset / "clicks.tsv"),
+            load_graph(dataset / "edges.tsv"))
         assert global_records and weekly_records
         for record in (*global_records, *weekly_records):
             assert accumulate_scores(record, followers) == record.audience
@@ -435,9 +400,7 @@ class TestScorerTable:
 
 class TestEval:
     def prepare(self, dataset, out):
-        assert run(*score_args(dataset, out)) == EXIT_OK
-        assert run("centrality", "--edges", dataset / "edges.tsv",
-                   "--events", dataset / "events.ndjson", "--out", out) == EXIT_OK
+        run_pipeline(dataset, out, commands=("score", "centrality"))
 
     def eval_args(self, dataset, out):
         return ("eval", "--events", dataset / "events.ndjson",
@@ -474,14 +437,6 @@ class TestEval:
         argv = (*self.eval_args(dataset, scored), flag, scored / "missing.tsv")
         assert_rejected_before_any_read(monkeypatch, capsys, argv, f"{what} not readable")
         assert hash_dir(scored) == before
-
-    def test_byte_identical_across_runs(self, dataset, tmp_path):
-        out = tmp_path / "out"
-        self.prepare(dataset, out)
-        assert run(*self.eval_args(dataset, out)) == EXIT_OK
-        first = hash_dir(out)
-        assert run(*self.eval_args(dataset, out)) == EXIT_OK
-        assert hash_dir(out) == first
 
     @pytest.mark.parametrize("name, bad_line", [
         ("clicks.tsv", "http://sho.rt/x\tmany"),
@@ -769,4 +724,4 @@ def test_out_that_cannot_be_a_directory_exit_usage(dataset, tmp_path, capsys, co
 
 
 def test_unknown_command_exit_usage():
-    assert main(["conjure"]) == EXIT_USAGE
+    assert run("conjure") == EXIT_USAGE

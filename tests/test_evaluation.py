@@ -419,6 +419,14 @@ class TestPearson:
         with pytest.raises(ValueError, match="zero variance"):
             pearson([1, 2, 3, 4], [5, 5, 5, 5])
 
+    @pytest.mark.parametrize("value", [0.1, 6.483605315220348e276])
+    def test_constant_series_whose_mean_rounds_rejected(self, value):
+        # the mean of three copies is not the value, so the sums hold rounding error only
+        assert np.mean([value] * 3) != value
+        for xs, ys in (([value] * 3, [3.0, 1.0, 2.0]), ([3.0, 1.0, 2.0], [value] * 3)):
+            with pytest.raises(ValueError, match="zero variance"):
+                pearson(xs, ys)
+
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_r_survives_a_variance_product_out_of_range(self, scale):
         # sxx * syy under- or overflows at these scales, but sxx and syy do not
@@ -682,6 +690,28 @@ class TestFullEvaluation:
         assert set(per_week) == {"pagerank", "velocity_final_date", "velocity_on_week"}
         for entries in per_week.values():
             assert [(w, n) for w, _, n in entries] == [(0, 3)]
+
+    def test_constant_week_whose_mean_rounds_is_degenerate(self):
+        """A week whose corrected scores are all 0.1 is counted in
+        weekly_degenerate_weeks and left out of its row, not read as r = 0."""
+        rng = random.Random(5)
+        users = [f"p{i}" for i in range(6)]
+        hist = VelocityHistory(users, np.array([[rng.uniform(0, 1) for _ in users]
+                                                for _ in range(2 * 168)]))
+        static = {"pagerank": dict.fromkeys(users, 1 / 3)}  # any three of them sum to 1.0
+        # week 0: three promoters and audience 10 each, so every corrected score is 0.1
+        records_w = [UrlRecord(f"w0u{i}", 10 + 7 * i * i, tuple(users[i:i + 3]), 10, 0)
+                     for i in range(3)]
+        records_w += [UrlRecord(f"w1u{i}", 10 + 7 * i * i, tuple(users[:3 + i]), 10 + i, 1)
+                      for i in range(3)]
+        records_g = [dataclasses.replace(r, week_index=None) for r in records_w]
+        stats: dict = {}
+        weekly = run_full_evaluation(records_g, records_w, static, hist, iqr_k=1e9,
+                                     stats=stats)[3]
+        per_week = {row.score: row.per_week for row in weekly.rows}
+        assert [(w, n) for w, _, n in per_week["pagerank"]] == [(1, 3)]
+        # the other degenerate week is velocity_prior_week's week 0, all zeros
+        assert stats["weekly_degenerate_weeks"] == 2
 
 
 def test_correlate_builds_report():

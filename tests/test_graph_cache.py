@@ -16,20 +16,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pipeline_helpers import SCORE_FILES
+from pipeline_helpers import (CACHE_DAMAGES, CLI_DATA, centrality_and_eval, command_outputs, run,
+                              run_pipeline, scored_copy)
 from veloscore import cli, ingest
-from veloscore.cli import EXIT_OK, GRAPH_CACHE_FILE, main
+from veloscore.cli import EXIT_OK, GRAPH_CACHE_FILE
 from veloscore.ingest import (IngestStats, file_fingerprint, load_graph, read_graph_cache,
                               write_graph_cache)
-from veloscore.synth import SynthConfig, generate
+from veloscore.synth import generate
 
-REPORTS = ("report.tsv", "report.txt", "report_weekly.tsv")
-OUTPUTS = (*SCORE_FILES, *REPORTS)
 GRAPH_COUNTS = ("bad_graph_lines", "self_loops_dropped", "duplicate_edges")
-
-
-def run(*argv):
-    return main([str(a) for a in argv])
 
 
 def graph_counts(stats):
@@ -127,12 +122,9 @@ def test_cached_read_adds_the_parse_counts(tmp_path, parses):
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     data = tmp_path_factory.mktemp("data")
-    generate(SynthConfig(seed=21, users=60, hours=336, follows_per_user=6,
-                         url_count=50, signal=1.0, base_mention_rate=0.1,
-                         base_click_prob=2.0), data)
+    generate(CLI_DATA, data)
     with open(data / "edges.tsv", "a", encoding="utf-8") as fh:
         fh.write("u00001\tu00001\nu00001\tu00002\nnot a handle!\tu00003\n")
-    (data / "counts.tsv").write_text("u00003\t500\nnewcomer\t9\n", encoding="utf-8")
     return data
 
 
@@ -149,61 +141,28 @@ def parses(monkeypatch):
     return seen
 
 
-def score(data, out, *extra):
-    return run("score", "--events", data / "events.ndjson", "--edges", data / "edges.tsv",
-               "--out", out, *extra)
-
-
-def centrality_and_eval(data, out, capsys, *extra):
-    """Run `centrality` then `eval` into ``out``; returns their stdout."""
-    capsys.readouterr()
-    assert run("centrality", "--edges", data / "edges.tsv", "--events", data / "events.ndjson",
-               "--out", out, *extra) == EXIT_OK
-    assert run("eval", "--events", data / "events.ndjson", "--edges", data / "edges.tsv",
-               "--clicks", data / "clicks.tsv", "--out", out, *extra) == EXIT_OK
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    return captured.out
-
-
-def outputs(out):
-    return {name: (out / name).read_bytes() for name in OUTPUTS}
-
-
-def scored_copy(out, dest):
-    """A new --out holding `score`'s artifacts from ``out``, but no caches."""
-    dest.mkdir()
-    for name in ("snapshots.tsv", "run_config_score.txt"):
-        shutil.copy(out / name, dest / name)
-    return dest
+def score(data, out):
+    return run_pipeline(data, out, commands=("score",))
 
 
 def test_one_parse_per_pipeline(dataset, tmp_path, parses, capsys):
     out = tmp_path / "out"
-    assert score(dataset, out) == EXIT_OK
+    score(dataset, out)
     assert (out / GRAPH_CACHE_FILE).is_file()
     cached = centrality_and_eval(dataset, out, capsys)
     assert len(parses) == 1
     fresh = scored_copy(out, tmp_path / "fresh")
     assert centrality_and_eval(dataset, fresh, capsys) == cached
     assert len(parses) == 2  # centrality parses and caches; eval reads its cache
-    assert outputs(fresh) == outputs(out)
+    assert command_outputs(fresh) == command_outputs(out)
 
 
 def test_cache_is_byte_deterministic(dataset, tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert score(dataset, a) == EXIT_OK
+    score(dataset, a)
     assert run("centrality", "--edges", dataset / "edges.tsv", "--algorithm", "pagerank",
                "--out", b) == EXIT_OK
     assert (a / GRAPH_CACHE_FILE).read_bytes() == (b / GRAPH_CACHE_FILE).read_bytes()
-
-
-def _truncated(b):
-    return b[:len(b) // 2]
-
-
-def _no_trailer(b):
-    return b[:b.rstrip(b"\n").rindex(b"\n") + 1]
 
 
 def _one_digit_changed(b):
@@ -212,26 +171,17 @@ def _one_digit_changed(b):
     return b[:at] + digit + b[at + 1:]
 
 
-def _garbage(b):
-    return b"\xff\xfe not json \x00" * 50
-
-
 def _extra_after_trailer(b):
     return b + b'["followers", 1]\n'
 
 
-def _no_final_newline(b):
-    return b[:-1]
+DAMAGES = {**CACHE_DAMAGES, "one-digit": _one_digit_changed, "extra-line": _extra_after_trailer}
 
 
-@pytest.mark.parametrize("damage", [
-    _truncated, _no_trailer, _one_digit_changed, _garbage, _extra_after_trailer,
-    _no_final_newline, lambda b: b"", lambda b: b.split(b"\n")[0] + b"\n",
-], ids=["truncated", "no-trailer", "one-digit", "garbage", "extra-line", "no-final-newline",
-        "empty", "header-only"])
+@pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
 def test_broken_cache_is_reparsed(dataset, tmp_path, parses, capsys, damage):
     out = tmp_path / "out"
-    assert score(dataset, out) == EXIT_OK
+    score(dataset, out)
     reference = scored_copy(out, tmp_path / "reference")
     expected = centrality_and_eval(dataset, reference, capsys)
     cache = out / GRAPH_CACHE_FILE
@@ -241,25 +191,25 @@ def test_broken_cache_is_reparsed(dataset, tmp_path, parses, capsys, damage):
     assert centrality_and_eval(dataset, out, capsys) == expected
     assert len(parses) == 1  # centrality parses and writes it anew
     assert cache.read_bytes() == whole
-    assert outputs(out) == outputs(reference)
+    assert command_outputs(out) == command_outputs(reference)
 
 
-def _stale_run(data, out, fresh, capsys, parses, *extra):
+def _stale_run(data, out, fresh, capsys, parses):
     """`centrality` and `eval` on ``out`` after ``data`` changed: one parse,
     and the outputs of the new --out ``fresh``."""
     del parses[:]
-    stale = centrality_and_eval(data, out, capsys, *extra)
+    stale = centrality_and_eval(data, out, capsys)
     assert len(parses) == 1
     fresh_dir = scored_copy(out, fresh)
-    assert centrality_and_eval(data, fresh_dir, capsys, *extra) == stale
-    assert outputs(out) == outputs(fresh_dir)
+    assert centrality_and_eval(data, fresh_dir, capsys) == stale
+    assert command_outputs(out) == command_outputs(fresh_dir)
 
 
 def test_same_size_edit_is_reparsed(dataset, tmp_path, parses, capsys):
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
     out = tmp_path / "out"
-    assert score(data, out) == EXIT_OK
+    score(data, out)
     edges = data / "edges.tsv"
     before = edges.stat()
     text = edges.read_text(encoding="utf-8")
@@ -275,11 +225,13 @@ def test_counts_are_part_of_the_key(dataset, tmp_path, parses, capsys):
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
     out = tmp_path / "out"
-    assert score(data, out) == EXIT_OK
-    counts = ("--counts", data / "counts.tsv")
-    _stale_run(data, out, tmp_path / "added", capsys, parses, *counts)
-    (data / "counts.tsv").write_text("u00003\t501\nnewcomer\t9\n", encoding="utf-8")
-    _stale_run(data, out, tmp_path / "changed", capsys, parses, *counts)
+    score(data, out)
+    counts = data / "follower_counts.tsv"  # passed as --counts while it exists
+    counts.write_text("u00003\t500\nnewcomer\t9\n", encoding="utf-8")
+    _stale_run(data, out, tmp_path / "added", capsys, parses)
+    counts.write_text("u00003\t501\nnewcomer\t9\n", encoding="utf-8")
+    _stale_run(data, out, tmp_path / "changed", capsys, parses)
+    counts.unlink()
     _stale_run(data, out, tmp_path / "removed", capsys, parses)
 
 
@@ -294,7 +246,7 @@ def test_edges_changed_while_read_leaves_no_cache(dataset, tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "load_graph", growing)
     out = tmp_path / "out"
-    assert score(data, out) == EXIT_OK
+    score(data, out)
     assert (out / "snapshots.tsv").is_file()
     assert not (out / GRAPH_CACHE_FILE).exists()
     assert not list(out.glob("*.tmp"))

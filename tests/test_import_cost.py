@@ -7,18 +7,14 @@ RSS; the BLAKE2b of the stream digest and the graph cache comes from the
 built-in `_blake2` module instead.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import veloscore
-from veloscore.cli import EXIT_OK, main
+from pipeline_helpers import child_env, run_pipeline
 from veloscore.synth import SynthConfig, generate
 
-SRC = Path(veloscore.__file__).resolve().parent.parent
 LEAK_CHECK = """
 import sys
 {body}
@@ -29,11 +25,8 @@ print("heavy modules:", *sorted(m for m in sys.modules
 
 def heavy_modules_after(body: str, *argv) -> list[str]:
     """The scipy modules and `_hashlib`, if loaded, after running ``body``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", LEAK_CHECK.format(body=body), *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1]
     assert last.startswith("heavy modules:")
@@ -50,10 +43,7 @@ def scored(tmp_path_factory):
     """A synth dataset with clicks, and the --out of a `score` run over it."""
     data = tmp_path_factory.mktemp("data")
     generate(SynthConfig(seed=5, users=30, hours=336, follows_per_user=4, url_count=40), data)
-    out = data / "out"
-    assert main(["score", "--events", str(data / "events.ndjson"),
-                 "--edges", str(data / "edges.tsv"), "--out", str(out)]) == EXIT_OK
-    return data, out
+    return data, run_pipeline(data, data / "out", commands=("score",))
 
 
 def test_trend_run_leaves_scipy_out(scored):  # and _hashlib

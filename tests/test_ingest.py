@@ -1,7 +1,6 @@
 """Stream parsing, hour bucketing, and graph loading."""
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import veloscore
+from pipeline_helpers import child_env
 from veloscore.centrality import build_retweet_graph
 from veloscore.ingest import (
     IngestStats,
@@ -29,7 +28,6 @@ from veloscore.ingest import (
 
 EPOCH = datetime(2025, 1, 6, 0, 0, 0, tzinfo=timezone.utc)
 
-SRC = Path(veloscore.__file__).resolve().parent.parent
 # peak RSS growth, in MB, of one load_graph call in a fresh process
 RSS_GROWTH = """
 import sys
@@ -395,10 +393,7 @@ class TestLoadGraph:
         path = tmp_path / "edges.tsv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(f"u{a}\tu{b}\n" for a, b in zip(src.tolist(), dst.tolist()))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", RSS_GROWTH, str(path)], env=env,
+        proc = subprocess.run([sys.executable, "-c", RSS_GROWTH, str(path)], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         edges, growth_mb = proc.stdout.split()

@@ -17,18 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pipeline_helpers import SCORE_FILES
+from pipeline_helpers import (CACHE_DAMAGES, CLI_DATA, centrality_and_eval, command_outputs, run,
+                              scored_copy)
 from veloscore import cli, ingest
-from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, STREAM_DIGEST_FILE, main
+from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, STREAM_DIGEST_FILE
 from veloscore.ingest import Event, StreamDigest, file_fingerprint, read_events_file
-from veloscore.synth import SynthConfig, generate
-
-REPORTS = ("report.tsv", "report.txt", "report_weekly.tsv")
-OUTPUTS = (*SCORE_FILES, *REPORTS)
-
-
-def run(*argv):
-    return main([str(a) for a in argv])
+from veloscore.synth import generate
 
 
 # --- round trip --------------------------------------------------------
@@ -153,9 +147,7 @@ def dataset(tmp_path_factory):
     """A synth stream with late and pre-epoch events appended: `score`'s
     buckets drop them, `centrality` and `eval` count them."""
     data = tmp_path_factory.mktemp("data")
-    generate(SynthConfig(seed=21, users=60, hours=336, follows_per_user=6,
-                         url_count=50, signal=1.0, base_mention_rate=0.1,
-                         base_click_prob=2.0), data)
+    generate(CLI_DATA, data)
     lines = (data / "events.ndjson").read_text(encoding="utf-8").splitlines()
     shared = [json.loads(ln) for ln in lines if "http" in ln or "RT @" in ln][:40]
     extra = []
@@ -184,30 +176,6 @@ def score(data, out, *extra):
                "--out", out, "--error-ceiling", 1, *extra)
 
 
-def centrality_and_eval(data, out, capsys):
-    """Run `centrality` then `eval` into ``out``; returns their stdout."""
-    capsys.readouterr()
-    assert run("centrality", "--edges", data / "edges.tsv", "--events", data / "events.ndjson",
-               "--out", out) == EXIT_OK
-    assert run("eval", "--events", data / "events.ndjson", "--edges", data / "edges.tsv",
-               "--clicks", data / "clicks.tsv", "--out", out) == EXIT_OK
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    return captured.out
-
-
-def outputs(out):
-    return {name: (out / name).read_bytes() for name in OUTPUTS}
-
-
-def scored_copy(out, dest):
-    """A new --out holding `score`'s artifacts from ``out``, but no digest."""
-    dest.mkdir()
-    for name in ("snapshots.tsv", "run_config_score.txt"):
-        shutil.copy(out / name, dest / name)
-    return dest
-
-
 def test_digest_and_parse_give_identical_outputs(dataset, tmp_path, parses, capsys):
     out = tmp_path / "out"
     assert score(dataset, out) == EXIT_OK
@@ -220,7 +188,7 @@ def test_digest_and_parse_give_identical_outputs(dataset, tmp_path, parses, caps
     parsed = centrality_and_eval(dataset, bypass, capsys)
     assert len(parses) == 3
     assert with_digest == parsed
-    assert outputs(out) == outputs(bypass)
+    assert command_outputs(out) == command_outputs(bypass)
 
 
 def test_parse_count(dataset, tmp_path, parses, capsys):
@@ -255,15 +223,7 @@ def test_same_size_edit_is_reparsed(dataset, tmp_path, parses, capsys):
     fresh_dir = scored_copy(out, tmp_path / "fresh")
     fresh = centrality_and_eval(data, fresh_dir, capsys)
     assert stale == fresh
-    assert outputs(out) == outputs(fresh_dir)
-
-
-def _truncated(b):
-    return b[:len(b) // 2]
-
-
-def _no_trailer(b):
-    return b[:b.rstrip(b"\n").rindex(b"\n") + 1]
+    assert command_outputs(out) == command_outputs(fresh_dir)
 
 
 def _one_digit_changed(b):
@@ -274,23 +234,14 @@ def _one_digit_changed(b):
     return b[:at] + digit + b[at + 1:]
 
 
-def _garbage(b):
-    return b"\xff\xfe not json \x00" * 50
-
-
 def _extra_after_trailer(b):
     return b + b'["author", "u00001", 1]\n'
 
 
-def _no_final_newline(b):
-    return b[:-1]
+DAMAGES = {**CACHE_DAMAGES, "one-digit": _one_digit_changed, "extra-line": _extra_after_trailer}
 
 
-@pytest.mark.parametrize("damage", [
-    _truncated, _no_trailer, _one_digit_changed, _garbage, _extra_after_trailer,
-    _no_final_newline, lambda b: b"", lambda b: b.split(b"\n")[0] + b"\n",
-], ids=["truncated", "no-trailer", "one-digit", "garbage", "extra-line", "no-final-newline",
-        "empty", "header-only"])
+@pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
 def test_broken_digest_is_reparsed(dataset, tmp_path, parses, capsys, damage):
     out = tmp_path / "out"
     assert score(dataset, out) == EXIT_OK
@@ -301,7 +252,7 @@ def test_broken_digest_is_reparsed(dataset, tmp_path, parses, capsys, damage):
     del parses[:]
     assert centrality_and_eval(dataset, out, capsys) == expected
     assert len(parses) == 2
-    assert outputs(out) == outputs(reference)
+    assert command_outputs(out) == command_outputs(reference)
 
 
 def test_failed_score_leaves_no_new_digest(dataset, tmp_path):

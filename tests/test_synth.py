@@ -13,13 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from pipeline_helpers import score_dataset, url_datasets
-from veloscore.evaluation import accumulate_scores, iqr_filter, pearson
+from pipeline_helpers import read_report, run_pipeline
+from veloscore.evaluation import build_url_datasets, read_clicks
+from veloscore.ingest import IngestStats, bucketize, load_graph, parse_timestamp, read_events_file
 from veloscore.synth import (Burst, SynthConfig, _follow_draws, _indented_json, bresenham_block,
                              generate)
 
 SMALL = dict(users=60, hours=336, follows_per_user=6, url_count=40,
              base_mention_rate=0.08)
+
+
+def manifest_buckets(data_dir, manifest, stats=None):
+    """The hour buckets of the dataset's stream, hours counted from the manifest's epoch."""
+    events = read_events_file(data_dir / "events.ndjson", stats)
+    return list(bucketize(events, parse_timestamp(manifest["epoch"]), stats))
 
 
 def force_by_user_hour(buckets):
@@ -144,31 +151,30 @@ class TestManifestMatchesPipeline:
     def test_mention_counts_reproduced_exactly(self, tmp_path):
         cfg = SynthConfig(seed=3, cc_every=11, **SMALL)
         manifest = generate(cfg, tmp_path)
-        result = score_dataset(tmp_path)
-        got = force_by_user_hour(result.buckets)
+        got = force_by_user_hour(manifest_buckets(tmp_path, manifest))
         expected = {u: {int(h): c for h, c in per.items()}
                     for u, per in manifest["mention_counts"].items()}
         assert got == expected
 
     def test_retweet_counts_reproduced_exactly(self, tmp_path):
         manifest = generate(SynthConfig(seed=4, **SMALL), tmp_path)
-        result = score_dataset(tmp_path)
         got = {}
-        for b in result.buckets:
+        for b in manifest_buckets(tmp_path, manifest):
             for u, c in b.retweet_force.items():
                 got.setdefault(u, {})[str(b.hour_index)] = c
         assert got == manifest["retweet_counts"]
 
     def test_no_records_skipped(self, tmp_path):
-        generate(SynthConfig(seed=6, **SMALL), tmp_path)
-        result = score_dataset(tmp_path)
-        assert result.stats.skipped == 0
+        manifest = generate(SynthConfig(seed=6, **SMALL), tmp_path)
+        stats = IngestStats()
+        manifest_buckets(tmp_path, manifest, stats)
+        assert stats.records and stats.skipped == 0
 
     def test_follower_counts_match_graph(self, tmp_path):
         manifest = generate(SynthConfig(seed=7, **SMALL), tmp_path)
-        result = score_dataset(tmp_path)
+        graph = load_graph(tmp_path / "edges.tsv")
         for u, c in manifest["users"].items():
-            assert result.graph.followers_of(u) == c
+            assert graph.followers_of(u) == c
 
 
 class TestBursts:
@@ -248,8 +254,9 @@ class TestUrls:
     def test_cross_week_urls_excluded_from_weekly(self, tmp_path):
         cfg = SynthConfig(seed=10, cross_week_url_fraction=0.25, **SMALL)
         manifest = generate(cfg, tmp_path)
-        result = score_dataset(tmp_path)
-        global_recs, weekly_recs = url_datasets(result, tmp_path)
+        global_recs, weekly_recs = build_url_datasets(
+            read_events_file(tmp_path / "events.ndjson"), read_clicks(tmp_path / "clicks.tsv"),
+            load_graph(tmp_path / "edges.tsv"), parse_timestamp(manifest["epoch"]))
         n_cross = sum(1 for info in manifest["urls"].values() if len(info["weeks"]) > 1)
         assert n_cross > 0
         assert len(global_recs) == len(manifest["urls"])
@@ -267,13 +274,8 @@ def corrected_velocity_r(tmp_path, seed, signal):
                       url_count=120, signal=signal, base_mention_rate=0.1,
                       base_click_prob=2.0, click_noise=0.2)
     generate(cfg, tmp_path)
-    result = score_dataset(tmp_path)
-    global_recs, _ = url_datasets(result, tmp_path)
-    kept = [r for r in iqr_filter(global_recs, 1.5) if r.audience > 0]
-    final = result.history.row(result.history.final_hour)
-    xs = [accumulate_scores(r, final) / r.audience for r in kept]
-    ys = [r.clicks / r.audience for r in kept]
-    return pearson(xs, ys)[0]
+    report = read_report(run_pipeline(tmp_path, tmp_path / "out"))
+    return report["corrected_global"]["velocity"].pearson_r
 
 
 def test_planted_signal_monotonicity(tmp_path):

@@ -1,9 +1,12 @@
 """Bytes that are not UTF-8: a counted skip in streams and graphs, a named
 data error in the tables a command reads whole."""
 
+import shutil
+
 import pytest
 
-from veloscore.cli import EXIT_DATA, EXIT_OK, main
+from pipeline_helpers import run, run_pipeline
+from veloscore.cli import EXIT_DATA, EXIT_OK
 from veloscore.ingest import DataFileError, IngestStats, load_graph, read_events_file, table_file
 from veloscore.synth import SynthConfig, generate
 
@@ -15,44 +18,37 @@ BAD_EVENTS = [
 ]
 
 
-def run(*argv):
-    return main([str(a) for a in argv])
-
-
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     data = tmp_path_factory.mktemp("data")
     generate(SynthConfig(seed=23, users=50, hours=336, follows_per_user=6, url_count=40,
                          signal=1.0, base_mention_rate=0.1, base_click_prob=2.0), data)
+    dirty = shutil.copytree(data, data / "dirty")  # the same dataset but for BAD_EVENTS
     lines = (data / "events.ndjson").read_bytes().splitlines(keepends=True)
-    (data / "dirty.ndjson").write_bytes(b"".join(lines[:30] + BAD_EVENTS + lines[30:]))
+    (dirty / "events.ndjson").write_bytes(b"".join(lines[:30] + BAD_EVENTS + lines[30:]))
     return data
 
 
-def pipeline(data, events, out):
-    """score, centrality and eval on ``events``; each must exit 0."""
-    assert run("score", "--events", events, "--edges", data / "edges.tsv", "--out", out,
-               "--error-ceiling", "0.5") == EXIT_OK
+def pipeline(data, out):
+    """score, centrality and eval over ``data``; each must exit 0."""
+    run_pipeline(data, out, "--error-ceiling", "0.5", commands=("score",))
     (out / "stream_digest.ndjson").unlink()  # centrality and eval parse the stream again
-    assert run("centrality", "--edges", data / "edges.tsv", "--events", events,
-               "--out", out) == EXIT_OK
-    assert run("eval", "--events", events, "--edges", data / "edges.tsv",
-               "--clicks", data / "clicks.tsv", "--out", out) == EXIT_OK
+    run_pipeline(data, out, commands=("centrality", "eval"))
 
 
 def test_event_lines_counted_and_skipped(dataset):
     stats = IngestStats()
     clean = list(read_events_file(dataset / "events.ndjson"))
-    events = list(read_events_file(dataset / "dirty.ndjson", stats))
+    events = list(read_events_file(dataset / "dirty" / "events.ndjson", stats))
     assert stats.parse_errors == len(BAD_EVENTS)
     assert stats.records == len(clean) + len(BAD_EVENTS)
     assert events == clean
 
 
 def test_score_centrality_and_eval_skip_them(dataset, tmp_path, capsys):
-    pipeline(dataset, dataset / "events.ndjson", tmp_path / "clean")
+    pipeline(dataset, tmp_path / "clean")
     capsys.readouterr()
-    pipeline(dataset, dataset / "dirty.ndjson", tmp_path / "dirty")
+    pipeline(dataset / "dirty", tmp_path / "dirty")
     assert f"skipped {len(BAD_EVENTS)}/" in capsys.readouterr().out
     for name in ("snapshots.tsv", "ip_influence.tsv", "report.tsv", "report_weekly.tsv"):
         assert (tmp_path / "dirty" / name).read_bytes() == \
@@ -79,7 +75,7 @@ def test_graph_lines_counted(dataset, tmp_path):
 @pytest.mark.parametrize("name", ["clicks.tsv", "snapshots.tsv", "pagerank.tsv", "config"])
 def test_tables_name_the_line(dataset, tmp_path, capsys, name):
     out = tmp_path / "out"
-    pipeline(dataset, dataset / "events.ndjson", out)
+    pipeline(dataset, out)
     clicks = tmp_path / "clicks.tsv"
     clicks.write_bytes((dataset / "clicks.tsv").read_bytes())
     config = tmp_path / "run.cfg"
