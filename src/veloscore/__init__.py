@@ -9,72 +9,57 @@ pipeline, and a deterministic synthetic data generator.
 
 __version__ = "0.1.0"
 
-from .ingest import Event, HourBucket, IngestStats, UserGraph, bucketize, load_graph, parse_event
-from .dynamics import (
-    KineticsConfig,
-    KineticsEngine,
-    TrendingEntry,
-    VelocityHistory,
-    estimate_zeta,
-    rank_trending,
-    replay,
-)
-from .centrality import (
-    RetweetGraph,
-    ScoreVector,
-    build_retweet_graph,
-    followers_score,
-    influence_passivity,
-    pagerank,
-    ratio_score,
-    tunkrank,
-)
-from .evaluation import (
-    CorrelationReport,
-    UrlRecord,
-    accumulate_scores,
-    audience_correct,
-    audience_confound_report,
-    average_weekly_r,
-    build_url_datasets,
-    iqr_filter,
-    pearson,
-)
-from .synth import Burst, SynthConfig, generate
+import importlib
 
-__all__ = [
-    "Event",
-    "HourBucket",
-    "IngestStats",
-    "UserGraph",
-    "bucketize",
-    "load_graph",
-    "parse_event",
-    "KineticsConfig",
-    "KineticsEngine",
-    "TrendingEntry",
-    "VelocityHistory",
-    "estimate_zeta",
-    "rank_trending",
-    "replay",
-    "RetweetGraph",
-    "ScoreVector",
-    "build_retweet_graph",
-    "followers_score",
-    "influence_passivity",
-    "pagerank",
-    "ratio_score",
-    "tunkrank",
-    "CorrelationReport",
-    "UrlRecord",
-    "accumulate_scores",
-    "audience_correct",
-    "audience_confound_report",
-    "average_weekly_r",
-    "build_url_datasets",
-    "iqr_filter",
-    "pearson",
-    "Burst",
-    "SynthConfig",
-    "generate",
-]
+# every exported name and the module it is defined in; a name is imported
+# when first asked for (PEP 562), so `import veloscore` loads no numpy
+_EXPORTS = {
+    "Event": "ingest",
+    "HourBucket": "ingest",
+    "IngestStats": "ingest",
+    "UserGraph": "ingest",
+    "bucketize": "ingest",
+    "load_graph": "ingest",
+    "parse_event": "ingest",
+    "KineticsConfig": "core",
+    "KineticsEngine": "dynamics",
+    "TrendingEntry": "core",
+    "VelocityHistory": "core",
+    "estimate_zeta": "dynamics",
+    "rank_trending": "core",
+    "replay": "dynamics",
+    "RetweetGraph": "centrality",
+    "ScoreVector": "centrality",
+    "build_retweet_graph": "centrality",
+    "followers_score": "centrality",
+    "influence_passivity": "centrality",
+    "pagerank": "centrality",
+    "ratio_score": "centrality",
+    "tunkrank": "centrality",
+    "CorrelationReport": "evaluation",
+    "UrlRecord": "evaluation",
+    "accumulate_scores": "evaluation",
+    "audience_correct": "evaluation",
+    "audience_confound_report": "evaluation",
+    "average_weekly_r": "evaluation",
+    "build_url_datasets": "evaluation",
+    "iqr_filter": "evaluation",
+    "pearson": "evaluation",
+    "Burst": "synth",
+    "SynthConfig": "synth",
+    "generate": "synth",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

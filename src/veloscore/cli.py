@@ -12,27 +12,17 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from . import centrality as centrality_mod
-from . import dynamics, evaluation, synth
-from .centrality import SCORERS, ScoreVector
-from .dynamics import KineticsConfig, week_end_hour
-from .ingest import (
-    DataFileError,
-    IngestStats,
-    ParseError,
-    StreamDigest,
-    bucketize,
-    file_fingerprint,
-    floor_to_hour,
-    load_graph,
-    parse_timestamp,
-    read_events_file,
-    read_graph_cache,
-    table_file,
-    write_graph_cache,
-)
+# only the standard library at import: each command imports the numpy
+# modules it runs, so `trend` loads none of them
+from .core import (DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_RETWEET_PROB, DEFAULT_TOL,
+                   FORCE_SOURCES, MASS_MODES, SCORERS, WEEK_HOURS, DataFileError,
+                   KineticsConfig, load_snapshots, rank_trending, table_file, week_end_hour,
+                   write_snapshots)
+
+if TYPE_CHECKING:
+    from .ingest import IngestStats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,10 +107,12 @@ def _write_run_config(out_dir: Path, args: argparse.Namespace, extra: dict) -> N
 
 
 def _parse_epoch(value):
+    from . import ingest
+
     if not value:
         return None
     try:
-        return parse_timestamp(value)
+        return ingest.parse_timestamp(value)
     except Exception as exc:
         raise CliError(f"bad --epoch value: {exc}") from exc
 
@@ -132,11 +124,13 @@ def _keyed(*paths: Path | None):
     for an absent one.  The check tells whether each file still has the
     size and modification time it had before the key was taken.
     """
+    from . import ingest
+
     def stamps():
         return [(st.st_size, st.st_mtime_ns) for st in (p.stat() for p in paths if p)]
 
     before = stamps()
-    key = [x for p in paths for x in (file_fingerprint(p) if p else (None, None))]
+    key = [x for p in paths for x in (ingest.file_fingerprint(p) if p else (None, None))]
     return key, lambda: stamps() == before
 
 
@@ -149,16 +143,19 @@ def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
     unless the ceiling on skipped records fails or the file changed while
     it was read.
     """
+    from . import dynamics, ingest
+
     key, unchanged = _keyed(events_path)
-    digest = StreamDigest()
+    digest = ingest.StreamDigest()
     table = dynamics.ForceTable(cfg.force_source)
-    for bucket in bucketize(digest.tap(read_events_file(events_path, stats)), epoch, stats):
+    for bucket in ingest.bucketize(digest.tap(ingest.read_events_file(events_path, stats)),
+                                   epoch, stats):
         table.add(bucket)
     _check_ceiling(stats, ceiling)
     if unchanged():
         digest.write(out_dir / STREAM_DIGEST_FILE, key)
     if epoch is None and digest.first_ts is not None:
-        epoch = floor_to_hour(digest.first_ts)
+        epoch = ingest.floor_to_hour(digest.first_ts)
     return table, epoch
 
 
@@ -171,16 +168,18 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
     parsed anew and cached, unless a file changed while it was read.
     Either way the load's graph counts are added to ``stats``.
     """
+    from . import ingest
+
     key, unchanged = _keyed(edges_path, counts_path)
     cache = out_dir / GRAPH_CACHE_FILE
-    cached = read_graph_cache(cache, key)
+    cached = ingest.read_graph_cache(cache, key)
     if cached is not None:
         graph, load_stats = cached
     else:
-        load_stats = IngestStats()
-        graph = load_graph(edges_path, counts_path, load_stats)
+        load_stats = ingest.IngestStats()
+        graph = ingest.load_graph(edges_path, counts_path, load_stats)
         if unchanged():
-            write_graph_cache(cache, graph, load_stats, key)
+            ingest.write_graph_cache(cache, graph, load_stats, key)
     stats.add(load_stats)
     return graph
 
@@ -188,14 +187,18 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
 def _stream_events(events_path: Path, out_dir: Path, stats: IngestStats | None = None):
     """The digest `score` wrote under ``out_dir`` if it matches the events
     file's current content, else the file's events, parsed anew."""
+    from . import ingest
+
     path = out_dir / STREAM_DIGEST_FILE
-    digest = StreamDigest.load(path, _keyed(events_path)[0]) if path.is_file() else None
-    return digest if digest is not None else read_events_file(events_path, stats)
+    digest = ingest.StreamDigest.load(path, _keyed(events_path)[0]) if path.is_file() else None
+    return digest if digest is not None else ingest.read_events_file(events_path, stats)
 
 
 def _scored_epoch(out_dir: Path):
     """The epoch the `score` run under ``out_dir`` resolved, or None if it
     recorded none; a damaged record is a data error."""
+    from . import ingest
+
     path = out_dir / RUN_CONFIG_TEMPLATE.format("score")
     if not path.is_file():
         return None
@@ -203,10 +206,10 @@ def _scored_epoch(out_dir: Path):
     try:
         for lineno, k, v in _config_lines(path):
             if k == "resolved_epoch":
-                epoch = parse_timestamp(v)
+                epoch = ingest.parse_timestamp(v)
     except CliError as exc:  # a line that is not key = value
         raise DataError(str(exc)) from exc
-    except ParseError as exc:
+    except ingest.ParseError as exc:
         raise DataFileError(path, lineno, f"resolved_epoch: {exc}") from exc
     return epoch
 
@@ -225,6 +228,8 @@ def _check_ceiling(stats: IngestStats, ceiling: float) -> None:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     bursts = []
     for raw in args.burst or []:
         try:
@@ -264,6 +269,8 @@ def _kinetics(args, zeta: float) -> KineticsConfig:
 
 
 def cmd_score(args) -> int:
+    from . import dynamics, ingest
+
     # every flag and input file is checked before the stream is parsed
     _check_flag("--error-ceiling", args.error_ceiling, 0.0 <= args.error_ceiling <= 1.0,
                 "in [0, 1]")
@@ -280,7 +287,7 @@ def cmd_score(args) -> int:
     # a failed run must not leave an earlier run's results for trend and eval
     for name in (SNAPSHOT_FILE, FINAL_VELOCITY_FILE, RUN_CONFIG_TEMPLATE.format("score")):
         (out_dir / name).unlink(missing_ok=True)
-    stats = IngestStats()
+    stats = ingest.IngestStats()
     table, epoch = _score_stream(events_path, epoch, out_dir, cfg, stats, args.error_ceiling)
     graph = _graph(edges_path, counts_path, out_dir, stats)
 
@@ -294,10 +301,10 @@ def cmd_score(args) -> int:
     # the week ends and the final hour, each with the hour before it for acceleration
     final = table.hours - 1
     snap_hours = sorted({min(week_end_hour(w), final)
-                         for w in range(final // dynamics.WEEK_HOURS + 1)})
+                         for w in range(final // WEEK_HOURS + 1)})
     history = dynamics.replay(table, cfg, graph,
                               checkpoints={h - d for h in snap_hours for d in (0, 1) if h >= d})
-    dynamics.write_snapshots(out_dir / SNAPSHOT_FILE, history, snap_hours)
+    write_snapshots(out_dir / SNAPSHOT_FILE, history, snap_hours)
     with open(out_dir / FINAL_VELOCITY_FILE, "w", encoding="utf-8") as fh:
         for u, v in history.row(final).items():
             fh.write(f"{u}\t{v:.12g}\n")
@@ -316,9 +323,9 @@ def cmd_trend(args) -> int:
     _check_flag("--top-k", args.top_k, args.top_k >= 1, ">= 1")
     out_dir = Path(args.out)
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
-    history = dynamics.load_snapshots(snap_path)
+    history = load_snapshots(snap_path)
     try:
-        entries = dynamics.rank_trending(
+        entries = rank_trending(
             history.row(week_end_hour(args.week - 1)), history.row(week_end_hour(args.week)),
             args.threshold, args.top_k, window=f"week{args.week}")
     except ValueError as exc:
@@ -335,6 +342,8 @@ def cmd_trend(args) -> int:
 
 
 def cmd_centrality(args) -> int:
+    from . import centrality, ingest
+
     _check_flag("--damping", args.damping, 0.0 < args.damping < 1.0, "in (0, 1)")
     _check_flag("--retweet-prob", args.retweet_prob, 0.0 <= args.retweet_prob <= 1.0,
                 "in [0, 1]")
@@ -350,14 +359,15 @@ def cmd_centrality(args) -> int:
             raise CliError(f"--events is required for the {', '.join(streamed)} algorithm")
         events_path = _require_file(args.events, "event stream")
     out_dir = _out_dir(args.out)
-    graph = _graph(edges_path, counts_path, out_dir, IngestStats())
+    graph = _graph(edges_path, counts_path, out_dir, ingest.IngestStats())
     if graph.n == 0:
         raise DataError("graph is empty")
 
-    rg = centrality_mod.build_retweet_graph(_stream_events(events_path, out_dir), graph) \
+    rg = centrality.build_retweet_graph(_stream_events(events_path, out_dir), graph) \
         if streamed else None
     try:
-        vectors = [sv for scorer in chosen.values() for sv in scorer.run(graph, rg, args)]
+        vectors = [sv for scorer in chosen.values()
+                   for sv in scorer.run(centrality, graph, rg, args)]
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     for sv in vectors:
@@ -370,6 +380,8 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import centrality, evaluation, ingest
+
     _check_flag("--iqr-k", args.iqr_k, 0.0 <= args.iqr_k < math.inf, "finite and >= 0")
     out_dir = Path(args.out)
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
@@ -381,10 +393,10 @@ def cmd_eval(args) -> int:
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     # every flag and input file is checked before one is read
-    static_sources = {name: ScoreVector.read_tsv(path, name)
+    static_sources = {name: centrality.ScoreVector.read_tsv(path, name)
                       for name, path in static_paths.items()}
     epoch = _scored_epoch(out_dir)
-    stats = IngestStats()
+    stats = ingest.IngestStats()
     graph = _graph(edges_path, counts_path, out_dir, stats)
     clicks_table = evaluation.read_clicks(clicks_path)
 
@@ -393,7 +405,7 @@ def cmd_eval(args) -> int:
         _stream_events(events_path, out_dir, stats), clicks_table, graph, epoch, stats=ds_stats)
     if len(global_records) < 3:
         raise DataError(f"only {len(global_records)} qualified URLs; need at least 3")
-    velocity_source = dynamics.load_snapshots(snap_path)
+    velocity_source = load_snapshots(snap_path)
     try:
         sections = evaluation.run_full_evaluation(
             global_records, weekly_records, static_sources, velocity_source,
@@ -452,10 +464,10 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p_score.add_argument("--counts", help="optional follower-count override file")
     p_score.add_argument("--zeta", default="auto",
                          help="damping constant, or 'auto' to estimate from the stream")
-    p_score.add_argument("--mass-mode", choices=list(dynamics.MASS_MODES),
+    p_score.add_argument("--mass-mode", choices=list(MASS_MODES),
                          default="raw_followers")
     p_score.add_argument("--default-mass", type=float, default=1.0)
-    p_score.add_argument("--force-source", choices=list(dynamics.FORCE_SOURCES),
+    p_score.add_argument("--force-source", choices=list(FORCE_SOURCES),
                          default="mentions")
     p_score.add_argument("--epoch", help="ISO-8601 stream epoch / week anchor "
                                          "(default: first event, floored to the hour)")
@@ -477,11 +489,11 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p_cent.add_argument("--counts")
     p_cent.add_argument("--events", help="event stream (needed for the retweet graph)")
     p_cent.add_argument("--algorithm", default="all", choices=["all", *SCORERS])
-    p_cent.add_argument("--damping", type=float, default=centrality_mod.DEFAULT_DAMPING)
+    p_cent.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     p_cent.add_argument("--retweet-prob", type=float,
-                        default=centrality_mod.DEFAULT_RETWEET_PROB)
-    p_cent.add_argument("--tol", type=float, default=centrality_mod.DEFAULT_TOL)
-    p_cent.add_argument("--max-iter", type=int, default=centrality_mod.DEFAULT_MAX_ITER)
+                        default=DEFAULT_RETWEET_PROB)
+    p_cent.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_cent.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p_cent.set_defaults(func=cmd_centrality)
 
     p_eval = sub.add_parser("eval", help="click-correlation reports")

@@ -17,9 +17,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import WEEK_HOURS, week_end_hour
-from .ingest import (DataFileError, Event, StreamDigest, UserGraph, floor_to_hour, hours_since,
-                     table_file)
+from .core import WEEK_HOURS, DataFileError, table_file, week_end_hour
+from .ingest import Event, StreamDigest, UserGraph, floor_to_hour, hours_since
 
 @dataclass(frozen=True)
 class UrlRecord:

@@ -13,13 +13,14 @@ import math
 import os
 import re
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+
+from .core import DataFileError, table_file  # noqa: F401  (re-exported)
 
 HOUR_SECONDS = 3600.0
 WINDOW_HOURS = 1  # hours an event may lag the newest one seen and still be bucketed
@@ -36,34 +37,6 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 class ParseError(ValueError):
     """One malformed stream record or graph line."""
-
-
-class DataFileError(ValueError):
-    """A malformed line in a table a command reads whole; names the file and line."""
-
-    def __init__(self, path, lineno: int, problem):
-        super().__init__(f"{path}:{lineno}: {problem}")
-
-
-@contextmanager
-def table_file(path) -> Iterator[TextIO]:
-    """``path`` open as UTF-8 text; bytes that are not UTF-8 raise a
-    DataFileError naming the first line that holds them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            pass
-        else:
-            return
-    lineno = 0
-    with open(path, "rb") as fh:  # the decoder reads ahead, so find the line afresh
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    raise DataFileError(path, lineno, "not valid UTF-8")
 
 
 def normalize_handle(raw: str) -> str:

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import WEEK_HOURS
+from .core import WEEK_HOURS
 
 _BLOCK_USERS = 1024  # users per block of exact counts
 _WRITE_CHUNK = 1 << 14  # event lines joined per write

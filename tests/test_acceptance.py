@@ -78,11 +78,12 @@ def test_criterion_1_frictionless_oracle(tmp_path):
     history = scored_history(tmp_path, tmp_path / "out", "--zeta", "0")
     elapsed = time.perf_counter() - t0
     worst = 0.0
+    final = history.row(history.final_hour)
     for user, per_hour in manifest["mention_counts"].items():
         total = sum(per_hour.values())
         mass = manifest["users"][user] if manifest["users"][user] > 0 else 1
         expected = total / mass
-        got = history.at(user, history.final_hour)
+        got = final.get(user, 0.0)
         worst = max(worst, abs(got - expected) / expected)
     verdict("C1 frictionless-oracle", worst < 1e-9 and elapsed < 10.0,
             f"(max rel err {worst:.2e}, {manifest['totals']['events']} events "
@@ -94,12 +95,13 @@ def test_criterion_2_decay_law():
     graph = UserGraph.from_edges(set(), overrides={"a": 64})
     buckets = [HourBucket(0, force={"a": 65})] + [HourBucket(h) for h in range(1, 101)]
     hist = replay(buckets, KineticsConfig(zeta=zeta), graph)
-    ok = hist.at("a", 0) == 1.0
+    v = [hist.row(k).get("a", 0.0) for k in range(101)]
+    ok = v[0] == 1.0
     for k in range(1, 101):
         expected = max(0.0, 1.0 - k * zeta)
-        ok = ok and hist.at("a", k) == expected
+        ok = ok and v[k] == expected
         if k <= 64:
-            ok = ok and (hist.at("a", k - 1) - hist.at("a", k)) == zeta
+            ok = ok and (v[k - 1] - v[k]) == zeta
     verdict("C2 decay-law", ok, "(exact -zeta per quiet hour over 100 hours, clamp at 0)")
 
 
@@ -251,8 +253,9 @@ def test_criterion_7_trending_detection(tmp_path):
     out = tmp_path / "out"
     hist = scored_history(tmp_path, out, "--zeta", str(zeta))
     start, end = week_end_hour(2), week_end_hour(3)
-    celeb_rel = hist.at("u00000", end) / hist.at("u00000", start) - 1
-    burst_ratio = hist.at("u00001", end) / hist.at("u00001", start)
+    v_start, v_end = hist.row(start), hist.row(end)
+    celeb_rel = v_end.get("u00000", 0.0) / v_start.get("u00000", 0.0) - 1
+    burst_ratio = v_end.get("u00001", 0.0) / v_start.get("u00001", 0.0)
     assert run("trend", "--week", 3, "--threshold", 0.10, "--top-k", 5, "--out", out) == EXIT_OK
     users = [row.split("\t")[1] for row in (out / TRENDING_FILE).read_text().splitlines()[1:]]
     ok = (users and users[0] == "u00001" and "u00000" not in users

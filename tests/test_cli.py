@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pipeline_helpers import CLI_DATA, SCORE_FILES, hash_dir, run, run_pipeline
-from veloscore import cli
+from veloscore import cli, ingest
 from veloscore.centrality import SCORERS, ScoreVector, ratio_score
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
 from veloscore.evaluation import (UrlRecord, accumulate_scores, audience_correct,
@@ -63,8 +63,8 @@ def assert_rejected_before_any_read(monkeypatch, capsys, argv, what):
         raise AssertionError(f"{args[0]} was read before {what} was checked")
 
     for name in ("load_graph", "read_graph_cache", "read_events_file"):
-        monkeypatch.setattr(cli, name, no_read)
-    monkeypatch.setattr(cli.ScoreVector, "read_tsv", no_read)
+        monkeypatch.setattr(ingest, name, no_read)
+    monkeypatch.setattr(ScoreVector, "read_tsv", no_read)
     capsys.readouterr()
     assert run(*argv) == EXIT_USAGE
     assert what in capsys.readouterr().err
@@ -193,11 +193,14 @@ class TestTrend:
         out = tmp_path / "out"
         assert run(*score_args(dataset, out)) == EXIT_OK
         snap = out / "snapshots.tsv"
-        lines = snap.read_text().splitlines()
-        lines[1] = "167\tu00001\tfast"
-        snap.write_text("\n".join(lines) + "\n")
-        assert run("trend", "--out", out, "--week", "0") == EXIT_DATA
-        assert f"{snap}:2:" in capsys.readouterr().err
+        good = snap.read_text().splitlines()
+        h, user, _, a = good[1].split("\t")
+        # `score` writes no hour before the epoch and no negative velocity
+        for bad in ("167\tu00001\tfast", f"-1\t{user}\t5.0\t0.0", f"{h}\t{user}\t-3.5\t{a}"):
+            snap.write_text("\n".join([good[0], bad, *good[2:]]) + "\n")
+            capsys.readouterr()
+            assert run("trend", "--out", out, "--week", "0") == EXIT_DATA, bad
+            assert f"{snap}:2:" in capsys.readouterr().err
 
     def test_malformed_line_in_unread_hour_exit_data(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
@@ -300,13 +303,13 @@ class TestCentrality:
         """With no stream digest under --out there is no key to compare, so
         the events file is parsed without being hashed first."""
         hashed = []
-        real = cli.file_fingerprint
+        real = ingest.file_fingerprint
 
         def fingerprint(path):
             hashed.append(Path(path).name)
             return real(path)
 
-        monkeypatch.setattr(cli, "file_fingerprint", fingerprint)
+        monkeypatch.setattr(ingest, "file_fingerprint", fingerprint)
         assert run("centrality", "--edges", dataset / "edges.tsv", "--algorithm", "ip",
                    "--events", dataset / "events.ndjson", "--out", tmp_path / "o") == EXIT_OK
         assert hashed == ["edges.tsv"]
@@ -444,6 +447,9 @@ class TestEval:
         ("snapshots.tsv", "167\tu00001\tfast\t0.0"),
         ("snapshots.tsv", "167\tu00001\tinf\t0.0"),
         ("snapshots.tsv", "167\tu00001\t0.5\tnan"),
+        # `score` writes no hour before the epoch and no negative velocity
+        ("snapshots.tsv", "-1\tu00001\t5.0\t0.0"),
+        ("snapshots.tsv", "167\tnobody\t-3.5\t0.0"),
         ("pagerank.tsv", "u00001"),
         ("pagerank.tsv", "u00001\tnan"),
         ("pagerank.tsv", "u00001\t-inf"),

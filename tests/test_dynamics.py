@@ -164,10 +164,10 @@ class TestInvariants:
         g = graph_with_counts({"a": 64})
         forces = [{"a": 65}] + [{}] * 100  # 65/64 - 1/64 = exactly 1.0
         hist = replay(buckets_from_forces(forces), KineticsConfig(zeta=zeta), g)
-        assert hist.at("a", 0) == 1.0
+        assert hist.row(0).get("a", 0.0) == 1.0
         for k in range(1, 101):
             expected = 1.0 - k * zeta if k <= 64 else 0.0
-            assert hist.at("a", k) == expected  # exact: dyadic values
+            assert hist.row(k).get("a", 0.0) == expected  # exact: dyadic values
 
     def test_monotone_in_force(self):
         g, buckets = random_fixture(17, hours=40)
@@ -178,10 +178,11 @@ class TestInvariants:
         bumped_buckets[t].force["u0"] = bumped_buckets[t].force.get("u0", 0) + 1
         bumped = replay(bumped_buckets, cfg, g)
         for h in range(len(buckets)):
+            got, want = bumped.row(h).get("u0", 0.0), base.row(h).get("u0", 0.0)
             if h < t:
-                assert bumped.at("u0", h) == base.at("u0", h)
+                assert got == want
             else:
-                assert bumped.at("u0", h) >= base.at("u0", h)
+                assert got >= want
 
     def test_uniform_mass_ranking_matches_damped_accumulation(self):
         rng = random.Random(9)
@@ -196,10 +197,11 @@ class TestInvariants:
                 acc[u] = max(0.0, acc[u] + f.get(u, 0) - 40 * zeta)
         # pairwise order agrees wherever the accumulations are not a
         # rounding-level tie (the two recurrences round differently)
+        last = hist.row(59)
         for u in names:
             for w in names:
                 if abs(acc[u] - acc[w]) > 1e-9:
-                    dv = hist.at(u, 59) - hist.at(w, 59)
+                    dv = last.get(u, 0.0) - last.get(w, 0.0)
                     assert (dv > 0) == (acc[u] > acc[w])
 
 
@@ -214,7 +216,7 @@ class TestVelocityAt:
     def test_untracked_is_zero(self):
         g, buckets = random_fixture(2)
         hist = replay(buckets, KineticsConfig(zeta=0.05), g)
-        assert hist.at("nobody", 10) == 0.0
+        assert "nobody" not in hist.row(10)
 
     def test_current_boundary_equals_live_state(self):
         g, buckets = random_fixture(4)
@@ -228,19 +230,20 @@ class TestVelocityAt:
         hist = replay(buckets, cfg, g)
         for h in (0, 7, 23, 59):
             trunc = replay(buckets[: h + 1], cfg, g)
+            row, trunc_row = hist.row(h), trunc.row(h)
             for u in hist.users:
-                assert hist.at(u, h) == trunc.at(u, h)
+                assert row[u] == trunc_row.get(u, 0.0)
 
     def test_pre_epoch_is_zero(self):
         g, buckets = random_fixture(6)
         hist = replay(buckets, KineticsConfig(), g)
-        assert hist.at(hist.users[0], -1) == 0.0
+        assert hist.row(-1) == dict.fromkeys(hist.users, 0.0)
 
     def test_future_boundary_rejected(self):
         g, buckets = random_fixture(8, hours=5)
         hist = replay(buckets, KineticsConfig(), g)
         with pytest.raises(ValueError):
-            hist.at(hist.users[0], 99)
+            hist.row(99)
 
 
 class TestTrending:
@@ -311,9 +314,8 @@ class TestSnapshots:
         assert table.users == sorted(hist.users)
         assert table.hours == hours
         assert table.final_hour == 199
-        for u in hist.users:
-            for h in hours:
-                assert table.at(u, h) == hist.at(u, h)
+        for h in hours:
+            assert table.row(h) == hist.row(h)
 
     def test_missing_boundary_named(self, tmp_path):
         g, buckets = random_fixture(52, hours=10)
@@ -322,25 +324,22 @@ class TestSnapshots:
         write_snapshots(path, hist, [9])
         table = load_snapshots(path)
         with pytest.raises(ValueError, match="5"):
-            table.at(hist.users[0], 5)
-        assert table.at("anyone", -3) == 0.0
+            table.row(5)
+        assert table.row(-3) == dict.fromkeys(table.users, 0.0)
 
     def test_user_missing_from_an_hour_reads_zero(self, tmp_path):
         g, buckets = random_fixture(54, hours=20)
         hist = replay(buckets, KineticsConfig(zeta=0.01), g)
         path = tmp_path / "snapshots.tsv"
         write_snapshots(path, hist, [9, 19])
-        dropped = next(u for u in hist.users if hist.at(u, 19) > 0.0)
+        dropped = next(u for u, v in hist.row(19).items() if v > 0.0)
         lines = [ln for ln in path.read_text().splitlines()
                  if not ln.startswith(f"19\t{dropped}\t")]
         path.write_text("\n".join(lines) + "\n")
         table = load_snapshots(path)
         assert table.hours == [9, 19]
-        assert table.at(dropped, 9) == hist.at(dropped, 9)
-        assert table.at(dropped, 19) == 0.0
-        for u in hist.users:
-            if u != dropped:
-                assert table.at(u, 19) == hist.at(u, 19)
+        assert table.row(9)[dropped] == hist.row(9)[dropped]
+        assert table.row(19) == {**hist.row(19), dropped: 0.0}
 
     def test_acceleration_is_the_change_from_the_hour_before(self, tmp_path):
         g, buckets = random_fixture(55, hours=30)
@@ -351,8 +350,9 @@ class TestSnapshots:
         assert [(int(h), u) for h, u, _, _ in lines] == \
             [(h, u) for h in (0, 10, 29) for u in hist.users]
         for h, u, v, a in lines:
-            assert float(v) == hist.at(u, int(h))
-            assert float(a) == hist.at(u, int(h)) - hist.at(u, int(h) - 1)
+            now, before = hist.row(int(h)), hist.row(int(h) - 1)
+            assert float(v) == now[u]
+            assert float(a) == now[u] - before[u]
         assert any(float(a) not in (0.0, float(v)) for _, _, v, a in lines)
 
     def test_deterministic_bytes(self, tmp_path):
@@ -424,21 +424,23 @@ class TestCheckpointReplay:
         engine = KineticsEngine(cfg, graph).run(buckets)
         for h in checkpoints:
             if h == engine.hour or (h + 1) % WEEK_HOURS == 0:
+                row = kept.row(h)
                 for u in dense.users:
-                    assert kept.at(u, h) == engine.velocity_at(u, h)
+                    assert row[u] == engine.velocity_at(u, h)
         for h in set(range(len(buckets))) - set(checkpoints):
             with pytest.raises(ValueError, match=rf"\b{h}\b"):
-                kept.at(dense.users[0] if dense.users else "anyone", h)
+                kept.row(h)
 
     @settings(max_examples=100, deadline=None)
     @given(streams())
     def test_row_is_every_users_velocity_at(self, case):
         buckets, graph, cfg, checkpoints = case
         kept = replay(buckets, cfg, graph, checkpoints=checkpoints)
+        dense = replay(buckets, cfg, graph)
         for h in kept.hours + [-1]:
             row = kept.row(h)
             assert list(row) == kept.users
-            assert row == {u: kept.at(u, h) for u in kept.users}
+            assert row == dense.row(h)
         for h in set(range(len(buckets) + 1)) - set(checkpoints):
             with pytest.raises(ValueError, match=rf"\b{h}\b"):
                 kept.row(h)
@@ -546,7 +548,8 @@ class TestEngineCheckpoints:
         probe = dense.users + ["ghost"]
         for h in week_ends + [current] if current >= 0 else []:
             got = np.array([engine.velocity_at(u, h) for u in probe])
-            want = np.array([dense.at(u, h) for u in probe])
+            row = dense.row(h)
+            want = np.array([row.get(u, 0.0) for u in probe])
             assert got.tobytes() == want.tobytes()
         for h in set(range(current)) - set(week_ends):
             with pytest.raises(ValueError, match=rf"\b{h}\b"):

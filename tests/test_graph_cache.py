@@ -137,7 +137,7 @@ def parses(monkeypatch):
         seen.append(path)
         return load_graph(path, counts_path, stats)
 
-    monkeypatch.setattr(cli, "load_graph", counting)
+    monkeypatch.setattr(ingest, "load_graph", counting)
     return seen
 
 
@@ -244,7 +244,7 @@ def test_edges_changed_while_read_leaves_no_cache(dataset, tmp_path, monkeypatch
             fh.write("\n")
         return load_graph(path, counts_path, stats)
 
-    monkeypatch.setattr(cli, "load_graph", growing)
+    monkeypatch.setattr(ingest, "load_graph", growing)
     out = tmp_path / "out"
     score(data, out)
     assert (out / "snapshots.tsv").is_file()

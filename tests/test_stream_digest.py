@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from pipeline_helpers import (CACHE_DAMAGES, CLI_DATA, centrality_and_eval, command_outputs, run,
                               scored_copy)
-from veloscore import cli, ingest
+from veloscore import ingest
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, STREAM_DIGEST_FILE
 from veloscore.ingest import Event, StreamDigest, file_fingerprint, read_events_file
 from veloscore.synth import generate
@@ -167,7 +167,7 @@ def parses(monkeypatch):
         seen.append(path)
         return read_events_file(path, stats)
 
-    monkeypatch.setattr(cli, "read_events_file", counting)
+    monkeypatch.setattr(ingest, "read_events_file", counting)
     return seen
 
 
@@ -284,7 +284,7 @@ def test_stream_changed_while_read_leaves_no_digest(dataset, tmp_path, monkeypat
             fh.write("\n")
         return read_events_file(path, stats)
 
-    monkeypatch.setattr(cli, "read_events_file", growing)
+    monkeypatch.setattr(ingest, "read_events_file", growing)
     out = tmp_path / "out"
     assert score(data, out) == EXIT_OK
     assert (out / "snapshots.tsv").is_file()
