@@ -18,6 +18,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import kernels
+# loading dynamics loads the rest of the numpy layer: perfbench's traced child
+# imports cli and dynamics, then wraps the functions of the modules loaded by then
+from . import centrality, evaluation  # noqa: F401
 from .core import (FORCE_SOURCES, WEEK_HOURS, KineticsConfig, TrendingEntry, VelocityHistory,
                    rank_trending)
 from .core import MASS_MODES, load_snapshots, week_end_hour, write_snapshots  # noqa: F401
