@@ -29,7 +29,7 @@ _EXPORTS = {
     "rank_trending": "core",
     "replay": "dynamics",
     "RetweetGraph": "centrality",
-    "ScoreVector": "centrality",
+    "ScoreVector": "core",
     "build_retweet_graph": "centrality",
     "followers_score": "centrality",
     "influence_passivity": "centrality",

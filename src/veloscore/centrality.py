@@ -11,15 +11,14 @@ zero-iteration baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from . import kernels
-from .core import (DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_RETWEET_PROB, DEFAULT_TOL,
-                   DataFileError, table_file)
-from .core import SCORERS, Scorer  # noqa: F401  (re-exported)
+from .core import DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_RETWEET_PROB, DEFAULT_TOL
+from .core import SCORERS, Scorer, ScoreVector  # noqa: F401  (re-exported)
 from .ingest import Event, StreamDigest, UserGraph
 
 
@@ -32,68 +31,29 @@ def _check_iteration(tol: float, max_iter: int) -> None:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
 
 
-@dataclass
-class ScoreVector:
-    """Per-user scores with convergence metadata for one algorithm."""
-
-    algorithm: str
-    users: list[str]
-    values: np.ndarray
-    iterations: int = 0
-    residual: float = 0.0
-    converged: bool = True
-    residual_history: Optional[np.ndarray] = None
-    _idx: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._idx = {u: i for i, u in enumerate(self.users)}
-
-    def get(self, user: str, default: float = 0.0) -> float:
-        i = self._idx.get(user)
-        return float(self.values[i]) if i is not None else default
-
-    def items(self):
-        for u in sorted(self.users):
-            yield u, self.get(u)
-
-    def write_tsv(self, path) -> None:
-        """user<TAB>score lines, lexicographic user order, 12 significant digits."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for u, s in self.items():
-                fh.write(f"{u}\t{s:.12g}\n")
-
-    @classmethod
-    def read_tsv(cls, path, algorithm: str = "") -> "ScoreVector":
-        scores: dict[str, float] = {}
-        with table_file(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    u, s = line.split("\t")
-                    value = float(s)
-                except ValueError as exc:
-                    raise DataFileError(path, lineno, exc) from None
-                if not math.isfinite(value):
-                    raise DataFileError(path, lineno, f"score {s!r} is not finite")
-                if u in scores:
-                    raise DataFileError(path, lineno, f"user {u!r} is listed again")
-                scores[u] = value
-        return cls(algorithm or "file", list(scores),
-                   np.fromiter(scores.values(), dtype=np.float64, count=len(scores)))
-
-
 def _iterated(algorithm: str, users: list[str], values: np.ndarray, history: list,
               tol: float) -> ScoreVector:
     """The ScoreVector of an iterative scorer, from the residual of each
     round that ``kernels.fixed_point`` ran."""
-    residual = float(history[-1])
+    history = [float(r) for r in history]
     return ScoreVector(
-        algorithm, list(users), values,
-        iterations=len(history), residual=residual,
-        converged=residual <= tol, residual_history=np.array(history),
+        algorithm, list(users), values.tolist(),
+        iterations=len(history), residual=history[-1],
+        converged=history[-1] <= tol, residual_history=history,
     )
+
+
+def _out_degree(graph: UserGraph) -> np.ndarray:
+    """Each user's followee count.  The edge keys are sorted, so follower i's
+    edges are the run of keys in [i * n, (i + 1) * n), and ``np.repeat(x,
+    out_degree)`` spreads a value per follower over the follower's edges."""
+    keys = np.frombuffer(graph.edge_keys, dtype=np.int64)  # a view, not a copy
+    return np.diff(np.searchsorted(keys, np.arange(graph.n + 1, dtype=np.int64) * graph.n))
+
+
+def _followees(graph: UserGraph) -> np.ndarray:
+    """The followee index of each edge."""
+    return np.frombuffer(graph.edge_keys, dtype=np.int64) % max(graph.n, 1)
 
 
 def pagerank(
@@ -112,13 +72,12 @@ def pagerank(
         raise ValueError(f"damping must be in (0, 1), got {damping}")
     _check_iteration(tol, max_iter)
     n, damping = graph.n, float(damping)
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    out_deg = graph.out_degree
+    out_deg, dst = _out_degree(graph), _followees(graph)
     dangling = out_deg == 0
     inv_out = np.zeros(n)
     inv_out[~dangling] = 1.0 / out_deg[~dangling]
     scores, history = kernels.fixed_point(
-        lambda r: kernels.pagerank_kernel(r, src, dst, inv_out, dangling, n, damping),
+        lambda r: kernels.pagerank_kernel(r, out_deg, dst, inv_out, dangling, n, damping),
         np.full(n, 1.0 / n), float(tol), int(max_iter),
     )
     return _iterated("pagerank", graph.users, scores, history, tol)
@@ -139,10 +98,10 @@ def tunkrank(
         raise ValueError(f"retweet_prob must be in [0, 1], got {retweet_prob}")
     _check_iteration(tol, max_iter)
     n, p = graph.n, float(retweet_prob)
-    src, dst = graph.edges[:, 0], graph.edges[:, 1]
-    safe_out = np.maximum(graph.out_degree, 1)
+    out_deg, dst = _out_degree(graph), _followees(graph)
+    safe_out = np.maximum(out_deg, 1)
     raw, history = kernels.fixed_point(
-        lambda score: kernels.tunkrank_kernel(score, src, dst, safe_out, p, n),
+        lambda score: kernels.tunkrank_kernel(score, out_deg, dst, safe_out, p, n),
         np.zeros(n), float(tol), int(max_iter),
     )
     total = raw.sum()
@@ -189,8 +148,7 @@ def build_retweet_graph(events: Iterable[Event] | StreamDigest, graph: UserGraph
     # follow edge i -> j as the key i * n + j, increasing (see UserGraph);
     # -1 for a pair with a user off the graph
     n = graph.n
-    follow_keys = graph.edges[:, 0] * n
-    follow_keys += graph.edges[:, 1]
+    follow_keys = np.frombuffer(graph.edge_keys, dtype=np.int64)
     ij = [(graph.index(a), graph.index(b)) for (a, b), _ in pairs]
     keys = np.array([-1 if i is None or j is None else i * n + j for i, j in ij], dtype=np.int64)
     pos = np.searchsorted(follow_keys, keys)
@@ -254,12 +212,12 @@ def influence_passivity(
 
 def followers_score(graph: UserGraph) -> ScoreVector:
     """Raw follower counts as a zero-iteration popularity score."""
-    return ScoreVector("followers", list(graph.users), graph.follower_count.astype(np.float64))
+    return ScoreVector("followers", list(graph.users), list(map(float, graph.follower_count)))
 
 
 def ratio_score(graph: UserGraph) -> ScoreVector:
     """Followers/followees ratio; a user following nobody keeps a
     denominator of 1 so the score stays finite."""
-    out_deg = np.maximum(graph.out_degree, 1)
-    values = graph.follower_count.astype(np.float64) / out_deg
-    return ScoreVector("ratio", list(graph.users), values)
+    out_deg = np.maximum(_out_degree(graph), 1)
+    values = np.frombuffer(graph.follower_count, dtype=np.int64) / out_deg
+    return ScoreVector("ratio", list(graph.users), values.tolist())

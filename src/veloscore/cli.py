@@ -15,11 +15,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 # only the standard library at import: each command imports the numpy
-# modules it runs, so `trend` loads none of them
+# modules it runs, so `trend` and `eval` load none of them
 from .core import (DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_RETWEET_PROB, DEFAULT_TOL,
                    FORCE_SOURCES, MASS_MODES, SCORERS, WEEK_HOURS, DataFileError,
-                   KineticsConfig, load_snapshots, rank_trending, table_file, week_end_hour,
-                   write_snapshots)
+                   KineticsConfig, ScoreVector, load_snapshots, rank_trending, table_file,
+                   week_end_hour, write_snapshots)
 
 if TYPE_CHECKING:
     from .ingest import IngestStats
@@ -380,7 +380,7 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import centrality, evaluation, ingest
+    from . import evaluation, ingest
 
     _check_flag("--iqr-k", args.iqr_k, 0.0 <= args.iqr_k < math.inf, "finite and >= 0")
     out_dir = Path(args.out)
@@ -393,7 +393,7 @@ def cmd_eval(args) -> int:
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     # every flag and input file is checked before one is read
-    static_sources = {name: centrality.ScoreVector.read_tsv(path, name)
+    static_sources = {name: ScoreVector.read_tsv(path, name)
                       for name, path in static_paths.items()}
     epoch = _scored_epoch(out_dir)
     stats = ingest.IngestStats()

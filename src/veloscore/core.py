@@ -1,10 +1,11 @@
 """The part of veloscore that runs on the standard library alone.
 
-It holds what the command-line parser and `trend` need: the checked
-table reader, the week arithmetic, the velocity parameters, the
-checkpoint type with its file format, trending, and the table of
-centrality scorers with their defaults.  So `veloscore trend` ranks two
-checkpoint rows without loading numpy.  `ingest`, `dynamics` and
+It holds what the command-line parser, `trend` and `eval` need: the
+checked table reader, the week arithmetic, the velocity parameters, the
+checkpoint type with its file format, trending, the table of centrality
+scorers with their defaults, and the score vector with its file format.
+So `veloscore trend` ranks two checkpoint rows, and `veloscore eval`
+reads the score files, without loading numpy.  `ingest`, `dynamics` and
 `centrality` import these names back; each is defined here once.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 
 WEEK_HOURS = 168
@@ -204,6 +205,57 @@ def load_snapshots(path) -> VelocityHistory:
                                    for h in hours], hours)
 
 
+@dataclass
+class ScoreVector:
+    """Per-user scores, as plain floats, with convergence metadata for one algorithm."""
+
+    algorithm: str
+    users: list[str]
+    values: list[float]
+    iterations: int = 0
+    residual: float = 0.0
+    converged: bool = True
+    residual_history: Optional[list[float]] = None
+    _idx: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._idx = {u: i for i, u in enumerate(self.users)}
+
+    def get(self, user: str, default: float = 0.0) -> float:
+        i = self._idx.get(user)
+        return self.values[i] if i is not None else default
+
+    def items(self):
+        for u in sorted(self.users):
+            yield u, self.get(u)
+
+    def write_tsv(self, path) -> None:
+        """user<TAB>score lines, lexicographic user order, 12 significant digits."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for u, s in self.items():
+                fh.write(f"{u}\t{s:.12g}\n")
+
+    @classmethod
+    def read_tsv(cls, path, algorithm: str = "") -> "ScoreVector":
+        scores: dict[str, float] = {}
+        with table_file(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    u, s = line.split("\t")
+                    value = float(s)
+                except ValueError as exc:
+                    raise DataFileError(path, lineno, exc) from None
+                if not math.isfinite(value):
+                    raise DataFileError(path, lineno, f"score {s!r} is not finite")
+                if u in scores:
+                    raise DataFileError(path, lineno, f"user {u!r} is listed again")
+                scores[u] = value
+        return cls(algorithm or "file", list(scores), list(scores.values()))
+
+
 @dataclass(frozen=True)
 class Scorer:
     """One ``--algorithm`` choice: the vectors it writes, those ``eval`` reports,
@@ -216,6 +268,9 @@ class Scorer:
     run: Callable[..., tuple]
 
 
+# the scorer whose vector summed over a URL's promoters is the URL's audience
+AUDIENCE = "followers"
+
 # every scorer `centrality` runs, in the order it writes them
 SCORERS = {
     "pagerank": Scorer(("pagerank",), ("pagerank",), False,
@@ -227,7 +282,7 @@ SCORERS = {
                  lambda c, g, rg, a: c.influence_passivity(rg, a.tol, a.max_iter)),
     # eval's `followers` row is this score already: a URL's audience is the
     # sum of it over the URL's promoters, and corrected it is identically 1
-    "followers": Scorer(("followers",), (), False, lambda c, g, rg, a: (c.followers_score(g),)),
+    AUDIENCE: Scorer((AUDIENCE,), (), False, lambda c, g, rg, a: (c.followers_score(g),)),
     # most users follow the same number of users, so its corrected values are
     # one constant up to rounding: a row would be noise or a zero variance
     "ratio": Scorer(("ratio",), (), False, lambda c, g, rg, a: (c.ratio_score(g),)),

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import kernels
-# loading dynamics loads the rest of the numpy layer: perfbench's traced child
+# loading dynamics loads every module perfbench's traced child wraps: it
 # imports cli and dynamics, then wraps the functions of the modules loaded by then
 from . import centrality, evaluation  # noqa: F401
 from .core import (FORCE_SOURCES, WEEK_HOURS, KineticsConfig, TrendingEntry, VelocityHistory,

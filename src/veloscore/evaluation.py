@@ -15,9 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
-from .core import WEEK_HOURS, DataFileError, table_file, week_end_hour
+from .core import AUDIENCE, WEEK_HOURS, DataFileError, table_file, week_end_hour
 from .ingest import Event, StreamDigest, UserGraph, floor_to_hour, hours_since
 
 @dataclass(frozen=True)
@@ -108,17 +106,30 @@ def build_url_datasets(
     return global_records, weekly_records
 
 
-def _quartiles(values: np.ndarray, rule: str) -> tuple[float, float]:
+def _percentile(s: Sequence[float], q: float) -> float:
+    """The ``q`` quantile of the sorted ``s`` by numpy's ``linear`` method,
+    to the bit: interpolated from the nearer of the two values around it."""
+    pos = (len(s) - 1) * q
+    lo = math.floor(pos)
+    a, b, t = s[lo], s[min(lo + 1, len(s) - 1)], pos - lo
+    return float(b - (b - a) * (1 - t)) if t >= 0.5 else float(a + (b - a) * t)
+
+
+def _median(s: Sequence[float]) -> float:
+    """``np.median`` of the sorted ``s``, to the bit."""
+    m = len(s) // 2
+    return float(s[m]) if len(s) % 2 else (float(s[m - 1]) + float(s[m])) / 2
+
+
+def _quartiles(values: Iterable[float], rule: str) -> tuple[float, float]:
+    s = sorted(values)
     if rule == "linear":
-        q1, q3 = np.percentile(values, [25, 75], method="linear")
-        return float(q1), float(q3)
+        return _percentile(s, 0.25), _percentile(s, 0.75)
     if rule == "tukey":
         # Hinges: medians of the lower/upper halves, both including the
         # overall median position when n is odd.
-        s = np.sort(values)
-        n = s.size
-        half = (n + 1) // 2
-        return float(np.median(s[:half])), float(np.median(s[n - half:]))
+        half = (len(s) + 1) // 2
+        return _median(s[:half]), _median(s[len(s) - half:])
     raise ValueError(f"unknown quartile rule: {rule}")
 
 
@@ -143,8 +154,7 @@ def iqr_filter(
         if len(group) < 4:
             stats["groups_unfiltered"] = stats.get("groups_unfiltered", 0) + 1
             return list(group)
-        clicks = np.array([r.clicks for r in group], dtype=np.float64)
-        q1, q3 = _quartiles(clicks, rule)
+        q1, q3 = _quartiles((r.clicks for r in group), rule)
         iqr = q3 - q1
         lo, hi = q1 - k * iqr, q3 + k * iqr
         kept = [r for r in group if lo <= r.clicks <= hi]
@@ -168,9 +178,11 @@ def accumulate_scores(record: UrlRecord, source: Mapping[str, float]) -> float:
     """Sum the promoters' scores for one URL; a user ``source`` lacks adds 0.
 
     ``source`` maps users to one score: a centrality vector, or the
-    velocities of one checkpoint (``VelocityHistory.row``).
+    velocities of one checkpoint (``VelocityHistory.row``).  The sum is
+    correctly rounded, so it does not depend on the promoters' order, which
+    is the order of their handles.
     """
-    return float(sum(source.get(u, 0.0) for u in record.promoters))
+    return math.fsum(source.get(u, 0.0) for u in record.promoters)
 
 
 def audience_correct(record: UrlRecord, accumulated_score: float, clicks: Optional[int] = None
@@ -250,36 +262,50 @@ def _p_from_r(r: float, n: int) -> float:
     return _betainc((n - 2) / 2.0, 0.5, 1.0 - r2, r2)
 
 
-def _cross_sums(dx: np.ndarray, dy: np.ndarray) -> tuple[float, float, float]:
-    return float(np.dot(dx, dx)), float(np.dot(dy, dy)), float(np.dot(dx, dy))
+def _cross_sums(dx: Sequence[float], dy: Sequence[float]) -> tuple[float, float, float]:
+    """The sums of dx*dx, dy*dy and dx*dy, each correctly rounded; inf for
+    a sum past the float range, where ``math.fsum`` raises."""
+    try:
+        return (math.fsum(a * a for a in dx), math.fsum(b * b for b in dy),
+                math.fsum(a * b for a, b in zip(dx, dy)))
+    except (OverflowError, ValueError):  # ValueError: inf - inf
+        return math.inf, math.inf, math.inf
+
+
+def _scaled(d: Sequence[float]) -> list[float]:
+    """``d`` over its largest magnitude, so no square or product can overflow."""
+    top = max(map(abs, d)) or 1.0
+    return [v / top for v in d]
 
 
 def pearson(xs, ys) -> tuple[float, float, float]:
     """Product-moment correlation with two-tailed Student-t significance.
 
     Returns (r, r_squared, p_value).  Requires n >= 3, finite values and
-    nonzero variance in both series.
+    nonzero variance in both series.  Means and sums are correctly rounded
+    (``math.fsum``).
     """
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.size != y.size:
+    x, y = list(map(float, xs)), list(map(float, ys))
+    if len(x) != len(y):
         raise ValueError("series lengths differ")
-    n = x.size
+    n = len(x)
     if n < 3:
         raise ValueError(f"pearson needs at least 3 points, got {n}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):
         raise ValueError("non-finite value; correlation undefined")
-    with np.errstate(all="ignore"):  # an overflow is caught below, not warned about
-        dx = x - x.mean()
-        dy = y - y.mean()
-        sums = _cross_sums(dx, dy)
-        if not all(map(math.isfinite, sums)):  # r does not depend on scale
-            sums = _cross_sums(dx / (np.abs(dx).max() or 1.0), dy / (np.abs(dy).max() or 1.0))
+    try:
+        mx, my = math.fsum(x) / n, math.fsum(y) / n
+    except OverflowError:
+        raise ValueError("sums overflow; correlation undefined") from None
+    dx, dy = [v - mx for v in x], [v - my for v in y]
+    sums = _cross_sums(dx, dy)
+    if not all(map(math.isfinite, sums)):  # r does not depend on scale
+        sums = _cross_sums(_scaled(dx), _scaled(dy))
     if not all(map(math.isfinite, sums)):
         raise ValueError("sums of squares overflow; correlation undefined")
     sxx, syy, sxy = sums
     # a constant series whose mean rounds leaves only rounding error in its sum
-    if sxx <= 0.0 or syy <= 0.0 or x.min() == x.max() or y.min() == y.max():
+    if sxx <= 0.0 or syy <= 0.0 or min(x) == max(x) or min(y) == max(y):
         raise ValueError("zero variance; correlation undefined")
     scale = math.sqrt(sxx * syy)
     if not 0.0 < scale < math.inf:  # the product under- or overflowed
@@ -363,8 +389,9 @@ def run_full_evaluation(
        week before it.
 
     ``static_sources`` maps score names to mappings; ``velocity_source``
-    is a VelocityHistory, read one ``row`` at a time.  The followers
-    score appears only uncorrected (corrected it is identically 1).
+    is a VelocityHistory, read one ``row`` at a time.  The audience row,
+    labelled with the scorer name ``AUDIENCE``, appears only uncorrected
+    (corrected it is identically 1).
     """
     stats = stats if stats is not None else {}
     g_stats: dict = {}
@@ -376,7 +403,7 @@ def run_full_evaluation(
     uncorrected = EvalSection("uncorrected_global", [])
     clicks = [float(r.clicks) for r in filtered_global]
     followers_xs = [float(r.audience) for r in filtered_global]
-    uncorrected.rows.append(correlate("followers", followers_xs, clicks))
+    uncorrected.rows.append(correlate(AUDIENCE, followers_xs, clicks))
     for name, source in sources.items():
         xs = [accumulate_scores(r, source) for r in filtered_global]
         uncorrected.rows.append(correlate(name, xs, clicks))

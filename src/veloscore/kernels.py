@@ -67,11 +67,13 @@ def fixed_point(step, state, tol, max_iter):
 # PageRank power iteration over follower -> followee edges
 # ---------------------------------------------------------------------------
 
-def pagerank_kernel(r, src, dst, inv_out, dangling, n, damping):
-    """One round: (new scores, L1 change).  ``inv_out`` is 1/out-degree, 0
-    for a dangling user, whose mass is spread uniformly."""
+def pagerank_kernel(r, out_deg, dst, inv_out, dangling, n, damping):
+    """One round: (new scores, L1 change).  The edges come in runs by
+    follower, ``out_deg[i]`` edges for follower i, and ``dst`` holds each
+    edge's followee.  ``inv_out`` is 1/out-degree, 0 for a dangling user,
+    whose mass is spread uniformly."""
     contrib = r * inv_out
-    new = np.bincount(dst, weights=contrib[src], minlength=n)
+    new = np.bincount(dst, weights=np.repeat(contrib, out_deg), minlength=n)
     dmass = r[dangling].sum()
     new = (1.0 - damping) / n + damping * (new + dmass / n)
     return new, np.abs(new - r).sum()
@@ -81,11 +83,12 @@ def pagerank_kernel(r, src, dst, inv_out, dangling, n, damping):
 # TunkRank fixed point: I(u) = sum over followers f of (1 + p*I(f)) / out(f)
 # ---------------------------------------------------------------------------
 
-def tunkrank_kernel(score, src, dst, safe_out, p, n):
-    """One round: (new raw scores, L1 change).  ``safe_out`` is the
-    out-degree with 0 raised to 1."""
+def tunkrank_kernel(score, out_deg, dst, safe_out, p, n):
+    """One round: (new raw scores, L1 change).  The edges are laid out as
+    for ``pagerank_kernel``; ``safe_out`` is the out-degree with 0 raised
+    to 1."""
     contrib = (1.0 + p * score) / safe_out
-    new = np.bincount(dst, weights=contrib[src], minlength=n)
+    new = np.bincount(dst, weights=np.repeat(contrib, out_deg), minlength=n)
     return new, np.abs(new - score).sum()
 
 

@@ -1,6 +1,8 @@
 """Independent dense oracles for the centrality scorers: plain matrix
 iterations over small adjacency and weight matrices, and the graphs the
-scorers take built from those matrices."""
+scorers take built from those matrices or from name pairs."""
+
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -77,11 +79,23 @@ def dense_ip(weight, mask, tol, max_iter):
     return influence, passivity
 
 
+def graph_from_edges(pairs: Iterable[tuple[str, str]],
+                     overrides: Optional[dict[str, int]] = None) -> UserGraph:
+    """The follower graph of the (follower, followee) name pairs, as
+    ``load_graph`` builds it; ``overrides`` are follower counts."""
+    ids: dict[str, int] = {}
+    src, dst = [], []
+    for a, b in pairs:
+        src.append(ids.setdefault(a, len(ids)))
+        dst.append(ids.setdefault(b, len(ids)))
+    return UserGraph.from_ids(list(ids), src, dst, overrides)[0]
+
+
 def graph_from_adj(adj):
     n = adj.shape[0]
     names = [f"u{i}" for i in range(n)]
     pairs = {(names[i], names[j]) for i in range(n) for j in range(n) if adj[i, j]}
-    return UserGraph.from_edges(pairs, overrides={u: 0 for u in names})
+    return graph_from_edges(pairs, overrides={u: 0 for u in names})
 
 
 def rg_from_matrix(weight, mask):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from array import array
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import dense_ip, dense_pagerank, dense_tunkrank, graph_from_adj, rg_from_matrix
+from dense_oracles import (dense_ip, dense_pagerank, dense_tunkrank, graph_from_adj,
+                           graph_from_edges, rg_from_matrix)
 from veloscore.centrality import (
     DEFAULT_TOL,
     RetweetGraph,
@@ -29,13 +31,13 @@ EPOCH = datetime(2025, 1, 6, tzinfo=timezone.utc)
 
 class TestPagerank:
     def test_mutual_pair_symmetric(self):
-        g = UserGraph.from_edges({("a", "b"), ("b", "a")})
+        g = graph_from_edges({("a", "b"), ("b", "a")})
         sv = pagerank(g)
         assert sv.get("a") == pytest.approx(0.5, abs=1e-9)
         assert sv.get("b") == pytest.approx(0.5, abs=1e-9)
 
     def test_single_isolated_node(self):
-        g = UserGraph.from_edges(set(), overrides={"solo": 0})
+        g = graph_from_edges(set(), overrides={"solo": 0})
         sv = pagerank(g)
         assert sv.get("solo") == pytest.approx(1.0, abs=1e-12)
 
@@ -50,10 +52,10 @@ class TestPagerank:
         assert np.abs(got - expected).max() < 1e-12
 
     def test_sums_to_one_every_iteration(self):
-        g = UserGraph.from_edges({("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")})
+        g = graph_from_edges({("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")})
         for iters in range(1, 12):
             sv = pagerank(g, max_iter=iters, tol=0.0)
-            assert sv.values.sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.sum(sv.values) == pytest.approx(1.0, abs=1e-9)
 
     def test_residual_monotone_after_burn_in(self):
         rng = np.random.default_rng(3)
@@ -73,14 +75,14 @@ class TestPagerank:
             expected = dense_pagerank(adj, 0.85, 1e-12, 500)
             got = np.array([sv.get(f"u{i}") for i in range(3)])
             assert np.abs(got - expected).max() < 1e-6
-            assert abs(sv.values.sum() - 1.0) < 1e-9
+            assert abs(np.sum(sv.values) - 1.0) < 1e-9
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            pagerank(UserGraph.from_edges(set()))
+            pagerank(graph_from_edges(set()))
 
     def test_damping_validated(self):
-        g = UserGraph.from_edges({("a", "b")})
+        g = graph_from_edges({("a", "b")})
         with pytest.raises(ValueError):
             pagerank(g, damping=1.5)
 
@@ -94,7 +96,7 @@ class TestPagerank:
         pairs2 = {(renamed[a], renamed[b])
                   for a, b in ((names[i], names[j]) for i in range(7) for j in range(7)
                                if adj[i, j])}
-        g2 = UserGraph.from_edges(pairs2, overrides={renamed[u]: 0 for u in names})
+        g2 = graph_from_edges(pairs2, overrides={renamed[u]: 0 for u in names})
         sv1 = pagerank(g1)
         sv2 = pagerank(g2)
         for u in names:
@@ -103,13 +105,13 @@ class TestPagerank:
 
 class TestTunkrank:
     def test_two_node_chain_p_zero(self):
-        g = UserGraph.from_edges({("b", "a")})
+        g = graph_from_edges({("b", "a")})
         sv = tunkrank(g, retweet_prob=0.0)
         assert sv.get("a") == pytest.approx(1.0)
         assert sv.get("b") == 0.0
 
     def test_no_followers_floor(self):
-        g = UserGraph.from_edges({("b", "a"), ("c", "a")})
+        g = graph_from_edges({("b", "a"), ("c", "a")})
         sv = tunkrank(g)
         assert sv.get("b") == 0.0
         assert sv.get("c") == 0.0
@@ -128,15 +130,15 @@ class TestTunkrank:
         assert np.abs(got - expected).max() < 1e-9
 
     def test_retweet_prob_validated(self):
-        g = UserGraph.from_edges({("a", "b")})
+        g = graph_from_edges({("a", "b")})
         with pytest.raises(ValueError):
             tunkrank(g, retweet_prob=1.5)
 
     def test_no_edges_scores_are_float_zeros(self):
-        g = UserGraph(["a", "b", "c"], np.zeros((0, 2), dtype=np.int64), np.zeros(3, dtype=np.int64))
+        g = UserGraph(["a", "b", "c"], array("q"), array("q", [0, 0, 0]))
         sv = tunkrank(g)
-        assert sv.values.dtype == pagerank(g).values.dtype == np.float64
-        assert sv.values.tolist() == [0.0, 0.0, 0.0]
+        assert [type(v) for v in sv.values] == [type(v) for v in pagerank(g).values] == [float] * 3
+        assert sv.values == [0.0, 0.0, 0.0]
 
 
 class TestInfluencePassivity:
@@ -191,7 +193,7 @@ class TestInfluencePassivity:
         assume(mask.any() and (weight[mask] < 1.0).any())
         inf, pas = influence_passivity(rg_from_matrix(weight, mask))
         for sv in (inf, pas):
-            assert abs(sv.values.sum() - 1.0) <= 1e-12
+            assert abs(np.sum(sv.values) - 1.0) <= 1e-12
             assert len(sv.residual_history) == sv.iterations
 
     def test_empty_retweet_graph_rejected(self):
@@ -203,8 +205,8 @@ class TestInfluencePassivity:
 
 # each iterative scorer on a small graph, called with only iteration keywords
 SCORERS = {
-    "pagerank": lambda **kw: pagerank(UserGraph.from_edges({("a", "b"), ("b", "c")}), **kw),
-    "tunkrank": lambda **kw: tunkrank(UserGraph.from_edges({("a", "b"), ("b", "c")}), **kw),
+    "pagerank": lambda **kw: pagerank(graph_from_edges({("a", "b"), ("b", "c")}), **kw),
+    "tunkrank": lambda **kw: tunkrank(graph_from_edges({("a", "b"), ("b", "c")}), **kw),
     "influence_passivity": lambda **kw: influence_passivity(
         rg_from_matrix(np.array([[0.0, 0.4], [0.0, 0.0]]), np.array([[0, 1], [0, 0]])), **kw),
 }
@@ -249,7 +251,7 @@ def make_event(author, text, hour=0):
 
 class TestBuildRetweetGraph:
     def test_rate_over_authored_events(self):
-        g = UserGraph.from_edges({("i", "j")})
+        g = graph_from_edges({("i", "j")})
         events = [make_event("i", "RT @j: post") for _ in range(3)]
         events += [make_event("j", f"post {k}") for k in range(10)]
         rg = build_retweet_graph(events, g)
@@ -257,14 +259,14 @@ class TestBuildRetweetGraph:
         assert rg.weights[0] == pytest.approx(0.3)
 
     def test_non_follower_dropped(self):
-        g = UserGraph.from_edges({("x", "j")})
+        g = graph_from_edges({("x", "j")})
         events = [make_event("i", "RT @j: post"), make_event("j", "post")]
         rg = build_retweet_graph(events, g)
         assert rg.edge_count == 0
         assert rg.dropped_no_follow == 1
 
     def test_no_authored_events_no_edge(self):
-        g = UserGraph.from_edges({("i", "j")})
+        g = graph_from_edges({("i", "j")})
         rg = build_retweet_graph([make_event("i", "RT @j: old post")], g)
         assert rg.edge_count == 0
 
@@ -273,7 +275,7 @@ class TestBuildRetweetGraph:
         names = [f"u{i}" for i in range(8)]
         follows = {(a, b) for a, b in ((rng.choice(names), rng.choice(names))
                                       for _ in range(25)) if a != b}
-        g = UserGraph.from_edges(follows)
+        g = graph_from_edges(follows)
         events = [make_event(rng.choice(names + ["stranger"]),
                              f"RT @{rng.choice(names + ['ghost'])}: x"
                              if rng.random() < 0.6 else "post")
@@ -303,7 +305,7 @@ class TestBuildRetweetGraph:
     def test_kept_and_dropped_match_set_oracle(self, follows, override_only, retweets,
                                                authored):
         follows = {(a, b) for a, b in follows if a != b}
-        g = UserGraph.from_edges(follows, overrides={u: 0 for u in override_only})
+        g = graph_from_edges(follows, overrides={u: 0 for u in override_only})
         digest = StreamDigest(authored=dict(authored))
         for (a, b), cnt in retweets.items():
             digest.retweets.setdefault(a, {})[b] = cnt
@@ -315,7 +317,7 @@ class TestBuildRetweetGraph:
         assert rg.dropped_no_follow == sum(1 for pair in retweets if pair not in follows)
 
     def test_weight_clamped_to_one(self):
-        g = UserGraph.from_edges({("i", "j")})
+        g = graph_from_edges({("i", "j")})
         events = [make_event("i", "RT @j: post") for _ in range(5)]
         events.append(make_event("j", "only post"))
         rg = build_retweet_graph(events, g)
@@ -324,7 +326,7 @@ class TestBuildRetweetGraph:
 
 class TestZeroIterationScorers:
     def test_followers_scorer_is_in_degree(self):
-        g = UserGraph.from_edges({("b", "a"), ("c", "a"), ("a", "b")})
+        g = graph_from_edges({("b", "a"), ("c", "a"), ("a", "b")})
         sv = followers_score(g)
         assert sv.get("a") == 2.0
         assert sv.get("b") == 1.0
@@ -332,11 +334,11 @@ class TestZeroIterationScorers:
 
     def test_ratio_scorer(self):
         pairs = {(f"f{i}", "u") for i in range(8)} | {("u", f"g{i}") for i in range(4)}
-        sv = ratio_score(UserGraph.from_edges(pairs))
+        sv = ratio_score(graph_from_edges(pairs))
         assert sv.get("u") == pytest.approx(2.0)
 
     def test_ratio_no_followees_stays_finite(self):
-        g = UserGraph.from_edges({("b", "a")})
+        g = graph_from_edges({("b", "a")})
         sv = ratio_score(g)
         assert sv.get("a") == 1.0  # 1 follower / max(0 followees, 1)
 
@@ -352,7 +354,7 @@ def test_spam_cluster_gains_pagerank_not_tunkrank():
         for b in spam:
             if a != b:
                 pairs.add((a, b))
-    g = UserGraph.from_edges(pairs)
+    g = graph_from_edges(pairs)
     pr = pagerank(g)
     tr = tunkrank(g)
     pr_spam = sum(pr.get(s) for s in spam)
@@ -361,7 +363,7 @@ def test_spam_cluster_gains_pagerank_not_tunkrank():
 
 
 def test_score_vector_tsv_roundtrip(tmp_path):
-    g = UserGraph.from_edges({("b", "a"), ("c", "b")})
+    g = graph_from_edges({("b", "a"), ("c", "b")})
     sv = pagerank(g)
     path = tmp_path / "pagerank.tsv"
     sv.write_tsv(path)

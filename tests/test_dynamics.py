@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import graph_from_edges
 from veloscore import kernels
 from veloscore.dynamics import (
     FORCE_SOURCES,
@@ -25,11 +26,11 @@ from veloscore.dynamics import (
     week_end_hour,
     write_snapshots,
 )
-from veloscore.ingest import HourBucket, UserGraph
+from veloscore.ingest import HourBucket
 
 
 def graph_with_counts(counts):
-    return UserGraph.from_edges(set(), overrides=counts)
+    return graph_from_edges(set(), overrides=counts)
 
 
 def buckets_from_forces(forces):
@@ -136,7 +137,7 @@ class TestEstimateZeta:
         assert estimate_zeta([HourBucket(0), HourBucket(1)], g) == 0.0
 
     def test_errors(self):
-        empty = UserGraph.from_edges(set())
+        empty = graph_from_edges(set())
         with pytest.raises(ValueError):
             estimate_zeta([HourBucket(0)], empty)
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import graph_from_edges
 from veloscore import evaluation
 from veloscore.dynamics import VelocityHistory, week_end_hour
 from veloscore.evaluation import (
@@ -25,7 +26,7 @@ from veloscore.evaluation import (
     pearson,
     run_full_evaluation,
 )
-from veloscore.ingest import Event, UserGraph
+from veloscore.ingest import Event
 
 EPOCH = datetime(2025, 1, 6, tzinfo=timezone.utc)
 
@@ -74,7 +75,7 @@ def scipy_beta_p(r: float, n: int) -> float:
 
 class TestBuildUrlDatasets:
     def graph(self):
-        return UserGraph.from_edges(set(), overrides={"a": 10, "b": 20, "c": 30, "d": 0})
+        return graph_from_edges(set(), overrides={"a": 10, "b": 20, "c": 30, "d": 0})
 
     def test_multi_week_url_global_only(self):
         events = [ev("a", ["http://x/1"], week=3), ev("b", ["http://x/1"], week=5),
@@ -132,7 +133,7 @@ class TestBuildUrlDatasets:
     def test_fifty_url_fixture_against_audit(self):
         rng = random.Random(19)
         users = {f"p{i}": rng.randint(1, 50) for i in range(12)}
-        graph = UserGraph.from_edges(set(), overrides=users)
+        graph = graph_from_edges(set(), overrides=users)
         names = sorted(users)
         events, clicks = [], {}
         for i in range(50):
@@ -245,6 +246,38 @@ class TestIqrFilter:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             iqr_filter([rec()], k=-1)
+
+
+# click counts as they come, and floats across the range (numpy is the oracle);
+# no -0.0, which sorts level with 0.0 in an order numpy's sort does not fix
+QUARTILE_INPUTS = (st.lists(st.integers(-10**15, 10**15), min_size=1, max_size=60)
+                   | st.lists(st.integers(0, 20), min_size=1, max_size=60)
+                   | st.lists(st.floats(-1e150, 1e150).map(lambda v: v + 0.0), min_size=1,
+                              max_size=60))
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestQuartilesMatchNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(QUARTILE_INPUTS)
+    @example([1, 2])
+    @example([0.1, 0.7, 0.0, 5e-324])
+    def test_linear_is_numpys_percentile(self, values):
+        want = np.percentile(np.array(values), [25, 75], method="linear")
+        assert bits(evaluation._quartiles(values, "linear")) == bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(QUARTILE_INPUTS)
+    @example([1, 2])
+    @example([1e150, 1e150, 0.0, 5e-324])
+    def test_tukey_is_numpys_median_of_the_halves(self, values):
+        s = np.sort(np.array(values))
+        half = (s.size + 1) // 2
+        want = (np.median(s[:half]), np.median(s[s.size - half:]))
+        assert bits(evaluation._quartiles(values, "tukey")) == bits(want)
 
 
 class TestAccumulate:
@@ -422,7 +455,7 @@ class TestPearson:
     @pytest.mark.parametrize("value", [0.1, 6.483605315220348e276])
     def test_constant_series_whose_mean_rounds_rejected(self, value):
         # the mean of three copies is not the value, so the sums hold rounding error only
-        assert np.mean([value] * 3) != value
+        assert math.fsum([value] * 3) / 3 != value
         for xs, ys in (([value] * 3, [3.0, 1.0, 2.0]), ([3.0, 1.0, 2.0], [value] * 3)):
             with pytest.raises(ValueError, match="zero variance"):
                 pearson(xs, ys)
@@ -456,6 +489,25 @@ class TestPearson:
         r = pearson(xs, ys)[0]
         scaled = pearson([x * x_scale for x in xs], [y * y_scale for y in ys])[0]
         assert scaled == pytest.approx(r, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=3,
+                    max_size=50))
+    @example([(0.0, 0.0), (0.0, 2.5571674709990683e-149), (7.565924407309026e-130, 0.0)])
+    def test_r_within_4_ulp_of_numpys_formula(self, pairs):
+        """Up to 50 points, r is within 4 ulp of 1 of the numpy formula
+        ``pearson`` had before its sums became correctly rounded: the two
+        differ in the last bits only, never in ``report.tsv``'s 12 digits."""
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        x, y = np.array(xs), np.array(ys)
+        dx, dy = x - x.mean(), y - y.mean()
+        sxx, syy, sxy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+        assume(sxx > 0 and syy > 0 and len(set(xs)) > 1 and len(set(ys)) > 1)
+        scale = math.sqrt(sxx * syy)
+        if not 0.0 < scale < math.inf:
+            scale = math.sqrt(sxx) * math.sqrt(syy)
+        want = max(-1.0, min(1.0, sxy / scale))
+        assert abs(pearson(xs, ys)[0] - want) <= 4 * math.ulp(1.0)
 
     def test_three_points_accepted(self):
         r, _, p = pearson([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
@@ -546,7 +598,7 @@ class TestFullEvaluation:
         rng = random.Random(8)
         users = [f"p{i}" for i in range(30)]
         counts = {u: rng.randint(5, 500) for u in users}
-        graph_users = UserGraph.from_edges(set(), overrides=counts)
+        graph_users = graph_from_edges(set(), overrides=counts)
         hours = 2 * 168
         matrix = np.zeros((hours, len(users)))
         base = np.array([rng.uniform(0, 1) for _ in users])
@@ -664,7 +716,7 @@ class TestFullEvaluation:
 
         def week_r(week, hour):
             recs = [r for r in records_w if r.week_index == week]
-            xs = [sum(hist.matrix[hour, col[u]] for u in r.promoters) / r.audience
+            xs = [math.fsum(hist.matrix[hour, col[u]] for u in r.promoters) / r.audience
                   for r in recs]
             return week, pearson(xs, [r.clicks / r.audience for r in recs])[0], len(recs)
 

@@ -37,10 +37,9 @@ def key_of(edges, counts=None):
 
 def assert_same_graph(got, want):
     assert got.users == want.users
-    assert got.edges.dtype == np.int64 and got.edges.flags.f_contiguous
-    assert np.array_equal(got.edges, want.edges) and got.edges.shape == want.edges.shape
-    assert got.follower_count.dtype == np.int64
-    assert np.array_equal(got.follower_count, want.follower_count)
+    assert got.edge_keys.typecode == got.follower_count.typecode == "q"
+    assert got.edge_keys == want.edge_keys
+    assert got.follower_count == want.follower_count
     assert all(got.index(u) == i for i, u in enumerate(got.users))
 
 

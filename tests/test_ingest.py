@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from array import array
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import graph_from_edges
 from pipeline_helpers import child_env
-from veloscore.centrality import build_retweet_graph
+from veloscore.centrality import _followees, _out_degree, build_retweet_graph
 from veloscore.ingest import (
     IngestStats,
     ParseError,
@@ -28,9 +30,11 @@ from veloscore.ingest import (
 
 EPOCH = datetime(2025, 1, 6, 0, 0, 0, tzinfo=timezone.utc)
 
-# peak RSS growth, in MB, of one load_graph call in a fresh process
+# peak RSS growth, in MB, of one load_graph call in a fresh process; numpy,
+# which load_graph imports for its edge dedupe, is loaded before the count
 RSS_GROWTH = """
 import sys
+import numpy
 from veloscore.ingest import load_graph
 
 def status_mb(key):
@@ -366,10 +370,10 @@ class TestLoadGraph:
         g = load_graph(path, stats=stats)
         pairs, counts = reference_edge_list(universal_lines(data))
         assert g.users == sorted({u for pair in pairs for u in pair})
-        assert g.edges.dtype == np.int64 and g.edges.shape == (len(pairs), 2)
-        assert [(g.users[i], g.users[j]) for i, j in g.edges] == sorted(pairs)
-        keys = g.edges[:, 0] * g.n + g.edges[:, 1]
-        assert np.all(keys[1:] > keys[:-1])  # unique rows in row-major order
+        assert g.edge_keys.typecode == "q" and g.edge_count == len(pairs)
+        assert [(g.users[k // g.n], g.users[k % g.n]) for k in g.edge_keys] == sorted(pairs)
+        keys = g.edge_keys.tolist()
+        assert keys == sorted(set(keys))  # unique edges in (follower, followee) order
         assert [g.followers_of(u) for u in g.users] \
             == [sum(1 for _, b in pairs if b == u) for u in g.users]
         assert (stats.bad_graph_lines, stats.self_loops_dropped,
@@ -401,30 +405,39 @@ class TestLoadGraph:
         assert float(growth_mb) < 16.0
 
     def test_mean_followers(self):
-        g = UserGraph.from_edges({("b", "a"), ("c", "a")})
+        g = graph_from_edges({("b", "a"), ("c", "a")})
         assert g.mean_followers() == pytest.approx(2 / 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**40), min_size=1, max_size=300)
+           | st.lists(st.integers(0, 3), min_size=1, max_size=300))
+    def test_mean_followers_is_numpys_mean(self, counts):
+        """An exact integer sum divided once: the bits numpy's mean gives, so
+        the zeta estimated from it does not move."""
+        g = UserGraph([f"u{i}" for i in range(len(counts))], [], counts)
+        assert g.mean_followers() == float(np.mean(np.array(counts, dtype=np.int64)))
 
 
 class TestUserGraphInvariant:
-    """Edge rows must be unique and in row-major order: the retweet graph
-    binary-searches them."""
+    """Edge keys ``follower * n + followee`` must strictly increase: the
+    retweet graph binary-searches them."""
 
-    COUNTS = np.array([1, 1, 0])
+    COUNTS = array("q", [1, 1, 0])
 
     @pytest.mark.parametrize("edges", [
-        [[2, 0], [0, 1]],  # out of order
-        [[0, 1], [0, 1]],  # a repeat
-        [[0, 2], [0, 1]],  # same follower, followees out of order
-        [[0, 3]],  # past the last user
-        [[-1, 0]],
-        [0, 1],  # not rows of two
+        [6, 1],  # (2, 0) before (0, 1): out of order
+        [1, 1],  # a repeat
+        [2, 1],  # same follower, followees out of order
+        [9],  # past the last user
+        [-1],
+        [0, 4, 2],  # out of order inside, not at the ends
     ])
     def test_bad_edges_rejected(self, edges):
-        with pytest.raises(ValueError, match="UserGraph edges"):
-            UserGraph(["a", "b", "c"], edges, self.COUNTS)
+        with pytest.raises(ValueError, match="UserGraph edge keys"):
+            UserGraph(["a", "b", "c"], array("q", edges), self.COUNTS)
 
     def test_sorted_hand_built_graph_keeps_retweet_edges(self):
-        graph = UserGraph(["a", "b", "c"], [[0, 1], [2, 0]], self.COUNTS)
+        graph = UserGraph(["a", "b", "c"], array("q", [1, 6]), self.COUNTS)  # a -> b, c -> a
         digest = StreamDigest(authored={"a": 1, "b": 4, "c": 1},
                               retweets={"a": {"b": 2}, "c": {"a": 1}})  # a -> b, c -> a
         rg = build_retweet_graph(digest, graph)
@@ -432,14 +445,18 @@ class TestUserGraphInvariant:
         assert len(rg.src) == 2
 
     def test_no_edges(self):
-        assert UserGraph(["a"], [], np.zeros(1, dtype=np.int64)).edges.shape == (0, 2)
+        graph = UserGraph(["a"], [], [0])
+        assert graph.edge_count == 0 and graph.edge_keys.typecode == "q"
 
-    def test_columns_are_contiguous(self):
-        # the scorers pass the columns to bincount and take without a copy
-        hand_built = UserGraph(["a", "b", "c"], [[0, 1], [2, 0]], self.COUNTS)
-        loaded = UserGraph.from_edges([("b", "a"), ("c", "a"), ("a", "c")])
+    def test_scorer_views_rebuild_the_keys(self):
+        """The scorers read each follower's run of edges and each edge's
+        followee from the keys; together they give the keys back."""
+        hand_built = UserGraph(["a", "b", "c"], array("q", [1, 6]), self.COUNTS)
+        loaded = graph_from_edges([("b", "a"), ("c", "a"), ("a", "c")])
         for graph in (hand_built, loaded):
-            assert graph.edges[:, 0].flags.c_contiguous and graph.edges[:, 1].flags.c_contiguous
+            out_degree, followees = _out_degree(graph), _followees(graph)
+            followers = np.repeat(np.arange(graph.n), out_degree)
+            assert (followers * graph.n + followees).tolist() == graph.edge_keys.tolist()
 
 
 def universal_lines(data: bytes) -> list[str]:
