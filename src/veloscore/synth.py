@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .core import WEEK_HOURS
+from .ingest import sort_unique
 
 _BLOCK_USERS = 1024  # users per block of exact counts
 _WRITE_CHUNK = 1 << 14  # event lines joined per write
@@ -258,18 +259,12 @@ def _clique(ids: np.ndarray):
 
 
 def _unique_edges(src: np.ndarray, dst: np.ndarray, rank: np.ndarray):
-    """The distinct (src, dst) pairs in (rank[src], rank[dst]) order.
-
-    Sorts the keys ``rank[src] * n + rank[dst]`` and drops repeats by hand,
-    as ``ingest.UserGraph.from_ids`` does: np.unique takes a slower hash
-    path on integers.
-    """
+    """The distinct (src, dst) pairs in (rank[src], rank[dst]) order: the
+    keys ``rank[src] * n + rank[dst]`` sorted and deduplicated in place
+    by ``ingest.sort_unique``, as the graph load does."""
     n = len(rank)
     keys = rank[src] * n + rank[dst]
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
+    keys = keys[:sort_unique(keys)]
     by_rank = np.argsort(rank)
     return by_rank[keys // n], by_rank[keys % n]
 

@@ -2,6 +2,7 @@
 iterations over small adjacency and weight matrices, and the graphs the
 scorers take built from those matrices or from name pairs."""
 
+from array import array
 from typing import Iterable, Optional
 
 import numpy as np
@@ -84,11 +85,11 @@ def graph_from_edges(pairs: Iterable[tuple[str, str]],
     """The follower graph of the (follower, followee) name pairs, as
     ``load_graph`` builds it; ``overrides`` are follower counts."""
     ids: dict[str, int] = {}
-    src, dst = [], []
+    packed = array("q")  # follower id << 32 | followee id, as load_graph packs them
     for a, b in pairs:
-        src.append(ids.setdefault(a, len(ids)))
-        dst.append(ids.setdefault(b, len(ids)))
-    return UserGraph.from_ids(list(ids), src, dst, overrides)[0]
+        i = ids.setdefault(a, len(ids))
+        packed.append(i << 32 | ids.setdefault(b, len(ids)))
+    return UserGraph.from_ids(list(ids), packed, overrides)[0]
 
 
 def graph_from_adj(adj):

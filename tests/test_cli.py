@@ -4,13 +4,15 @@ import json
 import random
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from dense_oracles import graph_from_edges
-from pipeline_helpers import CLI_DATA, SCORE_FILES, hash_dir, run, run_pipeline
+from pipeline_helpers import CLI_DATA, SCORE_FILES, child_env, hash_dir, run, run_pipeline
 from veloscore import cli, ingest
 from veloscore.centrality import SCORERS, ScoreVector, ratio_score
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
@@ -158,6 +160,32 @@ class TestScore:
                    "--out", out, "--error-ceiling", "0.5") == EXIT_OK
         assert f"skipped 4/{len(good) + 4} records" in capsys.readouterr().out
         assert (out / "snapshots.tsv").read_bytes() == (clean / "snapshots.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["score", "centrality", "eval"])
+def test_count_past_int64_counted_not_fatal(dataset, tmp_path, command):
+    """A follower count no int64 holds is a bad override line, counted and
+    skipped as a negative one is, in every command that loads the graph."""
+    counts = tmp_path / "counts.tsv"
+    counts.write_text("u00001\t99999999999999999999\n")
+    out = tmp_path / "out"
+    argvs = {"score": score_args(dataset, out),
+             "centrality": ("centrality", "--events", dataset / "events.ndjson",
+                            "--edges", dataset / "edges.tsv", "--out", out),
+             "eval": ("eval", "--events", dataset / "events.ndjson", "--edges",
+                      dataset / "edges.tsv", "--clicks", dataset / "clicks.tsv", "--out", out)}
+    if command == "eval":  # the artifacts eval reads, but no graph cache
+        for before in ("score", "centrality"):
+            assert run(*argvs[before], "--counts", counts) == EXIT_OK
+        (out / cli.GRAPH_CACHE_FILE).unlink()
+    proc = subprocess.run([sys.executable, "-m", "veloscore.cli", *map(str, argvs[command]),
+                           "--counts", str(counts)],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK and "Traceback" not in proc.stderr, proc.stderr
+    with open(out / cli.GRAPH_CACHE_FILE) as fh:
+        fh.readline()  # the header
+        tag, *_, bad_lines, _, _ = json.loads(fh.readline())
+    assert (tag, bad_lines) == ("graph", 1)
 
 
 class TestTrend:
