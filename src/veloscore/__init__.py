@@ -20,7 +20,6 @@ _EXPORTS = {
     "UserGraph": "ingest",
     "bucketize": "ingest",
     "load_graph": "ingest",
-    "parse_event": "ingest",
     "KineticsConfig": "core",
     "KineticsEngine": "dynamics",
     "TrendingEntry": "core",

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from . import kernels
 from .core import DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_RETWEET_PROB, DEFAULT_TOL
 from .core import SCORERS, Scorer, ScoreVector  # noqa: F401  (re-exported)
-from .ingest import Event, StreamDigest, UserGraph
+from .ingest import StreamDigest, UserGraph
 
 
 def _check_iteration(tol: float, max_iter: int) -> None:
@@ -133,14 +131,13 @@ class RetweetGraph:
         return int(self.src.shape[0])
 
 
-def build_retweet_graph(events: Iterable[Event] | StreamDigest, graph: UserGraph) -> RetweetGraph:
-    """Derive the weighted retweet graph from retweet attributions.
+def build_retweet_graph(digest: StreamDigest, graph: UserGraph) -> RetweetGraph:
+    """Derive the weighted retweet graph from the stream digest's retweet
+    attributions.
 
-    ``events`` is the stream or its digest.  Pairs without a follow edge
-    are dropped and counted; a followee with no authored events in the
-    window yields no edge.
+    Pairs without a follow edge are dropped and counted; a followee with
+    no authored events in the window yields no edge.
     """
-    digest = StreamDigest.of(events)
     authored = digest.authored
     pairs = sorted(((a, b), cnt) for a, counts in digest.retweets.items()
                    for b, cnt in counts.items())

@@ -147,10 +147,9 @@ def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
 
     key, unchanged = _keyed(events_path)
     digest = ingest.StreamDigest()
-    table = dynamics.ForceTable(cfg.force_source)
-    for bucket in ingest.bucketize(digest.tap(ingest.read_events_file(events_path, stats)),
-                                   epoch, stats):
-        table.add(bucket)
+    table = dynamics.ForceTable.of(
+        ingest.bucketize(digest.tap(ingest.read_events_file(events_path, stats)), epoch, stats),
+        cfg.force_source)
     _check_ceiling(stats, ceiling)
     if unchanged():
         digest.write(out_dir / STREAM_DIGEST_FILE, key)
@@ -186,12 +185,20 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
 
 def _stream_events(events_path: Path, out_dir: Path, stats: IngestStats | None = None):
     """The digest `score` wrote under ``out_dir`` if it matches the events
-    file's current content, else the file's events, parsed anew."""
+    file's current content, else the digest of the file, parsed anew."""
     from . import ingest
 
     path = out_dir / STREAM_DIGEST_FILE
     digest = ingest.StreamDigest.load(path, _keyed(events_path)[0]) if path.is_file() else None
-    return digest if digest is not None else ingest.read_events_file(events_path, stats)
+    return digest if digest is not None else \
+        ingest.StreamDigest.of(ingest.read_events_file(events_path, stats))
+
+
+def _clear_outputs(out_dir: Path, *names: str) -> None:
+    """Delete the files ``names`` this run writes in ``out_dir``: a failed run
+    must not leave an earlier run's results for a later command to read."""
+    for name in names:
+        (out_dir / name).unlink(missing_ok=True)
 
 
 def _scored_epoch(out_dir: Path):
@@ -284,9 +291,8 @@ def cmd_score(args) -> int:
     events_path = _require_file(args.events, "event stream")
     epoch = _parse_epoch(args.epoch)
     out_dir = _out_dir(args.out)
-    # a failed run must not leave an earlier run's results for trend and eval
-    for name in (SNAPSHOT_FILE, FINAL_VELOCITY_FILE, RUN_CONFIG_TEMPLATE.format("score")):
-        (out_dir / name).unlink(missing_ok=True)
+    _clear_outputs(out_dir, SNAPSHOT_FILE, FINAL_VELOCITY_FILE,
+                   RUN_CONFIG_TEMPLATE.format("score"))
     stats = ingest.IngestStats()
     table, epoch = _score_stream(events_path, epoch, out_dir, cfg, stats, args.error_ceiling)
     graph = _graph(edges_path, counts_path, out_dir, stats)
@@ -323,6 +329,7 @@ def cmd_trend(args) -> int:
     _check_flag("--top-k", args.top_k, args.top_k >= 1, ">= 1")
     out_dir = Path(args.out)
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
+    _clear_outputs(out_dir, TRENDING_FILE)
     history = load_snapshots(snap_path)
     try:
         entries = rank_trending(
@@ -359,6 +366,9 @@ def cmd_centrality(args) -> int:
             raise CliError(f"--events is required for the {', '.join(streamed)} algorithm")
         events_path = _require_file(args.events, "event stream")
     out_dir = _out_dir(args.out)
+    _clear_outputs(out_dir, RUN_CONFIG_TEMPLATE.format("centrality"),
+                   *(SCORE_FILE_TEMPLATE.format(name)
+                     for scorer in chosen.values() for name in scorer.outputs))
     graph = _graph(edges_path, counts_path, out_dir, ingest.IngestStats())
     if graph.n == 0:
         raise DataError("graph is empty")
@@ -393,6 +403,8 @@ def cmd_eval(args) -> int:
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     # every flag and input file is checked before one is read
+    _clear_outputs(out_dir, REPORT_TSV, REPORT_TXT, REPORT_WEEKLY,
+                   RUN_CONFIG_TEMPLATE.format("eval"))
     static_sources = {name: ScoreVector.read_tsv(path, name)
                       for name, path in static_paths.items()}
     epoch = _scored_epoch(out_dir)

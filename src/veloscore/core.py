@@ -107,15 +107,14 @@ class VelocityHistory:
     The one checkpoint type: ``dynamics.replay`` builds it from a stream
     (``matrix`` a numpy array) and ``load_snapshots`` from
     ``snapshots.tsv`` (``matrix`` a list of ``array('d')`` rows).  Row
-    ``k`` of ``matrix`` holds hour ``hours[k]`` (by default row k is hour
-    k).  Untracked users and hours before the epoch read as velocity 0;
+    ``k`` of ``matrix`` holds hour ``hours[k]``.  Untracked users and hours before the epoch read as velocity 0;
     any other hour that was not recorded is an error naming it.
     """
 
-    def __init__(self, users: list[str], matrix, hours: Optional[Sequence[int]] = None):
+    def __init__(self, users: list[str], matrix, hours: Sequence[int]):
         self.users = users
         self.matrix = matrix
-        self.hours = list(range(len(matrix)) if hours is None else hours)
+        self.hours = list(hours)
         self._row = {h: k for k, h in enumerate(self.hours)}
 
     @property

@@ -13,7 +13,7 @@ trending need no numpy, so they are defined in ``core`` and imported here.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class ForceTable:
     ``estimate_zeta`` needs whatever the force source.
     """
 
-    def __init__(self, force_source: str = "mentions"):
+    def __init__(self, force_source: str):
         if force_source not in FORCE_SOURCES:
             raise ValueError(f"force_source must be one of {FORCE_SOURCES}")
         self.force_source = force_source
@@ -48,11 +48,8 @@ class ForceTable:
         self.total_force = 0
 
     @classmethod
-    def of(cls, buckets: "ForceTable | Iterable[HourBucket]",
-           force_source: str = "mentions") -> "ForceTable":
-        """``buckets`` itself if it is a table, else the table of the buckets."""
-        if isinstance(buckets, cls):
-            return buckets
+    def of(cls, buckets: Iterable[HourBucket], force_source: str) -> "ForceTable":
+        """The table of ``force_source`` force in the buckets, contiguous from hour 0."""
         table = cls(force_source)
         for b in buckets:
             table.add(b)
@@ -106,19 +103,6 @@ class KineticsEngine:
     def tracked_users(self) -> list[str]:
         return sorted(self.users)
 
-    def _force_map(self, bucket: HourBucket) -> Mapping[str, int]:
-        if self.cfg.force_source == "retweets":
-            return bucket.retweet_force
-        return bucket.force
-
-    def _register(self, new_users: Sequence[str]) -> None:
-        masses = [self.cfg.mass_for(self.graph.followers_of(u)) for u in new_users]
-        for u in new_users:
-            self._idx[u] = len(self.users)
-            self.users.append(u)
-        self._mass = np.concatenate([self._mass, np.asarray(masses, dtype=np.float64)])
-        self._v = np.concatenate([self._v, np.zeros(len(new_users))])
-
     def step_hour(self, bucket: HourBucket) -> None:
         """Advance state by one contiguous hour of force."""
         if bucket.hour_index != self._hour + 1:
@@ -126,10 +110,15 @@ class KineticsEngine:
                 f"bucket hour {bucket.hour_index} is not contiguous "
                 f"(last processed {self._hour})"
             )
-        force_map = self._force_map(bucket)
+        force_map = bucket.retweet_force if self.cfg.force_source == "retweets" else bucket.force
         new_users = sorted(u for u in force_map if u not in self._idx)
-        if new_users:
-            self._register(new_users)
+        if new_users:  # registered in sorted order, with mass frozen now
+            masses = [self.cfg.mass_for(self.graph.followers_of(u)) for u in new_users]
+            for u in new_users:
+                self._idx[u] = len(self.users)
+                self.users.append(u)
+            self._mass = np.concatenate([self._mass, np.asarray(masses, dtype=np.float64)])
+            self._v = np.concatenate([self._v, np.zeros(len(new_users))])
         force = np.zeros(len(self.users))
         for u, c in force_map.items():
             force[self._idx[u]] = c
@@ -137,11 +126,6 @@ class KineticsEngine:
         self._hour += 1
         if (self._hour + 1) % WEEK_HOURS == 0:
             self._week_ends[self._hour] = self._v  # the state is replaced, never written in place
-
-    def run(self, buckets: Iterable[HourBucket]) -> "KineticsEngine":
-        for b in buckets:
-            self.step_hour(b)
-        return self
 
     def _state(self, hour: int) -> np.ndarray:
         v = self._v if hour == self._hour else self._week_ends.get(hour)
@@ -174,24 +158,18 @@ class KineticsEngine:
         return rank_trending(self.row(start_hour), self.row(end_hour), threshold, k, window)
 
 
-def replay(
-    buckets: "ForceTable | Iterable[HourBucket]",
-    cfg: KineticsConfig,
-    graph: UserGraph,
-    checkpoints: Optional[Iterable[int]] = None,
-) -> VelocityHistory:
-    """Replay sealed hours of force through the velocity kernel.
+def replay(table: ForceTable, cfg: KineticsConfig, graph: UserGraph,
+           checkpoints: Iterable[int]) -> VelocityHistory:
+    """Replay the table's sealed hours of force through the velocity kernel.
 
-    ``buckets`` is a ForceTable built for ``cfg.force_source``, or a
-    contiguous bucket sequence from hour 0.  Equivalent to stepping a
-    KineticsEngine over the same hours, but runs one state vector through
-    the whole stream and keeps only the hours in ``checkpoints`` (default:
-    every hour).  Neither ``buckets`` nor a table is changed.
+    ``table`` must hold ``cfg.force_source`` force.  Equivalent to
+    stepping a KineticsEngine over the same hours, but runs one state
+    vector through the whole stream and keeps only the hours in
+    ``checkpoints``.  The table is not changed.
     """
-    table = ForceTable.of(buckets, cfg.force_source)
     if table.force_source != cfg.force_source:
         raise ValueError(f"force table holds {table.force_source}, not {cfg.force_source}")
-    rows = list(range(table.hours)) if checkpoints is None else sorted(set(checkpoints))
+    rows = sorted(set(checkpoints))
     if rows and not 0 <= rows[0] <= rows[-1] < table.hours:
         bad = rows[0] if rows[0] < 0 else rows[-1]
         raise ValueError(f"cannot checkpoint hour {bad} of a {table.hours}-hour stream")
@@ -213,16 +191,15 @@ def replay(
     return VelocityHistory([names[i] for i in order], matrix[:, order], rows)
 
 
-def estimate_zeta(buckets: "ForceTable | Iterable[HourBucket]", graph: UserGraph) -> float:
+def estimate_zeta(table: ForceTable, graph: UserGraph) -> float:
     """Damping constant: mean mentions per hour per active user, divided by
     the mean follower count of a graph user.
 
-    Active users received a mention or a retweet attribution; ``buckets``
-    is a ForceTable or a contiguous bucket sequence from hour 0.
+    Active users received a mention or a retweet attribution, whichever
+    force the table holds.
     """
     if graph.n == 0:
         raise ValueError("cannot estimate damping on an empty graph")
-    table = ForceTable.of(buckets)
     if table.hours == 0:
         raise ValueError("cannot estimate damping with zero hours")
     total, active = table.total_force, len(table.ids)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import AUDIENCE, WEEK_HOURS, DataFileError, table_file, week_end_hour
-from .ingest import Event, StreamDigest, UserGraph, floor_to_hour, hours_since
+from .ingest import StreamDigest, UserGraph, floor_to_hour, hours_since
 
 @dataclass(frozen=True)
 class UrlRecord:
@@ -61,7 +61,7 @@ def read_clicks(path) -> dict[str, int]:
 
 
 def build_url_datasets(
-    events: Iterable[Event] | StreamDigest,
+    digest: StreamDigest,
     clicks_table: Mapping[str, int],
     graph: UserGraph,
     epoch=None,
@@ -73,10 +73,8 @@ def build_url_datasets(
     one week-sized span aligned to the stream epoch.  Both datasets
     require a click entry and at least 3 distinct promoters with graph
     data; audience is the promoters' accumulated follower count.
-    ``events`` is the stream or its digest.
     """
     stats = stats if stats is not None else {}
-    digest = StreamDigest.of(events)
     if epoch is None and digest.first_ts is not None:
         # same default as bucketize: first event, floored to the hour
         epoch = floor_to_hour(digest.first_ts)
@@ -185,14 +183,12 @@ def accumulate_scores(record: UrlRecord, source: Mapping[str, float]) -> float:
     return math.fsum(source.get(u, 0.0) for u in record.promoters)
 
 
-def audience_correct(record: UrlRecord, accumulated_score: float, clicks: Optional[int] = None
-                     ) -> tuple[float, float]:
+def audience_correct(record: UrlRecord, accumulated_score: float) -> tuple[float, float]:
     """(score/audience, clicks/audience): influence share vs. the
     probability that an audience member visits."""
     if record.audience <= 0:
         raise ValueError(f"record {record.url} has zero audience; cannot correct")
-    c = record.clicks if clicks is None else clicks
-    return accumulated_score / record.audience, c / record.audience
+    return accumulated_score / record.audience, record.clicks / record.audience
 
 
 _CF_MAX_TERMS = 10_000
@@ -366,6 +362,13 @@ class EvalSection:
     section: str
     rows: list[CorrelationReport]
 
+    def add(self, name: str, report: Callable[[], CorrelationReport]) -> None:
+        """Append the row ``report()``; a ValueError it raises names the section and row."""
+        try:
+            self.rows.append(report())
+        except ValueError as exc:
+            raise ValueError(f"{self.section}/{name}: {exc}") from None
+
 
 def run_full_evaluation(
     global_records: Sequence[UrlRecord],
@@ -403,18 +406,18 @@ def run_full_evaluation(
     uncorrected = EvalSection("uncorrected_global", [])
     clicks = [float(r.clicks) for r in filtered_global]
     followers_xs = [float(r.audience) for r in filtered_global]
-    uncorrected.rows.append(correlate(AUDIENCE, followers_xs, clicks))
+    uncorrected.add(AUDIENCE, lambda: correlate(AUDIENCE, followers_xs, clicks))
     for name, source in sources.items():
         xs = [accumulate_scores(r, source) for r in filtered_global]
-        uncorrected.rows.append(correlate(name, xs, clicks))
+        uncorrected.add(name, lambda: correlate(name, xs, clicks))
 
     confound = EvalSection("audience_confound", [])
     corrected = EvalSection("corrected_global", [])
     correctable = [r for r in filtered_global if r.audience > 0]
     stats["zero_audience_excluded"] = len(filtered_global) - len(correctable)
     for name, source in sources.items():
-        confound.rows.append(audience_confound_report(filtered_global, source, name))
-        corrected.rows.append(correlate(name, *_corrected(correctable, source)))
+        confound.add(name, lambda: audience_confound_report(filtered_global, source, name))
+        corrected.add(name, lambda: correlate(name, *_corrected(correctable, source)))
 
     weekly = EvalSection("corrected_weekly", [])
     w_stats: dict = {}

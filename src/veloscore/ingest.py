@@ -241,11 +241,6 @@ class EventDecoder:
                      self_retweets)
 
 
-def parse_event(line: str) -> Event:
-    """Parse one JSON stream record into an Event (see ``EventDecoder.decode``)."""
-    return EventDecoder().decode(line)
-
-
 def read_events(lines: Iterable[str], stats: Optional[IngestStats] = None) -> Iterator[Event]:
     """Yield parsed events from raw lines, counting and skipping bad records."""
     stats = stats if stats is not None else IngestStats()
@@ -384,10 +379,8 @@ class StreamDigest:
     urls: list[tuple[str, str, datetime]] = field(default_factory=list)
 
     @classmethod
-    def of(cls, events: "Iterable[Event] | StreamDigest") -> "StreamDigest":
-        """``events`` itself if it is a digest, else the digest of the events."""
-        if isinstance(events, cls):
-            return events
+    def of(cls, events: Iterable[Event]) -> "StreamDigest":
+        """The digest of the events."""
         digest = cls()
         for _ in digest.tap(events):
             pass
@@ -542,17 +535,15 @@ class UserGraph:
     both arrays through zero-copy numpy views.
     """
 
-    def __init__(self, users: list[str], edge_keys: Iterable[int],
-                 follower_count: Iterable[int]):
-        n = len(users)
-        keys = _int64s(edge_keys)
+    def __init__(self, users: list[str], edge_keys: array, follower_count: array):
+        n, keys = len(users), edge_keys
         if keys and not (0 <= keys[0] and keys[-1] < n * n
                          and all(map(operator.lt, keys, islice(keys, 1, None)))):
             raise ValueError(f"UserGraph edge keys must strictly increase within [0, {n * n}); "
                              "build graphs with from_ids")
         self.users = users
         self.edge_keys = keys
-        self.follower_count = _int64s(follower_count)
+        self.follower_count = follower_count
         self._idx = {u: i for i, u in enumerate(users)}
 
     @classmethod
@@ -623,11 +614,6 @@ class UserGraph:
     def mean_followers(self) -> float:
         # an exact integer sum, correctly rounded once: the bits of numpy's mean
         return sum(self.follower_count) / self.n if self.n else 0.0
-
-
-def _int64s(values: Iterable[int]) -> array:
-    """``values`` itself if it is an ``array('q')``, else an ``array('q')`` of them."""
-    return values if isinstance(values, array) and values.typecode == "q" else array("q", values)
 
 
 # values a numpy pass over a key array takes at a time, so its temporaries

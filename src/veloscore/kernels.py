@@ -21,16 +21,14 @@ def velocity_step(v, force, mass, zeta):
     return np.maximum(0.0, v + force / mass - zeta)
 
 
-def velocity_replay(hour_indptr, f_users, f_counts, mass, zeta, n_users, rows=None):
+def velocity_replay(hour_indptr, f_users, f_counts, mass, zeta, n_users, rows):
     """Replay hourly velocity updates over one state vector.
 
     ``hour_indptr``/``f_users``/``f_counts`` are a CSR layout of per-hour
     force entries; each user appears at most once per hour.  Returns the
-    velocities at the end of each hour in ``rows`` (increasing; default
-    every hour) as a ``(len(rows), n_users)`` array.
+    velocities at the end of each hour in ``rows`` (increasing) as a
+    ``(len(rows), n_users)`` array.
     """
-    n_hours = hour_indptr.shape[0] - 1
-    rows = range(n_hours) if rows is None else rows
     out = np.zeros((len(rows), n_users), dtype=np.float64)
     v = np.zeros(n_users, dtype=np.float64)
     force = np.zeros(n_users, dtype=np.float64)

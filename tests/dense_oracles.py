@@ -1,6 +1,7 @@
-"""Independent dense oracles for the centrality scorers: plain matrix
-iterations over small adjacency and weight matrices, and the graphs the
-scorers take built from those matrices or from name pairs."""
+"""Independent dense oracles: the velocity law run per user in plain
+Python, plain matrix iterations for the centrality scorers over small
+adjacency and weight matrices, and the graphs the scorers take built from
+those matrices or from name pairs."""
 
 from array import array
 from typing import Iterable, Optional
@@ -9,6 +10,23 @@ import numpy as np
 
 from veloscore.centrality import RetweetGraph
 from veloscore.ingest import UserGraph
+
+
+def velocity_oracle(buckets, cfg, graph):
+    """The velocity law ``v = max(0.0, v + force / mass - zeta)``, one user
+    at a time in plain Python, every hour from 0.  Force is the
+    ``cfg.force_source`` count of each bucket and mass each user's
+    ``cfg.mass_for`` mass.  Returns the users who receive force, sorted,
+    and one {user: velocity} per hour, in that order."""
+    forces = [b.retweet_force if cfg.force_source == "retweets" else b.force for b in buckets]
+    users = sorted(set().union(*forces))
+    rows = [{} for _ in buckets]
+    for u in users:
+        mass, v = cfg.mass_for(graph.followers_of(u)), 0.0
+        for row, force in zip(rows, forces):
+            v = max(0.0, v + force.get(u, 0) / mass - cfg.zeta)
+            row[u] = v
+    return users, rows
 
 
 def dense_pagerank(adj, damping, tol, max_iter):

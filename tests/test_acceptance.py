@@ -18,7 +18,7 @@ from pipeline_helpers import (DETERMINISM_DATA, hash_dir, read_report, run, run_
                               scored_history)
 from veloscore.centrality import influence_passivity, pagerank, tunkrank
 from veloscore.cli import EXIT_OK, TRENDING_FILE
-from veloscore.dynamics import KineticsConfig, replay, week_end_hour
+from veloscore.dynamics import ForceTable, KineticsConfig, replay, week_end_hour
 from veloscore.evaluation import average_weekly_r, iqr_filter, pearson
 from veloscore.ingest import HourBucket
 from veloscore.synth import Burst, SynthConfig, generate
@@ -95,7 +95,7 @@ def test_criterion_2_decay_law():
     zeta = 1.0 / 64.0
     graph = graph_from_edges(set(), overrides={"a": 64})
     buckets = [HourBucket(0, force={"a": 65})] + [HourBucket(h) for h in range(1, 101)]
-    hist = replay(buckets, KineticsConfig(zeta=zeta), graph)
+    hist = replay(ForceTable.of(buckets, "mentions"), KineticsConfig(zeta=zeta), graph, range(101))
     v = [hist.row(k).get("a", 0.0) for k in range(101)]
     ok = v[0] == 1.0
     for k in range(1, 101):

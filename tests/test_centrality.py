@@ -24,7 +24,7 @@ from veloscore.centrality import (
     ratio_score,
     tunkrank,
 )
-from veloscore.ingest import StreamDigest, UserGraph, parse_event
+from veloscore.ingest import EventDecoder, StreamDigest, UserGraph
 
 EPOCH = datetime(2025, 1, 6, tzinfo=timezone.utc)
 
@@ -243,7 +243,7 @@ RT_USERS = ["a", "b", "c", "d"]
 
 
 def make_event(author, text, hour=0):
-    return parse_event(json.dumps({
+    return EventDecoder().decode(json.dumps({
         "id": "e", "author": author,
         "ts": (EPOCH + timedelta(hours=hour)).isoformat(), "text": text,
     }))
@@ -254,20 +254,20 @@ class TestBuildRetweetGraph:
         g = graph_from_edges({("i", "j")})
         events = [make_event("i", "RT @j: post") for _ in range(3)]
         events += [make_event("j", f"post {k}") for k in range(10)]
-        rg = build_retweet_graph(events, g)
+        rg = build_retweet_graph(StreamDigest.of(events), g)
         assert rg.edge_count == 1
         assert rg.weights[0] == pytest.approx(0.3)
 
     def test_non_follower_dropped(self):
         g = graph_from_edges({("x", "j")})
         events = [make_event("i", "RT @j: post"), make_event("j", "post")]
-        rg = build_retweet_graph(events, g)
+        rg = build_retweet_graph(StreamDigest.of(events), g)
         assert rg.edge_count == 0
         assert rg.dropped_no_follow == 1
 
     def test_no_authored_events_no_edge(self):
         g = graph_from_edges({("i", "j")})
-        rg = build_retweet_graph([make_event("i", "RT @j: old post")], g)
+        rg = build_retweet_graph(StreamDigest.of([make_event("i", "RT @j: old post")]), g)
         assert rg.edge_count == 0
 
     def test_matches_pair_set_reference(self):
@@ -280,7 +280,7 @@ class TestBuildRetweetGraph:
                              f"RT @{rng.choice(names + ['ghost'])}: x"
                              if rng.random() < 0.6 else "post")
                   for _ in range(300)]
-        rg = build_retweet_graph(events, g)
+        rg = build_retweet_graph(StreamDigest.of(events), g)
         authored = Counter(e.author for e in events)
         retweets = Counter((e.author, e.retweet_of) for e in events if e.retweet_of)
         expected = {pair: min(1.0, c / authored[pair[1]]) for pair, c in retweets.items()
@@ -320,7 +320,7 @@ class TestBuildRetweetGraph:
         g = graph_from_edges({("i", "j")})
         events = [make_event("i", "RT @j: post") for _ in range(5)]
         events.append(make_event("j", "only post"))
-        rg = build_retweet_graph(events, g)
+        rg = build_retweet_graph(StreamDigest.of(events), g)
         assert rg.weights[0] == 1.0
 
 

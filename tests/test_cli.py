@@ -18,7 +18,7 @@ from veloscore.centrality import SCORERS, ScoreVector, ratio_score
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
 from veloscore.evaluation import (UrlRecord, accumulate_scores, audience_correct,
                                   build_url_datasets, pearson, read_clicks)
-from veloscore.ingest import load_graph, read_events_file
+from veloscore.ingest import StreamDigest, load_graph, read_events_file
 from veloscore.synth import SynthConfig, generate
 
 
@@ -252,6 +252,16 @@ class TestTrend:
         assert_rejected_before_any_file(monkeypatch, capsys, scored,
                                         ("trend", "--out", scored, "--week", "0"), flag, value)
 
+    def test_failed_trend_removes_stale_trending(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        assert run(*score_args(dataset, out)) == EXIT_OK
+        assert run("trend", "--out", out, "--week", "0") == EXIT_OK
+        # a bad flag fails before anything is touched
+        assert run("trend", "--out", out, "--week", "0", "--top-k", "0") == EXIT_USAGE
+        assert (out / "trending.tsv").is_file()
+        assert run("trend", "--out", out, "--week", "9") == EXIT_USAGE
+        assert not (out / "trending.tsv").exists()
+
     def test_empty_result_exits_zero(self, dataset, tmp_path):
         out = tmp_path / "out"
         # a huge damping constant clamps every velocity to zero
@@ -358,6 +368,22 @@ class TestCentrality:
                    "--events", quiet, "--algorithm", "ip", "--out", tmp_path / "o")
         assert code == EXIT_DATA
 
+    def test_failed_centrality_removes_its_stale_results(self, dataset, tmp_path, capsys):
+        """A failed `--algorithm ip` deletes the earlier ip files and run
+        record, which `eval` would read, and no other scorer's file."""
+        out = run_pipeline(dataset, tmp_path / "out", commands=("score", "centrality"))
+        quiet = tmp_path / "quiet.ndjson"
+        quiet.write_text(json.dumps({"id": "1", "author": "u00001",
+                                     "ts": "2025-01-06T00:00:00Z", "text": "nothing"}) + "\n")
+        assert run("centrality", "--edges", dataset / "edges.tsv", "--events", quiet,
+                   "--algorithm", "ip", "--out", out) == EXIT_DATA
+        gone = ("ip_influence.tsv", "ip_passivity.tsv", "run_config_centrality.txt")
+        assert not any((out / name).exists() for name in gone)
+        assert all((out / name).is_file() for name in SCORE_FILES if name not in gone)
+        capsys.readouterr()
+        assert run(*TestEval().eval_args(dataset, out)) == EXIT_USAGE
+        assert "run `veloscore centrality` first" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--damping", "1.5"), ("--damping", "0"), ("--damping", "nan"),
         ("--retweet-prob", "nan"), ("--retweet-prob", "-0.1"), ("--max-iter", "0"),
@@ -406,8 +432,8 @@ class TestScorerTable:
         sum of `followers.tsv` over its promoters."""
         followers = ScoreVector.read_tsv(scored / "followers.tsv")
         global_records, weekly_records = build_url_datasets(
-            read_events_file(dataset / "events.ndjson"), read_clicks(dataset / "clicks.tsv"),
-            load_graph(dataset / "edges.tsv"))
+            StreamDigest.of(read_events_file(dataset / "events.ndjson")),
+            read_clicks(dataset / "clicks.tsv"), load_graph(dataset / "edges.tsv"))
         assert global_records and weekly_records
         for record in (*global_records, *weekly_records):
             assert accumulate_scores(record, followers) == record.audience
@@ -452,6 +478,34 @@ class TestEval:
                             "corrected_global", "corrected_weekly"}
         assert (out / "report.txt").is_file()
         assert (out / "report_weekly.tsv").is_file()
+
+    def test_failed_eval_removes_stale_reports(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.prepare(dataset, out)
+        assert run(*self.eval_args(dataset, out)) == EXIT_OK
+        reports = ("report.tsv", "report.txt", "report_weekly.tsv", "run_config_eval.txt")
+        no_clicks = tmp_path / "clicks.tsv"
+        no_clicks.write_text("")
+        argv = [*self.eval_args(dataset, out)]
+        argv[argv.index("--clicks") + 1] = no_clicks
+        capsys.readouterr()
+        assert run(*argv) == EXIT_DATA
+        assert "only 0 qualified URLs" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in reports)
+
+    def test_zero_variance_names_the_report_row(self, dataset, tmp_path, capsys):
+        """A scorer that reads 0 for every promoter still exits 2, and the
+        message names the first row it makes undefined."""
+        out = tmp_path / "out"
+        self.prepare(dataset, out)
+        ip = out / "ip_influence.tsv"
+        ip.write_text("".join(f"{line.split(chr(9))[0]}\t0\n"
+                              for line in ip.read_text().splitlines()))
+        capsys.readouterr()
+        assert run(*self.eval_args(dataset, out)) == EXIT_DATA
+        assert capsys.readouterr().err == ("veloscore: data error: uncorrected_global/"
+                                           "ip_influence: zero variance; correlation undefined\n")
+        assert not (out / "report.tsv").exists()
 
     def test_missing_artifacts_name_producer(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import graph_from_edges
+from dense_oracles import graph_from_edges, velocity_oracle
 from veloscore import kernels
 from veloscore.dynamics import (
     FORCE_SOURCES,
@@ -36,6 +36,27 @@ def graph_with_counts(counts):
 def buckets_from_forces(forces):
     """forces: list per hour of {user: count}."""
     return [HourBucket(h, force=dict(f)) for h, f in enumerate(forces)]
+
+
+def replay_every_hour(buckets, cfg, graph):
+    """``replay`` with every hour of the buckets as a checkpoint."""
+    return replay(ForceTable.of(buckets, cfg.force_source), cfg, graph, range(len(buckets)))
+
+
+def mention_table(buckets):
+    return ForceTable.of(buckets, "mentions")
+
+
+def run_engine(cfg, graph, buckets):
+    """A KineticsEngine stepped over the buckets."""
+    engine = KineticsEngine(cfg, graph)
+    for b in buckets:
+        engine.step_hour(b)
+    return engine
+
+
+def bits(values):
+    return np.array(list(values), dtype=np.float64).tobytes()
 
 
 def random_fixture(seed, users=6, hours=50, p=0.4, max_force=5):
@@ -68,7 +89,7 @@ class TestStepHour:
 
     def test_frictionless_accumulates_mentions_over_mass(self):
         g, buckets = random_fixture(11)
-        eng = KineticsEngine(KineticsConfig(zeta=0.0), g).run(buckets)
+        eng = run_engine(KineticsConfig(zeta=0.0), g, buckets)
         totals = {}
         for b in buckets:
             for u, c in b.force.items():
@@ -84,7 +105,7 @@ class TestStepHour:
 
     def test_untracked_users_stay_absent(self):
         g, buckets = random_fixture(3)
-        eng = KineticsEngine(KineticsConfig(zeta=0.1), g).run(buckets)
+        eng = run_engine(KineticsConfig(zeta=0.1), g, buckets)
         assert "ghost" not in eng.tracked_users
         assert eng.velocity_at("ghost", eng.hour) == 0.0
 
@@ -130,18 +151,18 @@ class TestEstimateZeta:
         users = [f"u{i}" for i in range(10)]
         forces = [{u: 1 for u in users} for _ in range(10)]
         g = graph_with_counts({u: 50 for u in users})
-        assert estimate_zeta(buckets_from_forces(forces), g) == pytest.approx(0.02)
+        assert estimate_zeta(mention_table(buckets_from_forces(forces)), g) == pytest.approx(0.02)
 
     def test_zero_mentions(self):
         g = graph_with_counts({"a": 50})
-        assert estimate_zeta([HourBucket(0), HourBucket(1)], g) == 0.0
+        assert estimate_zeta(mention_table([HourBucket(0), HourBucket(1)]), g) == 0.0
 
     def test_errors(self):
         empty = graph_from_edges(set())
         with pytest.raises(ValueError):
-            estimate_zeta([HourBucket(0)], empty)
+            estimate_zeta(mention_table([HourBucket(0)]), empty)
         with pytest.raises(ValueError):
-            estimate_zeta([], graph_with_counts({"a": 1}))
+            estimate_zeta(mention_table([]), graph_with_counts({"a": 1}))
 
     def test_week_fixture_against_recount(self):
         g, buckets = random_fixture(42, users=9, hours=168)
@@ -151,20 +172,20 @@ class TestEstimateZeta:
             active.update(b.force)
         mean_followers = sum(g.followers_of(u) for u in g.users) / g.n
         expected = (total / (len(buckets) * len(active))) / mean_followers
-        assert estimate_zeta(buckets, g) == pytest.approx(expected, rel=1e-12)
+        assert estimate_zeta(mention_table(buckets), g) == pytest.approx(expected, rel=1e-12)
 
 
 class TestInvariants:
     def test_non_negative_everywhere(self):
         g, buckets = random_fixture(1, hours=80)
-        hist = replay(buckets, KineticsConfig(zeta=0.3), g)
+        hist = replay_every_hour(buckets, KineticsConfig(zeta=0.3), g)
         assert (hist.matrix >= 0).all()
 
     def test_linear_decay_until_clamp(self):
         zeta = 1.0 / 64.0
         g = graph_with_counts({"a": 64})
         forces = [{"a": 65}] + [{}] * 100  # 65/64 - 1/64 = exactly 1.0
-        hist = replay(buckets_from_forces(forces), KineticsConfig(zeta=zeta), g)
+        hist = replay_every_hour(buckets_from_forces(forces), KineticsConfig(zeta=zeta), g)
         assert hist.row(0).get("a", 0.0) == 1.0
         for k in range(1, 101):
             expected = 1.0 - k * zeta if k <= 64 else 0.0
@@ -173,11 +194,11 @@ class TestInvariants:
     def test_monotone_in_force(self):
         g, buckets = random_fixture(17, hours=40)
         cfg = KineticsConfig(zeta=0.12)
-        base = replay(buckets, cfg, g)
+        base = replay_every_hour(buckets, cfg, g)
         bumped_buckets = [HourBucket(b.hour_index, dict(b.force)) for b in buckets]
         t = 13
         bumped_buckets[t].force["u0"] = bumped_buckets[t].force.get("u0", 0) + 1
-        bumped = replay(bumped_buckets, cfg, g)
+        bumped = replay_every_hour(bumped_buckets, cfg, g)
         for h in range(len(buckets)):
             got, want = bumped.row(h).get("u0", 0.0), base.row(h).get("u0", 0.0)
             if h < t:
@@ -191,7 +212,7 @@ class TestInvariants:
         g = graph_with_counts({u: 40 for u in names})
         forces = [{u: rng.randint(0, 6) for u in names} for _ in range(60)]
         zeta = 0.02
-        hist = replay(buckets_from_forces(forces), KineticsConfig(zeta=zeta), g)
+        hist = replay_every_hour(buckets_from_forces(forces), KineticsConfig(zeta=zeta), g)
         acc = {u: 0.0 for u in names}
         for f in forces:
             for u in names:
@@ -208,7 +229,7 @@ class TestInvariants:
 
 class TestReplayParity:
     def test_empty_stream(self):
-        hist = replay([], KineticsConfig(), graph_with_counts({"a": 1}))
+        hist = replay(mention_table([]), KineticsConfig(), graph_with_counts({"a": 1}), [])
         assert hist.users == []
         assert hist.final_hour == -1
 
@@ -216,33 +237,33 @@ class TestReplayParity:
 class TestVelocityAt:
     def test_untracked_is_zero(self):
         g, buckets = random_fixture(2)
-        hist = replay(buckets, KineticsConfig(zeta=0.05), g)
+        hist = replay_every_hour(buckets, KineticsConfig(zeta=0.05), g)
         assert "nobody" not in hist.row(10)
 
     def test_current_boundary_equals_live_state(self):
         g, buckets = random_fixture(4)
-        eng = KineticsEngine(KineticsConfig(zeta=0.05), g).run(buckets)
-        live = replay(buckets, KineticsConfig(zeta=0.05), g).row(eng.hour)
+        eng = run_engine(KineticsConfig(zeta=0.05), g, buckets)
+        live = replay_every_hour(buckets, KineticsConfig(zeta=0.05), g).row(eng.hour)
         assert {u: eng.velocity_at(u, eng.hour) for u in eng.tracked_users} == live
 
     def test_matches_truncated_replay(self):
         g, buckets = random_fixture(31, hours=60)
         cfg = KineticsConfig(zeta=0.04)
-        hist = replay(buckets, cfg, g)
+        hist = replay_every_hour(buckets, cfg, g)
         for h in (0, 7, 23, 59):
-            trunc = replay(buckets[: h + 1], cfg, g)
+            trunc = replay_every_hour(buckets[: h + 1], cfg, g)
             row, trunc_row = hist.row(h), trunc.row(h)
             for u in hist.users:
                 assert row[u] == trunc_row.get(u, 0.0)
 
     def test_pre_epoch_is_zero(self):
         g, buckets = random_fixture(6)
-        hist = replay(buckets, KineticsConfig(), g)
+        hist = replay_every_hour(buckets, KineticsConfig(), g)
         assert hist.row(-1) == dict.fromkeys(hist.users, 0.0)
 
     def test_future_boundary_rejected(self):
         g, buckets = random_fixture(8, hours=5)
-        hist = replay(buckets, KineticsConfig(), g)
+        hist = replay_every_hour(buckets, KineticsConfig(), g)
         with pytest.raises(ValueError):
             hist.row(99)
 
@@ -296,7 +317,7 @@ class TestTrending:
         g = graph_with_counts({"a": 1, "b": 10})
         forces = [{"a": 1, "b": 30}] * 4 + [{"a": 1, "b": 5}] * (WEEK_HOURS - 4) \
             + [{"a": 2, "b": 5}] * WEEK_HOURS + [{"a": 1, "b": 5}] * WEEK_HOURS
-        eng = KineticsEngine(KineticsConfig(zeta=0.5), g).run(buckets_from_forces(forces))
+        eng = run_engine(KineticsConfig(zeta=0.5), g, buckets_from_forces(forces))
         assert eng.hour == 3 * WEEK_HOURS - 1
         entries = eng.trending(167, 335, threshold=0.10, k=5)
         assert [e.user for e in entries] == ["a"]
@@ -306,7 +327,7 @@ class TestTrending:
 class TestSnapshots:
     def test_roundtrip(self, tmp_path):
         g, buckets = random_fixture(51, hours=200)
-        hist = replay(buckets, KineticsConfig(zeta=0.03), g)
+        hist = replay_every_hour(buckets, KineticsConfig(zeta=0.03), g)
         hours = [week_end_hour(0), 199]
         path = tmp_path / "snapshots.tsv"
         write_snapshots(path, hist, hours)
@@ -320,7 +341,7 @@ class TestSnapshots:
 
     def test_missing_boundary_named(self, tmp_path):
         g, buckets = random_fixture(52, hours=10)
-        hist = replay(buckets, KineticsConfig(), g)
+        hist = replay_every_hour(buckets, KineticsConfig(), g)
         path = tmp_path / "snap.tsv"
         write_snapshots(path, hist, [9])
         table = load_snapshots(path)
@@ -330,7 +351,7 @@ class TestSnapshots:
 
     def test_user_missing_from_an_hour_reads_zero(self, tmp_path):
         g, buckets = random_fixture(54, hours=20)
-        hist = replay(buckets, KineticsConfig(zeta=0.01), g)
+        hist = replay_every_hour(buckets, KineticsConfig(zeta=0.01), g)
         path = tmp_path / "snapshots.tsv"
         write_snapshots(path, hist, [9, 19])
         dropped = next(u for u, v in hist.row(19).items() if v > 0.0)
@@ -344,7 +365,7 @@ class TestSnapshots:
 
     def test_acceleration_is_the_change_from_the_hour_before(self, tmp_path):
         g, buckets = random_fixture(55, hours=30)
-        hist = replay(buckets, KineticsConfig(zeta=0.01), g)
+        hist = replay_every_hour(buckets, KineticsConfig(zeta=0.01), g)
         path = tmp_path / "snapshots.tsv"
         write_snapshots(path, hist, [0, 10, 29])
         lines = [line.split("\t") for line in path.read_text().splitlines()]
@@ -358,7 +379,7 @@ class TestSnapshots:
 
     def test_deterministic_bytes(self, tmp_path):
         g, buckets = random_fixture(53, hours=30)
-        hist = replay(buckets, KineticsConfig(zeta=0.01), g)
+        hist = replay_every_hour(buckets, KineticsConfig(zeta=0.01), g)
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
         write_snapshots(p1, hist, [10, 29])
         write_snapshots(p2, hist, [10, 29])
@@ -370,7 +391,7 @@ def test_velocity_replay_clamps():
     users = np.array([0], dtype=np.int64)
     counts = np.array([2.0])
     mass = np.array([1.0])
-    hist = kernels.velocity_replay(indptr, users, counts, mass, 1.5, 1)
+    hist = kernels.velocity_replay(indptr, users, counts, mass, 1.5, 1, range(3))
     assert hist[:, 0].tolist() == [0.5, 0.0, 0.0]
     rows = kernels.velocity_replay(indptr, users, counts, mass, 1.5, 1, [0, 2])
     assert rows[:, 0].tolist() == [0.5, 0.0]
@@ -415,19 +436,17 @@ class TestCheckpointReplay:
         buckets, graph, cfg, checkpoints = case
         table = ForceTable.of(buckets, cfg.force_source)
         before = (bytes(table.indptr), bytes(table.f_users), bytes(table.f_counts))
-        dense = replay(buckets, cfg, graph)
+        users, dense = velocity_oracle(buckets, cfg, graph)
         kept = replay(table, cfg, graph, checkpoints=checkpoints)
         assert (bytes(table.indptr), bytes(table.f_users), bytes(table.f_counts)) == before
-        assert kept.users == dense.users
+        assert kept.users == users
         assert kept.hours == sorted(checkpoints)
         for k, h in enumerate(kept.hours):
-            assert kept.matrix[k].tobytes() == dense.matrix[h].tobytes()
-        engine = KineticsEngine(cfg, graph).run(buckets)
+            assert kept.matrix[k].tobytes() == bits(dense[h].values())
+        engine = run_engine(cfg, graph, buckets)
         for h in checkpoints:
             if h == engine.hour or (h + 1) % WEEK_HOURS == 0:
-                row = kept.row(h)
-                for u in dense.users:
-                    assert row[u] == engine.velocity_at(u, h)
+                assert bits(engine.velocity_at(u, h) for u in users) == bits(dense[h].values())
         for h in set(range(len(buckets))) - set(checkpoints):
             with pytest.raises(ValueError, match=rf"\b{h}\b"):
                 kept.row(h)
@@ -436,12 +455,12 @@ class TestCheckpointReplay:
     @given(streams())
     def test_row_is_every_users_velocity_at(self, case):
         buckets, graph, cfg, checkpoints = case
-        kept = replay(buckets, cfg, graph, checkpoints=checkpoints)
-        dense = replay(buckets, cfg, graph)
+        kept = replay(ForceTable.of(buckets, cfg.force_source), cfg, graph, checkpoints)
+        users, dense = velocity_oracle(buckets, cfg, graph)
         for h in kept.hours + [-1]:
             row = kept.row(h)
             assert list(row) == kept.users
-            assert row == dense.row(h)
+            assert row == (dense[h] if h >= 0 else dict.fromkeys(users, 0.0))
         for h in set(range(len(buckets) + 1)) - set(checkpoints):
             with pytest.raises(ValueError, match=rf"\b{h}\b"):
                 kept.row(h)
@@ -454,7 +473,7 @@ class TestCheckpointReplay:
         for b in buckets:
             table.add(b)
         got = outcome(estimate_zeta, table, graph)
-        assert got == outcome(estimate_zeta, buckets, graph)
+        assert got == outcome(estimate_zeta, mention_table(buckets), graph)
         total = sum(sum(b.force.values()) for b in buckets)
         active = set().union(*(b.force.keys() | b.retweet_force.keys() for b in buckets))
         if total and graph.mean_followers() > 0:
@@ -463,18 +482,18 @@ class TestCheckpointReplay:
     def test_checkpoint_outside_stream_named(self):
         g, buckets = random_fixture(5, hours=10)
         with pytest.raises(ValueError, match="10"):
-            replay(buckets, KineticsConfig(), g, checkpoints=[3, 10])
+            replay(mention_table(buckets), KineticsConfig(), g, checkpoints=[3, 10])
         with pytest.raises(ValueError, match="-1"):
-            replay(buckets, KineticsConfig(), g, checkpoints=[-1, 3])
+            replay(mention_table(buckets), KineticsConfig(), g, checkpoints=[-1, 3])
 
     def test_table_force_source_must_match(self):
         g, buckets = random_fixture(6, hours=5)
         with pytest.raises(ValueError, match="retweets"):
-            replay(ForceTable.of(buckets), KineticsConfig(force_source="retweets"), g)
+            replay(mention_table(buckets), KineticsConfig(force_source="retweets"), g, [])
 
     def test_non_contiguous_bucket_rejected(self):
         with pytest.raises(ValueError, match="2"):
-            ForceTable.of([HourBucket(0), HourBucket(2)])
+            mention_table([HourBucket(0), HourBucket(2)])
 
     def test_total_force_is_the_buckets(self):
         """The table sums each hour's ``HourBucket.total_force``; it does
@@ -494,7 +513,7 @@ class TestCheckpointReplay:
         hours, users = 3000, 1000
         rng = np.random.default_rng(0)
         names = [f"u{i:04d}" for i in range(users)]
-        table = ForceTable()
+        table = ForceTable("mentions")
         for h in range(hours):
             hot = rng.choice(users, size=20, replace=False)
             table.add(HourBucket(h, {names[i]: int(c) for i, c in
@@ -540,18 +559,18 @@ class TestEngineCheckpoints:
     @given(week_streams())
     def test_answers_week_ends_and_current_hour_only(self, case):
         buckets, graph, cfg = case
-        engine = KineticsEngine(cfg, graph).run(buckets)
-        dense = replay(buckets, cfg, graph)
+        engine = run_engine(cfg, graph, buckets)
+        users, dense = velocity_oracle(buckets, cfg, graph)
         current = len(buckets) - 1
         assert engine.hour == current
-        assert engine.tracked_users == dense.users
+        assert engine.tracked_users == users
         week_ends = [h for h in range(current) if (h + 1) % WEEK_HOURS == 0]
-        probe = dense.users + ["ghost"]
+        probe = users + ["ghost"]
         for h in week_ends + [current] if current >= 0 else []:
-            got = np.array([engine.velocity_at(u, h) for u in probe])
-            row = dense.row(h)
-            want = np.array([row.get(u, 0.0) for u in probe])
-            assert got.tobytes() == want.tobytes()
+            got = bits(engine.velocity_at(u, h) for u in probe)
+            assert got == bits(dense[h].get(u, 0.0) for u in probe)
+            row = engine.row(h)
+            assert bits(row[u] for u in users) == bits(dense[h].values())
         for h in set(range(current)) - set(week_ends):
             with pytest.raises(ValueError, match=rf"\b{h}\b"):
                 engine.velocity_at(probe[0], h)
@@ -559,7 +578,7 @@ class TestEngineCheckpoints:
             engine.velocity_at(probe[0], current + 1)
         for u in probe:
             assert engine.velocity_at(u, -1) == engine.velocity_at(u, -WEEK_HOURS) == 0.0
-        kept = replay(buckets, cfg, graph, checkpoints=week_ends)
+        kept = replay(ForceTable.of(buckets, cfg.force_source), cfg, graph, week_ends)
         for start, end in zip([-1] + week_ends, week_ends):
             assert engine.trending(start, end, 0.1, 3, "w") == \
                 rank_trending(kept.row(start), kept.row(end), 0.1, 3, "w")
@@ -569,7 +588,7 @@ class TestEngineCheckpoints:
     def test_row_is_every_tracked_users_velocity_at(self, case):
         """Users first seen after a week end are in its row, at 0."""
         buckets, graph, cfg = case
-        engine = KineticsEngine(cfg, graph).run(buckets)
+        engine = run_engine(cfg, graph, buckets)
         current = engine.hour
         week_ends = [h for h in range(current) if (h + 1) % WEEK_HOURS == 0]
         for h in week_ends + [current, -1]:
@@ -594,7 +613,8 @@ class TestEngineCheckpoints:
         engine = KineticsEngine(KineticsConfig(zeta=0.01), graph)
         tracemalloc.start()
         try:
-            engine.run(buckets)
+            for b in buckets:
+                engine.step_hour(b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

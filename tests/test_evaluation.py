@@ -26,7 +26,7 @@ from veloscore.evaluation import (
     pearson,
     run_full_evaluation,
 )
-from veloscore.ingest import Event
+from veloscore.ingest import Event, StreamDigest
 
 EPOCH = datetime(2025, 1, 6, tzinfo=timezone.utc)
 
@@ -34,6 +34,11 @@ EPOCH = datetime(2025, 1, 6, tzinfo=timezone.utc)
 def ev(author, urls, week=0, hour_in_week=5):
     ts = EPOCH + timedelta(hours=week * 168 + hour_in_week)
     return Event("e", author, ts, urls=list(urls))
+
+
+def url_datasets(events, *args, **kwargs):
+    """``build_url_datasets`` over the digest of the events."""
+    return build_url_datasets(StreamDigest.of(events), *args, **kwargs)
 
 
 def rec(url="u", clicks=10, promoters=("a", "b", "c"), audience=100, week=None):
@@ -80,13 +85,13 @@ class TestBuildUrlDatasets:
     def test_multi_week_url_global_only(self):
         events = [ev("a", ["http://x/1"], week=3), ev("b", ["http://x/1"], week=5),
                   ev("c", ["http://x/1"], week=3)]
-        g, w = build_url_datasets(events, {"http://x/1": 50}, self.graph(), EPOCH)
+        g, w = url_datasets(events, {"http://x/1": 50}, self.graph(), EPOCH)
         assert len(g) == 1
         assert w == []
 
     def test_single_week_url_in_both(self):
         events = [ev(u, ["http://x/1"], week=2) for u in "abc"]
-        g, w = build_url_datasets(events, {"http://x/1": 50}, self.graph(), EPOCH)
+        g, w = url_datasets(events, {"http://x/1": 50}, self.graph(), EPOCH)
         assert len(g) == 1 and len(w) == 1
         assert w[0].week_index == 2
         assert g[0].week_index is None
@@ -94,40 +99,40 @@ class TestBuildUrlDatasets:
     def test_two_promoters_excluded(self):
         events = [ev("a", ["http://x/1"]), ev("b", ["http://x/1"])]
         stats = {}
-        g, w = build_url_datasets(events, {"http://x/1": 5}, self.graph(), EPOCH,
+        g, w = url_datasets(events, {"http://x/1": 5}, self.graph(), EPOCH,
                                   stats=stats)
         assert g == [] and w == []
         assert stats["too_few_promoters"] == 1
 
     def test_promoters_need_graph_data(self):
         events = [ev(u, ["http://x/1"]) for u in ("a", "b", "ghost1", "ghost2")]
-        g, _ = build_url_datasets(events, {"http://x/1": 5}, self.graph(), EPOCH)
+        g, _ = url_datasets(events, {"http://x/1": 5}, self.graph(), EPOCH)
         assert g == []  # only 2 qualified promoters
 
     def test_no_click_entry_excluded_counted(self):
         events = [ev(u, ["http://x/1"]) for u in "abc"]
         stats = {}
-        g, _ = build_url_datasets(events, {}, self.graph(), EPOCH, stats=stats)
+        g, _ = url_datasets(events, {}, self.graph(), EPOCH, stats=stats)
         assert g == []
         assert stats["no_click_entry"] == 1
 
     def test_audience_is_accumulated_followers(self):
         events = [ev(u, ["http://x/1"]) for u in "abc"]
-        g, _ = build_url_datasets(events, {"http://x/1": 5}, self.graph(), EPOCH)
+        g, _ = url_datasets(events, {"http://x/1": 5}, self.graph(), EPOCH)
         assert g[0].audience == 60
         assert g[0].promoters == ("a", "b", "c")
 
     def test_duplicate_promotion_single_promoter(self):
         events = [ev("a", ["http://x/1"]), ev("a", ["http://x/1"]),
                   ev("b", ["http://x/1"]), ev("c", ["http://x/1"])]
-        g, _ = build_url_datasets(events, {"http://x/1": 5}, self.graph(), EPOCH)
+        g, _ = url_datasets(events, {"http://x/1": 5}, self.graph(), EPOCH)
         assert g[0].promoters == ("a", "b", "c")
 
     def test_default_epoch_from_first_event_even_without_urls(self):
         # a url-free leading event anchors the week grid
         events = [ev("a", [], week=0, hour_in_week=0)]
         events += [ev(u, ["http://x/1"], week=1, hour_in_week=2) for u in "abc"]
-        _, w = build_url_datasets(events, {"http://x/1": 5}, self.graph())
+        _, w = url_datasets(events, {"http://x/1": 5}, self.graph())
         assert w[0].week_index == 1
 
     def test_fifty_url_fixture_against_audit(self):
@@ -145,7 +150,7 @@ class TestBuildUrlDatasets:
                 events.append(ev(p, [url], week=w, hour_in_week=rng.randint(0, 167)))
             if rng.random() < 0.9:
                 clicks[url] = rng.randint(0, 500)
-        g_rec, w_rec = build_url_datasets(events, clicks, graph, EPOCH)
+        g_rec, w_rec = url_datasets(events, clicks, graph, EPOCH)
         # independent audit with plain dicts
         seen = {}
         for e in events:
@@ -297,7 +302,7 @@ class TestAccumulate:
         matrix = np.zeros((hours, 3))
         for t in range(hours):
             matrix[t] = [t * 0.01, t * 0.02, t * 0.03]
-        return VelocityHistory(users, matrix)
+        return VelocityHistory(users, matrix, range(hours))
 
     def test_velocity_flavors(self):
         """The velocity rows of a week-1 URL: its week end, the week end
@@ -337,7 +342,8 @@ class TestAudienceCorrect:
         def corrected_r(scale_clicks, scale_scores):
             xs, ys = [], []
             for r, s in zip(records, scores):
-                x, y = audience_correct(r, s * scale_scores, r.clicks * scale_clicks)
+                x, y = audience_correct(
+                    dataclasses.replace(r, clicks=r.clicks * scale_clicks), s * scale_scores)
                 xs.append(x)
                 ys.append(y)
             return pearson(xs, ys)[0]
@@ -604,7 +610,7 @@ class TestFullEvaluation:
         base = np.array([rng.uniform(0, 1) for _ in users])
         for t in range(hours):
             matrix[t] = base * (t + 1) / hours
-        hist = VelocityHistory(users, matrix)
+        hist = VelocityHistory(users, matrix, range(hours))
         records_g, records_w = [], []
         for i in range(40):
             promoters = tuple(sorted(rng.sample(users, rng.randint(3, 6))))
@@ -656,8 +662,8 @@ class TestFullEvaluation:
         plain = run_full_evaluation(records_g, records_w, static, hist)
         real = evaluation.audience_correct
 
-        def negated(record, accumulated_score, clicks=None):
-            pair = list(real(record, accumulated_score, clicks))
+        def negated(record, accumulated_score):
+            pair = list(real(record, accumulated_score))
             pair[negate] = -pair[negate]
             return tuple(pair)
 
@@ -707,7 +713,7 @@ class TestFullEvaluation:
         before it: all zeros for week 0, a zero-variance week left out."""
         records_g, records_w, static, hist = self.build()
         rng = np.random.default_rng(3)
-        hist = VelocityHistory(hist.users, rng.uniform(0.0, 1.0, hist.matrix.shape))
+        hist = VelocityHistory(hist.users, rng.uniform(0.0, 1.0, hist.matrix.shape), hist.hours)
         stats: dict = {}
         weekly = run_full_evaluation(records_g, records_w, static, hist, iqr_k=1e9,
                                      stats=stats)[3]
@@ -731,7 +737,7 @@ class TestFullEvaluation:
         rng = random.Random(12)
         users = [f"p{i}" for i in range(6)]
         hist = VelocityHistory(users, np.array([[rng.uniform(0, 1) for _ in users]
-                                                for _ in range(2 * 168)]))
+                                                for _ in range(2 * 168)]), range(2 * 168))
         static = {"pagerank": {u: rng.uniform(0, 1) for u in users}}
         weeks = [0, 0, 0, 1, 1]
         records_w = [UrlRecord(f"u{i}", 10 + 7 * i * i, tuple(users[i:i + 3]), 50 + 3 * i, w)
@@ -749,7 +755,7 @@ class TestFullEvaluation:
         rng = random.Random(5)
         users = [f"p{i}" for i in range(6)]
         hist = VelocityHistory(users, np.array([[rng.uniform(0, 1) for _ in users]
-                                                for _ in range(2 * 168)]))
+                                                for _ in range(2 * 168)]), range(2 * 168))
         static = {"pagerank": dict.fromkeys(users, 1 / 3)}  # any three of them sum to 1.0
         # week 0: three promoters and audience 10 each, so every corrected score is 0.1
         records_w = [UrlRecord(f"w0u{i}", 10 + 7 * i * i, tuple(users[i:i + 3]), 10, 0)

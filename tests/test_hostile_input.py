@@ -1,6 +1,6 @@
 """Hostile stream records: every line gives an Event or a counted ParseError.
 
-The decoder behind ``parse_event`` and ``read_events`` calls the JSON
+The decoder behind ``EventDecoder.decode`` and ``read_events`` calls the JSON
 scanner directly and keeps ``json.loads``'s whitespace and trailing-data
 checks itself; these properties hold it to ``json.loads``.
 """
@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from veloscore.ingest import (
     Event,
+    EventDecoder,
     IngestStats,
     ParseError,
     decode_json,
-    parse_event,
     read_events,
 )
 
@@ -51,7 +51,7 @@ VALID = {"id": "x", "ts": "2025-01-06T00:30:00Z", "author": "u00001"}
 
 def event_or_parse_error(line):
     try:
-        ev = parse_event(line)
+        ev = EventDecoder().decode(line)
     except ParseError:
         return None
     assert isinstance(ev, Event)

@@ -19,6 +19,7 @@ from pipeline_helpers import child_env
 from veloscore import ingest
 from veloscore.centrality import _followees, _out_degree, build_retweet_graph
 from veloscore.ingest import (
+    EventDecoder,
     IngestStats,
     ParseError,
     StreamDigest,
@@ -26,7 +27,6 @@ from veloscore.ingest import (
     bucketize,
     load_graph,
     normalize_handle,
-    parse_event,
     read_events,
 )
 
@@ -99,78 +99,79 @@ def at_hour(hour, minute=0, second=0):
 
 class TestParseEvent:
     def test_retweet_attribution(self):
-        ev = parse_event(record("bob", "RT @alice: Hello world!"))
+        ev = EventDecoder().decode(record("bob", "RT @alice: Hello world!"))
         assert ev.author == "bob"
         assert ev.mentions == ["alice"]
         assert ev.retweet_of == "alice"
 
     def test_no_mentions(self):
-        ev = parse_event(record("bob", "no mentions here"))
+        ev = EventDecoder().decode(record("bob", "no mentions here"))
         assert ev.mentions == []
         assert ev.retweet_of is None
 
     def test_retweet_with_cc(self):
-        ev = parse_event(record("bob", "RT @alice: Hello world! (cc @carol)"))
+        ev = EventDecoder().decode(record("bob", "RT @alice: Hello world! (cc @carol)"))
         assert ev.mentions == ["alice", "carol"]
         assert ev.retweet_of == "alice"
 
     def test_duplicate_tokens_kept(self):
-        ev = parse_event(record("bob", "@alice hi again @alice"))
+        ev = EventDecoder().decode(record("bob", "@alice hi again @alice"))
         assert ev.mentions == ["alice", "alice"]
 
     def test_self_mention_flagged_not_counted(self):
-        ev = parse_event(record("bob", "@bob notes to self and @alice"))
+        ev = EventDecoder().decode(record("bob", "@bob notes to self and @alice"))
         assert ev.mentions == ["alice"]
         assert ev.self_mentions == 1
 
     def test_handles_normalized(self):
-        ev = parse_event(record("BoB", "@ALICE hi"))
+        ev = EventDecoder().decode(record("BoB", "@ALICE hi"))
         assert ev.author == "bob"
         assert ev.mentions == ["alice"]
 
     def test_preextracted_wins_over_text(self):
-        ev = parse_event(record("bob", "@alice hi", mentions=["carol"], rt_of="carol"))
+        ev = EventDecoder().decode(
+            record("bob", "@alice hi", mentions=["carol"], rt_of="carol"))
         assert ev.mentions == ["carol"]
         assert ev.retweet_of == "carol"
 
     def test_rt_attribution_joins_mentions(self):
-        ev = parse_event(record("bob", "", mentions=["dave"], rt_of="alice"))
+        ev = EventDecoder().decode(record("bob", "", mentions=["dave"], rt_of="alice"))
         assert ev.retweet_of == "alice"
         assert ev.mentions[0] == "alice"
         assert "dave" in ev.mentions
 
     def test_self_retweet_dropped(self):
-        ev = parse_event(record("bob", "RT @bob: my own words"))
+        ev = EventDecoder().decode(record("bob", "RT @bob: my own words"))
         assert ev.retweet_of is None
 
     def test_email_like_text_not_a_mention(self):
-        ev = parse_event(record("bob", "mail me at bob@example.com"))
+        ev = EventDecoder().decode(record("bob", "mail me at bob@example.com"))
         assert ev.mentions == []
 
     def test_empty_author_rejected(self):
         with pytest.raises(ParseError):
-            parse_event(record("", "hello"))
+            EventDecoder().decode(record("", "hello"))
 
     def test_invalid_author_rejected(self):
         with pytest.raises(ParseError):
-            parse_event(record("way-too-long-for-a-handle!", "hello"))
+            EventDecoder().decode(record("way-too-long-for-a-handle!", "hello"))
 
     def test_malformed_timestamp_rejected(self):
         with pytest.raises(ParseError):
-            parse_event(json.dumps({"id": "e", "author": "bob",
+            EventDecoder().decode(json.dumps({"id": "e", "author": "bob",
                                     "ts": "not-a-time", "text": "x"}))
 
     def test_z_suffix_timestamp(self):
-        ev = parse_event(json.dumps({"id": "e", "author": "bob",
+        ev = EventDecoder().decode(json.dumps({"id": "e", "author": "bob",
                                      "ts": "2025-01-06T05:30:00Z", "text": "x"}))
         assert ev.timestamp == EPOCH + timedelta(hours=5, minutes=30)
 
     def test_urls_extracted_and_trimmed(self):
-        ev = parse_event(record("bob", "see http://sho.rt/abc, and https://x.y/z."))
+        ev = EventDecoder().decode(record("bob", "see http://sho.rt/abc, and https://x.y/z."))
         assert ev.urls == ["http://sho.rt/abc", "https://x.y/z"]
 
     def test_preextracted_urls_win(self):
-        ev = parse_event(record("bob", "see http://a.b/c", urls=["http://d.e/f"]))
+        ev = EventDecoder().decode(record("bob", "see http://a.b/c", urls=["http://d.e/f"]))
         assert ev.urls == ["http://d.e/f"]
 
     def test_skip_and_count(self):
@@ -310,7 +311,7 @@ class TestBucketize:
         for _ in range(50):
             author = f"u{rng.randint(0, 5)}"
             target = f"u{rng.randint(0, 5)}"
-            ev = parse_event(record(author, f"RT @{target}: hi"))
+            ev = EventDecoder().decode(record(author, f"RT @{target}: hi"))
             if ev.retweet_of is not None:
                 assert ev.retweet_of in ev.mentions
 
@@ -462,7 +463,7 @@ class TestLoadGraph:
     def test_mean_followers_is_numpys_mean(self, counts):
         """An exact integer sum divided once: the bits numpy's mean gives, so
         the zeta estimated from it does not move."""
-        g = UserGraph([f"u{i}" for i in range(len(counts))], [], counts)
+        g = UserGraph([f"u{i}" for i in range(len(counts))], array("q"), array("q", counts))
         assert g.mean_followers() == float(np.mean(np.array(counts, dtype=np.int64)))
 
 
@@ -493,7 +494,7 @@ class TestUserGraphInvariant:
         assert len(rg.src) == 2
 
     def test_no_edges(self):
-        graph = UserGraph(["a"], [], [0])
+        graph = UserGraph(["a"], array("q"), array("q", [0]))
         assert graph.edge_count == 0 and graph.edge_keys.typecode == "q"
 
     def test_scorer_views_rebuild_the_keys(self):

@@ -128,7 +128,6 @@ def test_tallies():
     assert digest.retweets == {"a": {"b": 2}}
     assert digest.urls == [("http://x/1", "a", t0), ("http://x/2", "a", t0),
                            ("http://x/1", "b", t0)]
-    assert StreamDigest.of(digest) is digest
     assert StreamDigest.of([]) == StreamDigest()
 
 

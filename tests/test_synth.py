@@ -15,7 +15,8 @@ from scipy import stats as scipy_stats
 
 from pipeline_helpers import read_report, run_pipeline
 from veloscore.evaluation import build_url_datasets, read_clicks
-from veloscore.ingest import IngestStats, bucketize, load_graph, parse_timestamp, read_events_file
+from veloscore.ingest import (IngestStats, StreamDigest, bucketize, load_graph, parse_timestamp,
+                              read_events_file)
 from veloscore.synth import (Burst, SynthConfig, _follow_draws, _indented_json, bresenham_block,
                              generate)
 
@@ -255,8 +256,9 @@ class TestUrls:
         cfg = SynthConfig(seed=10, cross_week_url_fraction=0.25, **SMALL)
         manifest = generate(cfg, tmp_path)
         global_recs, weekly_recs = build_url_datasets(
-            read_events_file(tmp_path / "events.ndjson"), read_clicks(tmp_path / "clicks.tsv"),
-            load_graph(tmp_path / "edges.tsv"), parse_timestamp(manifest["epoch"]))
+            StreamDigest.of(read_events_file(tmp_path / "events.ndjson")),
+            read_clicks(tmp_path / "clicks.tsv"), load_graph(tmp_path / "edges.tsv"),
+            parse_timestamp(manifest["epoch"]))
         n_cross = sum(1 for info in manifest["urls"].values() if len(info["weeks"]) > 1)
         assert n_cross > 0
         assert len(global_recs) == len(manifest["urls"])
