@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING, Iterator
 
 # only the standard library at import: each command imports the numpy
 # modules it runs, so `trend` and `eval` load none of them
-from .core import (DEFAULT_DAMPING, DEFAULT_MAX_ITER, DEFAULT_RETWEET_PROB, DEFAULT_TOL,
-                   FORCE_SOURCES, MASS_MODES, SCORERS, WEEK_HOURS, DataFileError,
-                   KineticsConfig, ScoreVector, load_snapshots, rank_trending, table_file,
-                   week_end_hour, write_snapshots)
+from .core import (DEFAULT_DAMPING, DEFAULT_ERROR_CEILING, DEFAULT_MAX_ITER,
+                   DEFAULT_RETWEET_PROB, DEFAULT_TOL, FORCE_SOURCES, MASS_MODES, SCORERS,
+                   WEEK_HOURS, DataFileError, KineticsConfig, ScoreVector, load_snapshots,
+                   rank_trending, table_rows, week_end_hour, write_snapshots)
 
 if TYPE_CHECKING:
     from .ingest import IngestStats
@@ -79,21 +79,17 @@ def _out_dir(path: str) -> Path:
 
 
 def _config_lines(path) -> Iterator[tuple[int, str, str]]:
-    """Each ``key = value`` line of a flat config file: its number, key and value."""
-    with table_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: not key = value: {line!r}")
-            k, v = line.split("=", 1)
-            yield lineno, k.strip().replace("-", "_"), v.strip()
-
-
-def load_config_file(path) -> dict[str, str]:
-    """Flat key = value defaults; command-line flags win over these."""
-    return {k: v for _, k, v in _config_lines(path)}
+    """Each ``key = value`` line of a flat config file: its number, key and
+    value.  A line that is not ``key = value``, or repeats a key, is a usage error."""
+    keys = set()
+    for lineno, (k, eq, v) in table_rows(path, lambda line: line.partition("="), comments=True):
+        if not eq:
+            raise CliError(f"{path}:{lineno}: not key = value: {k!r}")
+        k = k.strip().replace("-", "_")
+        if k in keys:
+            raise CliError(f"{path}:{lineno}: key {k!r} is listed again")
+        keys.add(k)
+        yield lineno, k, v.strip()
 
 
 def _write_run_config(out_dir: Path, args: argparse.Namespace, extra: dict) -> None:
@@ -183,21 +179,29 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
     return graph
 
 
-def _stream_events(events_path: Path, out_dir: Path, stats: IngestStats | None = None):
+def _stream_events(events_path: Path, out_dir: Path):
     """The digest `score` wrote under ``out_dir`` if it matches the events
-    file's current content, else the digest of the file, parsed anew."""
+    file's current content, else the digest of the file, parsed anew: held
+    to `score`'s default ceiling on skipped records, and their count printed
+    if there are any."""
     from . import ingest
 
     path = out_dir / STREAM_DIGEST_FILE
     digest = ingest.StreamDigest.load(path, _keyed(events_path)[0]) if path.is_file() else None
-    return digest if digest is not None else \
-        ingest.StreamDigest.of(ingest.read_events_file(events_path, stats))
+    if digest is None:
+        stats = ingest.IngestStats()
+        digest = ingest.StreamDigest.of(ingest.read_events_file(events_path, stats))
+        _check_ceiling(stats, DEFAULT_ERROR_CEILING)
+        if stats.skipped:
+            print(f"skipped {stats.skipped}/{stats.records} records")
+    return digest
 
 
-def _clear_outputs(out_dir: Path, *names: str) -> None:
-    """Delete the files ``names`` this run writes in ``out_dir``: a failed run
-    must not leave an earlier run's results for a later command to read."""
-    for name in names:
+def _clear_outputs(out_dir: Path, command: str, *names: str) -> None:
+    """Delete the files this run of ``command`` writes in ``out_dir``, ``names``
+    and its run record: a failed run must not leave an earlier run's results
+    for a later command to read."""
+    for name in (*names, RUN_CONFIG_TEMPLATE.format(command)):
         (out_dir / name).unlink(missing_ok=True)
 
 
@@ -214,7 +218,7 @@ def _scored_epoch(out_dir: Path):
         for lineno, k, v in _config_lines(path):
             if k == "resolved_epoch":
                 epoch = ingest.parse_timestamp(v)
-    except CliError as exc:  # a line that is not key = value
+    except CliError as exc:  # a line that is not key = value, or a repeated key
         raise DataError(str(exc)) from exc
     except ingest.ParseError as exc:
         raise DataFileError(path, lineno, f"resolved_epoch: {exc}") from exc
@@ -291,8 +295,7 @@ def cmd_score(args) -> int:
     events_path = _require_file(args.events, "event stream")
     epoch = _parse_epoch(args.epoch)
     out_dir = _out_dir(args.out)
-    _clear_outputs(out_dir, SNAPSHOT_FILE, FINAL_VELOCITY_FILE,
-                   RUN_CONFIG_TEMPLATE.format("score"))
+    _clear_outputs(out_dir, args.command, SNAPSHOT_FILE, FINAL_VELOCITY_FILE)
     stats = ingest.IngestStats()
     table, epoch = _score_stream(events_path, epoch, out_dir, cfg, stats, args.error_ceiling)
     graph = _graph(edges_path, counts_path, out_dir, stats)
@@ -329,7 +332,7 @@ def cmd_trend(args) -> int:
     _check_flag("--top-k", args.top_k, args.top_k >= 1, ">= 1")
     out_dir = Path(args.out)
     snap_path = _require_artifact(out_dir, SNAPSHOT_FILE, "score")
-    _clear_outputs(out_dir, TRENDING_FILE)
+    _clear_outputs(out_dir, args.command, TRENDING_FILE)
     history = load_snapshots(snap_path)
     try:
         entries = rank_trending(
@@ -342,6 +345,7 @@ def cmd_trend(args) -> int:
         fh.write("window\tuser\tacceleration\trelative_increase\n")
         for e in entries:
             fh.write(f"{e.window}\t{e.user}\t{e.acceleration:.12g}\t{e.relative_increase:.12g}\n")
+    _write_run_config(out_dir, args, {})
     for e in entries:
         print(f"{e.window}\t{e.user}\t{e.acceleration:.6g}\t{e.relative_increase:.6g}")
     print(f"{len(entries)} trending users for week {args.week}")
@@ -366,9 +370,9 @@ def cmd_centrality(args) -> int:
             raise CliError(f"--events is required for the {', '.join(streamed)} algorithm")
         events_path = _require_file(args.events, "event stream")
     out_dir = _out_dir(args.out)
-    _clear_outputs(out_dir, RUN_CONFIG_TEMPLATE.format("centrality"),
-                   *(SCORE_FILE_TEMPLATE.format(name)
-                     for scorer in chosen.values() for name in scorer.outputs))
+    _clear_outputs(out_dir, args.command, *(SCORE_FILE_TEMPLATE.format(name)
+                                            for scorer in chosen.values()
+                                            for name in scorer.outputs))
     graph = _graph(edges_path, counts_path, out_dir, ingest.IngestStats())
     if graph.n == 0:
         raise DataError("graph is empty")
@@ -403,18 +407,16 @@ def cmd_eval(args) -> int:
     edges_path = _require_file(args.edges, "edge list")
     counts_path = _require_file(args.counts, "follower-count file") if args.counts else None
     # every flag and input file is checked before one is read
-    _clear_outputs(out_dir, REPORT_TSV, REPORT_TXT, REPORT_WEEKLY,
-                   RUN_CONFIG_TEMPLATE.format("eval"))
+    _clear_outputs(out_dir, args.command, REPORT_TSV, REPORT_TXT, REPORT_WEEKLY)
     static_sources = {name: ScoreVector.read_tsv(path, name)
                       for name, path in static_paths.items()}
     epoch = _scored_epoch(out_dir)
-    stats = ingest.IngestStats()
-    graph = _graph(edges_path, counts_path, out_dir, stats)
+    graph = _graph(edges_path, counts_path, out_dir, ingest.IngestStats())
     clicks_table = evaluation.read_clicks(clicks_path)
 
     ds_stats: dict = {}
     global_records, weekly_records = evaluation.build_url_datasets(
-        _stream_events(events_path, out_dir, stats), clicks_table, graph, epoch, stats=ds_stats)
+        _stream_events(events_path, out_dir), clicks_table, graph, epoch, stats=ds_stats)
     if len(global_records) < 3:
         raise DataError(f"only {len(global_records)} qualified URLs; need at least 3")
     velocity_source = load_snapshots(snap_path)
@@ -483,7 +485,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                          default="mentions")
     p_score.add_argument("--epoch", help="ISO-8601 stream epoch / week anchor "
                                          "(default: first event, floored to the hour)")
-    p_score.add_argument("--error-ceiling", type=float, default=0.01,
+    p_score.add_argument("--error-ceiling", type=float, default=DEFAULT_ERROR_CEILING,
                          help="max tolerated record skip rate")
     p_score.set_defaults(func=cmd_score)
 
@@ -530,7 +532,9 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
             if args.config is not None:
-                defaults = load_config_file(_require_file(args.config, "config file"))
+                # flat key = value defaults; command-line flags win over these
+                defaults = {k: v for _, k, v in
+                            _config_lines(_require_file(args.config, "config file"))}
                 # a key of any command is fine: one file can configure a pipeline
                 known = {cmd: {a.dest: a for a in p._actions if a.dest != "help"}  # noqa: SLF001
                          for cmd, p in commands.items()}

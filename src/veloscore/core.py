@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 WEEK_HOURS = 168
 
@@ -26,6 +25,8 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 DEFAULT_DAMPING = 0.85
 DEFAULT_RETWEET_PROB = 0.05
+# `score`'s --error-ceiling default, and the ceiling where no such flag is given
+DEFAULT_ERROR_CEILING = 0.01
 
 
 class DataFileError(ValueError):
@@ -35,17 +36,25 @@ class DataFileError(ValueError):
         super().__init__(f"{path}:{lineno}: {problem}")
 
 
-@contextmanager
-def table_file(path) -> Iterator[TextIO]:
-    """``path`` open as UTF-8 text; bytes that are not UTF-8 raise a
-    DataFileError naming the first line that holds them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            pass
-        else:
-            return
+def table_rows(path, parse: Callable[[str], tuple],
+               comments: bool = False) -> Iterator[tuple[int, tuple]]:
+    """The number and ``parse(line)`` of each line of the table ``path``,
+    read as UTF-8 and stripped, but for blank lines and, with ``comments``,
+    lines that start with ``#``.  A ValueError from ``parse``, like bytes
+    that are not UTF-8, raises a DataFileError naming the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not (comments and line[0] == "#"):
+                    try:
+                        yield lineno, parse(line)
+                    except ValueError as exc:
+                        raise DataFileError(path, lineno, exc) from None
+    except UnicodeDecodeError:
+        pass
+    else:
+        return
     lineno = 0
     with open(path, "rb") as fh:  # the decoder reads ahead, so find the line afresh
         for lineno, raw in enumerate(fh, start=1):
@@ -177,27 +186,23 @@ def load_snapshots(path) -> VelocityHistory:
     users sorted.  Every line is checked, whichever hours are read later:
     the hour and the velocity must be >= 0, as ``score`` writes them; a
     user an hour does not list reads as velocity 0 at that hour."""
+    def parse(line):
+        h_s, user, v_s, a_s = line.split("\t")
+        h, v, a = int(h_s), float(v_s), float(a_s)  # a is checked, not kept
+        if not (math.isfinite(v) and math.isfinite(a)):
+            raise ValueError("velocity and acceleration must be finite")
+        if h < 0:
+            raise ValueError(f"hour {h} is before the epoch")
+        if v < 0:
+            raise ValueError(f"velocity {v_s} is negative")
+        return h, user, v
+
     rows: dict[int, dict[str, float]] = {}
-    with table_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                h_s, user, v_s, a_s = line.split("\t")
-                h, v, a = int(h_s), float(v_s), float(a_s)  # a is checked, not kept
-            except ValueError as exc:
-                raise DataFileError(path, lineno, exc) from None
-            if not (math.isfinite(v) and math.isfinite(a)):
-                raise DataFileError(path, lineno, "velocity and acceleration must be finite")
-            if h < 0:
-                raise DataFileError(path, lineno, f"hour {h} is before the epoch")
-            if v < 0:
-                raise DataFileError(path, lineno, f"velocity {v_s} is negative")
-            row = rows.setdefault(h, {})
-            if user in row:
-                raise DataFileError(path, lineno, f"user {user!r} is listed again at hour {h}")
-            row[user] = v
+    for lineno, (h, user, v) in table_rows(path, parse):
+        row = rows.setdefault(h, {})
+        if user in row:
+            raise DataFileError(path, lineno, f"user {user!r} is listed again at hour {h}")
+        row[user] = v
     users = sorted(set().union(*rows.values()))
     hours = sorted(rows)
     return VelocityHistory(users, [array("d", [rows[h].get(u, 0.0) for u in users])
@@ -236,22 +241,18 @@ class ScoreVector:
 
     @classmethod
     def read_tsv(cls, path, algorithm: str = "") -> "ScoreVector":
+        def parse(line):
+            u, s = line.split("\t")
+            value = float(s)
+            if not math.isfinite(value):
+                raise ValueError(f"score {s!r} is not finite")
+            return u, value
+
         scores: dict[str, float] = {}
-        with table_file(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    u, s = line.split("\t")
-                    value = float(s)
-                except ValueError as exc:
-                    raise DataFileError(path, lineno, exc) from None
-                if not math.isfinite(value):
-                    raise DataFileError(path, lineno, f"score {s!r} is not finite")
-                if u in scores:
-                    raise DataFileError(path, lineno, f"user {u!r} is listed again")
-                scores[u] = value
+        for lineno, (u, value) in table_rows(path, parse):
+            if u in scores:
+                raise DataFileError(path, lineno, f"user {u!r} is listed again")
+            scores[u] = value
         return cls(algorithm or "file", list(scores), list(scores.values()))
 
 

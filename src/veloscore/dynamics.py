@@ -27,13 +27,25 @@ from .core import MASS_MODES, load_snapshots, week_end_hour, write_snapshots  # 
 from .ingest import HourBucket, UserGraph
 
 
+def intake(bucket: HourBucket, hour: int, force_source: str,
+           ids: dict[str, int]) -> tuple[dict[str, int], list[int]]:
+    """The ``force_source`` force of ``bucket``, which must be hour ``hour``,
+    and the id in ``ids`` of each user it forces.  A user forced for the
+    first time gets the next id, so ids follow first force."""
+    if bucket.hour_index != hour:
+        raise ValueError(f"bucket hour {bucket.hour_index} is not contiguous: "
+                         f"expected hour {hour}")
+    force = bucket.retweet_force if force_source == "retweets" else bucket.force
+    return force, [ids.setdefault(u, len(ids)) for u in force]
+
+
 class ForceTable:
     """Sealed hours of force, added one bucket at a time, in compact form.
 
-    Every user who receives a mention or a retweet attribution gets a
-    provisional id, in order of first sight.  The ``force_source`` entries
-    of hour ``t`` are ``f_users``/``f_counts[indptr[t]:indptr[t + 1]]``, in
-    flat arrays.  ``total_force`` counts mention tokens, as
+    Users of the ``force_source`` force get ids by ``intake``.  The
+    entries of hour ``t`` are ``f_users``/``f_counts[indptr[t]:indptr[t + 1]]``,
+    in flat arrays.  ``total_force`` counts mention tokens and ``active``
+    holds every user who received a mention or a retweet attribution, as
     ``estimate_zeta`` needs whatever the force source.
     """
 
@@ -46,6 +58,7 @@ class ForceTable:
         self.f_users = array("q")
         self.f_counts = array("d")
         self.total_force = 0
+        self.active: set[str] = set()
 
     @classmethod
     def of(cls, buckets: Iterable[HourBucket], force_source: str) -> "ForceTable":
@@ -61,28 +74,23 @@ class ForceTable:
 
     def add(self, bucket: HourBucket) -> None:
         """Append the next hour; buckets must be contiguous from hour 0."""
-        if bucket.hour_index != self.hours:
-            raise ValueError(f"bucket sequence not contiguous at hour {bucket.hour_index}")
-        ids = self.ids
-        force, other = bucket.force, bucket.retweet_force
-        if self.force_source == "retweets":
-            force, other = other, force
-        self.f_users.extend([ids.setdefault(u, len(ids)) for u in force])
+        force, users = intake(bucket, self.hours, self.force_source, self.ids)
+        self.f_users.extend(users)
         self.f_counts.extend(map(float, force.values()))
-        for u in other:
-            ids.setdefault(u, len(ids))
         self.total_force += bucket.total_force
+        self.active.update(bucket.force, bucket.retweet_force)
         self.indptr.append(len(self.f_users))
 
 
 class KineticsEngine:
     """Incremental hour-by-hour velocity state.
 
-    Users enter the state when they first receive force; absent users are
-    velocity 0 by definition.  Mass is frozen from the graph at first
-    sight.  Besides the current state the engine keeps the velocities at
-    each week end, so it holds O(users x weeks) values, and it answers
-    only the current hour, a past week end or an hour before the epoch.
+    Users enter the state (``users``) when they first receive force, by
+    ``intake``; absent users are velocity 0 by definition.  Mass is frozen
+    from the graph at first sight.  Besides the current state the engine
+    keeps the velocities at each week end, so it holds O(users x weeks)
+    values, and it answers only the current hour, a past week end or an
+    hour before the epoch.
     """
 
     def __init__(self, cfg: KineticsConfig, graph: UserGraph):
@@ -90,7 +98,7 @@ class KineticsEngine:
         self.graph = graph
         self.users: list[str] = []
         self._idx: dict[str, int] = {}
-        self._mass = np.zeros(0, dtype=np.float64)
+        self._mass = array("d")
         self._v = np.zeros(0, dtype=np.float64)
         self._week_ends: dict[int, np.ndarray] = {}
         self._hour = -1
@@ -105,24 +113,16 @@ class KineticsEngine:
 
     def step_hour(self, bucket: HourBucket) -> None:
         """Advance state by one contiguous hour of force."""
-        if bucket.hour_index != self._hour + 1:
-            raise ValueError(
-                f"bucket hour {bucket.hour_index} is not contiguous "
-                f"(last processed {self._hour})"
-            )
-        force_map = bucket.retweet_force if self.cfg.force_source == "retweets" else bucket.force
-        new_users = sorted(u for u in force_map if u not in self._idx)
-        if new_users:  # registered in sorted order, with mass frozen now
-            masses = [self.cfg.mass_for(self.graph.followers_of(u)) for u in new_users]
-            for u in new_users:
-                self._idx[u] = len(self.users)
-                self.users.append(u)
-            self._mass = np.concatenate([self._mass, np.asarray(masses, dtype=np.float64)])
-            self._v = np.concatenate([self._v, np.zeros(len(new_users))])
+        force_map, idx = intake(bucket, self._hour + 1, self.cfg.force_source, self._idx)
+        known = len(self.users)
+        self.users.extend(u for u, i in zip(force_map, idx) if i >= known)
+        if len(self.users) > known:  # new users start at rest, with mass frozen now
+            self._mass.extend(self.cfg.mass_for(self.graph.followers_of(u))
+                              for u in self.users[known:])
+            self._v = np.concatenate((self._v, np.zeros(len(self.users) - known)))
         force = np.zeros(len(self.users))
-        for u, c in force_map.items():
-            force[self._idx[u]] = c
-        self._v = kernels.velocity_step(self._v, force, self._mass, self.cfg.zeta)
+        force[idx] = list(force_map.values())
+        self._v = kernels.velocity_step(self._v, force, np.frombuffer(self._mass), self.cfg.zeta)
         self._hour += 1
         if (self._hour + 1) % WEEK_HOURS == 0:
             self._week_ends[self._hour] = self._v  # the state is replaced, never written in place
@@ -173,22 +173,18 @@ def replay(table: ForceTable, cfg: KineticsConfig, graph: UserGraph,
     if rows and not 0 <= rows[0] <= rows[-1] < table.hours:
         bad = rows[0] if rows[0] < 0 else rows[-1]
         raise ValueError(f"cannot checkpoint hour {bad} of a {table.hours}-hour stream")
-    names = list(table.ids)
-    f_users = np.frombuffer(table.f_users, dtype=np.int64)
-    forced = np.zeros(len(names), dtype=bool)
-    forced[f_users] = True
-    order = sorted(np.flatnonzero(forced).tolist(), key=names.__getitem__)
-    mass = np.array([cfg.mass_for(graph.followers_of(u)) for u in names], dtype=np.float64)
+    users = sorted(table.ids)
+    mass = np.array([cfg.mass_for(graph.followers_of(u)) for u in table.ids], dtype=np.float64)
     matrix = kernels.velocity_replay(
         np.frombuffer(table.indptr, dtype=np.int64),
-        f_users,
+        np.frombuffer(table.f_users, dtype=np.int64),
         np.frombuffer(table.f_counts, dtype=np.float64),
         mass,
         float(cfg.zeta),
-        len(names),
+        len(table.ids),
         rows,
     )
-    return VelocityHistory([names[i] for i in order], matrix[:, order], rows)
+    return VelocityHistory(users, matrix[:, [table.ids[u] for u in users]], rows)
 
 
 def estimate_zeta(table: ForceTable, graph: UserGraph) -> float:
@@ -202,7 +198,7 @@ def estimate_zeta(table: ForceTable, graph: UserGraph) -> float:
         raise ValueError("cannot estimate damping on an empty graph")
     if table.hours == 0:
         raise ValueError("cannot estimate damping with zero hours")
-    total, active = table.total_force, len(table.ids)
+    total, active = table.total_force, len(table.active)
     if total == 0 or not active:
         return 0.0
     mean_followers = graph.mean_followers()

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .core import AUDIENCE, WEEK_HOURS, DataFileError, table_file, week_end_hour
+from .core import AUDIENCE, WEEK_HOURS, DataFileError, table_rows, week_end_hour
 from .ingest import StreamDigest, UserGraph, floor_to_hour, hours_since
 
 @dataclass(frozen=True)
@@ -41,22 +41,18 @@ class CorrelationReport:
 
 def read_clicks(path) -> dict[str, int]:
     """Load a url<TAB>clicks table; a count must be a non-negative integer."""
+    def parse(line):
+        url, clicks = line.split("\t")
+        count = int(clicks)
+        if count < 0:
+            raise ValueError(f"negative click count {count}")
+        return url, count
+
     table: dict[str, int] = {}
-    with table_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                url, clicks = line.split("\t")
-                count = int(clicks)
-            except ValueError as exc:
-                raise DataFileError(path, lineno, exc) from None
-            if count < 0:
-                raise DataFileError(path, lineno, f"negative click count {count}")
-            if url in table:
-                raise DataFileError(path, lineno, f"url {url!r} is listed again")
-            table[url] = count
+    for lineno, (url, count) in table_rows(path, parse, comments=True):
+        if url in table:
+            raise DataFileError(path, lineno, f"url {url!r} is listed again")
+        table[url] = count
     return table
 
 

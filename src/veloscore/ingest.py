@@ -22,7 +22,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .core import DataFileError, table_file  # noqa: F401  (re-exported)
+from .core import DataFileError  # noqa: F401  (re-exported)
 
 HOUR_SECONDS = 3600.0
 WINDOW_HOURS = 1  # hours an event may lag the newest one seen and still be bucketed

@@ -253,14 +253,18 @@ class TestTrend:
                                         ("trend", "--out", scored, "--week", "0"), flag, value)
 
     def test_failed_trend_removes_stale_trending(self, dataset, tmp_path):
+        """`trend` writes `trending.tsv` and its run record, and a failed
+        `trend` leaves neither."""
         out = tmp_path / "out"
+        outputs = (out / "trending.tsv", out / "run_config_trend.txt")
         assert run(*score_args(dataset, out)) == EXIT_OK
-        assert run("trend", "--out", out, "--week", "0") == EXIT_OK
+        assert run("trend", "--out", out, "--week", "0", "--top-k", "3") == EXIT_OK
+        assert "top_k = 3\nweek = 0\n" in outputs[1].read_text()
         # a bad flag fails before anything is touched
         assert run("trend", "--out", out, "--week", "0", "--top-k", "0") == EXIT_USAGE
-        assert (out / "trending.tsv").is_file()
+        assert all(p.is_file() for p in outputs)
         assert run("trend", "--out", out, "--week", "9") == EXIT_USAGE
-        assert not (out / "trending.tsv").exists()
+        assert not any(p.exists() for p in outputs)
 
     def test_empty_result_exits_zero(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -600,11 +604,12 @@ class TestEval:
             assert "--epoch" in capsys.readouterr().err
         assert hash_dir(scored) == before
 
-    @pytest.mark.parametrize("bad_line", ["garbage line", "resolved_epoch = yesterday"])
+    @pytest.mark.parametrize("bad_line", ["garbage line", "resolved_epoch = yesterday",
+                                          "resolved_zeta = 0.5"])
     def test_damaged_score_record_exit_data(self, dataset, tmp_path, capsys, bad_line):
         """`eval` reads its epoch from `run_config_score.txt`, so a line there
-        that is not key = value, or a resolved_epoch that is no instant, is
-        a data error naming the file and the line."""
+        that is not key = value or repeats a key, or a resolved_epoch that is
+        no instant, is a data error naming the file and the line."""
         out = tmp_path / "out"
         self.prepare(dataset, out)
         record = out / "run_config_score.txt"
@@ -645,6 +650,19 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")
         assert run(*score_args(dataset, tmp_path / "o"), "--config", cfg) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", ["zeta = 0\nzeta = 0.5\n",
+                                      "top-k = 1\ntop_k = 2\n",
+                                      "burst = u00001:0:10:2.0\nburst = u00002:0:5:1.0\n"])
+    def test_repeated_key_exit_usage(self, dataset, tmp_path, capsys, text):
+        """A key set twice is an error naming the line of the second, as a
+        key listed twice in any other table is; no line silently wins."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# defaults\n" + text)
+        capsys.readouterr()
+        assert run(*score_args(dataset, tmp_path / "o"), "--config", cfg) == EXIT_USAGE
+        assert f"{cfg}:3: key " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("spelling", ["--config=FILE", "--conf FILE"])
     def test_every_spelling_of_config_is_read(self, scored, tmp_path, capsys, spelling):
@@ -769,6 +787,38 @@ class TestSynthCommand:
                    "--out", tmp_path / "o") == EXIT_USAGE
         assert "must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["centrality", "eval"])
+def test_parsing_anew_holds_the_skip_ceiling(dataset, scored, tmp_path, capsys, command):
+    """With no stream digest to read, `centrality` and `eval` parse --events
+    themselves and hold the records they skip to `score`'s default ceiling."""
+    records = (dataset / "events.ndjson").read_text().splitlines()
+    few = tmp_path / "few.ndjson"
+    few.write_text("\n".join(["garbage", *records]) + "\n")
+    dirty = tmp_path / "dirty.ndjson"
+    dirty.write_text("".join(f"{line}\ngarbage\n" for line in records))
+
+    def run_on(events):
+        out = tmp_path / f"out_{events.stem}"
+        out.mkdir()
+        for name in ("snapshots.tsv", "run_config_score.txt", *SCORE_FILES):
+            shutil.copy(scored / name, out / name)
+        argv = {"centrality": ("centrality", "--algorithm", "ip", "--edges",
+                               dataset / "edges.tsv", "--events", events, "--out", out),
+                "eval": ("eval", "--events", events, "--edges", dataset / "edges.tsv",
+                         "--clicks", dataset / "clicks.tsv", "--out", out)}[command]
+        capsys.readouterr()
+        return run(*argv), capsys.readouterr()
+
+    code, captured = run_on(few)
+    assert code == EXIT_OK
+    assert captured.out.splitlines()[0] == f"skipped 1/{len(records) + 1} records"
+    code, captured = run_on(dirty)
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert captured.err == (f"veloscore: data error: skipped {len(records)}/{2 * len(records)}"
+                            f" records (50.00%) exceeds ceiling 1.00%\n")
 
 
 def test_readme_cli_flags_are_options():

@@ -175,6 +175,50 @@ class TestEstimateZeta:
         assert estimate_zeta(mention_table(buckets), g) == pytest.approx(expected, rel=1e-12)
 
 
+class TestIntake:
+    """``intake`` picks the force and gives ids for the table and the engine alike."""
+
+    # b has only retweet attributions and c only mentions, so each force
+    # source leaves out a user whom the other one forces
+    BUCKETS = [HourBucket(0, {"c": 1, "a": 2}, {"b": 1}),
+               HourBucket(1, {"a": 1, "d": 3}, {"b": 2, "a": 1})]
+    FIRST_FORCED = {"mentions": ["c", "a", "d"], "retweets": ["b", "a"]}
+
+    @pytest.mark.parametrize("source", FORCE_SOURCES)
+    def test_only_users_of_the_chosen_force_are_tracked(self, source):
+        graph = graph_with_counts({"a": 10, "b": 20, "c": 30})
+        cfg = KineticsConfig(zeta=0.01, force_source=source)
+        table = ForceTable.of(self.BUCKETS, source)
+        forced = self.FIRST_FORCED[source]
+        assert list(table.ids) == forced
+        assert table.active == {"a", "b", "c", "d"}
+        assert replay(table, cfg, graph, [0, 1]).users == sorted(forced)
+        engine = run_engine(cfg, graph, self.BUCKETS)
+        assert engine.users == forced
+        assert engine.tracked_users == sorted(forced)
+        users, dense = velocity_oracle(self.BUCKETS, cfg, graph)
+        assert {u: engine.velocity_at(u, 1) for u in users} == dense[1]
+
+    @pytest.mark.parametrize("source", FORCE_SOURCES)
+    def test_zeta_counts_every_mentioned_or_retweeted_user(self, source):
+        graph = graph_with_counts({"a": 10, "b": 20, "c": 30})
+        # 7 mention tokens over 2 hours and 4 active users
+        assert estimate_zeta(ForceTable.of(self.BUCKETS, source), graph) == \
+            (7 / (2 * 4)) / graph.mean_followers()
+
+    def test_table_and_engine_name_a_gap_alike(self):
+        messages = []
+        for add in (ForceTable("mentions").add,
+                    KineticsEngine(KineticsConfig(), graph_with_counts({"a": 1})).step_hour):
+            add(HourBucket(0, {"a": 1}))
+            for bad in (HourBucket(0), HourBucket(2)):
+                with pytest.raises(ValueError) as err:
+                    add(bad)
+                messages.append(str(err.value))
+        assert messages == ["bucket hour 0 is not contiguous: expected hour 1",
+                            "bucket hour 2 is not contiguous: expected hour 1"] * 2
+
+
 class TestInvariants:
     def test_non_negative_everywhere(self):
         g, buckets = random_fixture(1, hours=80)

@@ -7,7 +7,8 @@ import pytest
 
 from pipeline_helpers import run, run_pipeline
 from veloscore.cli import EXIT_DATA, EXIT_OK
-from veloscore.ingest import DataFileError, IngestStats, load_graph, read_events_file, table_file
+from veloscore.core import table_rows
+from veloscore.ingest import DataFileError, IngestStats, load_graph, read_events_file
 from veloscore.synth import SynthConfig, generate
 
 BAD_EVENTS = [
@@ -97,6 +98,5 @@ def test_table_line_named_past_the_decoders_read_ahead(tmp_path):
     path = tmp_path / "table.tsv"
     path.write_bytes(b"a\t1\n" * 5000 + b"caf\xe9\t1\n" + b"b\t2\n" * 10)
     with pytest.raises(DataFileError, match=r":5001: not valid UTF-8"):
-        with table_file(path) as fh:
-            for _ in fh:
-                pass
+        for _ in table_rows(path, str.split):
+            pass
