@@ -11,7 +11,9 @@ zero-iteration baselines.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import kernels
@@ -41,12 +43,12 @@ def _iterated(algorithm: str, users: list[str], values: np.ndarray, history: lis
     )
 
 
-def _out_degree(graph: UserGraph) -> np.ndarray:
-    """Each user's followee count.  The edge keys are sorted, so follower i's
-    edges are the run of keys in [i * n, (i + 1) * n), and ``np.repeat(x,
-    out_degree)`` spreads a value per follower over the follower's edges."""
+def _offsets(graph: UserGraph) -> np.ndarray:
+    """Where each follower's run of edges starts, then the edge count, so
+    ``np.diff`` of it is each user's followee count.  The edge keys are
+    sorted, so follower i's edges are the run of keys in [i * n, (i + 1) * n)."""
     keys = np.frombuffer(graph.edge_keys, dtype=np.int64)  # a view, not a copy
-    return np.diff(np.searchsorted(keys, np.arange(graph.n + 1, dtype=np.int64) * graph.n))
+    return np.searchsorted(keys, np.arange(graph.n + 1, dtype=np.int64) * graph.n)
 
 
 def _followees(graph: UserGraph) -> np.ndarray:
@@ -70,12 +72,13 @@ def pagerank(
         raise ValueError(f"damping must be in (0, 1), got {damping}")
     _check_iteration(tol, max_iter)
     n, damping = graph.n, float(damping)
-    out_deg, dst = _out_degree(graph), _followees(graph)
+    offsets, dst = _offsets(graph), _followees(graph)
+    out_deg = np.diff(offsets)
     dangling = out_deg == 0
     inv_out = np.zeros(n)
     inv_out[~dangling] = 1.0 / out_deg[~dangling]
     scores, history = kernels.fixed_point(
-        lambda r: kernels.pagerank_kernel(r, out_deg, dst, inv_out, dangling, n, damping),
+        lambda r: kernels.pagerank_kernel(r, offsets, dst, inv_out, dangling, n, damping),
         np.full(n, 1.0 / n), float(tol), int(max_iter),
     )
     return _iterated("pagerank", graph.users, scores, history, tol)
@@ -96,14 +99,13 @@ def tunkrank(
         raise ValueError(f"retweet_prob must be in [0, 1], got {retweet_prob}")
     _check_iteration(tol, max_iter)
     n, p = graph.n, float(retweet_prob)
-    out_deg, dst = _out_degree(graph), _followees(graph)
-    safe_out = np.maximum(out_deg, 1)
+    offsets, dst = _offsets(graph), _followees(graph)
+    safe_out = np.maximum(np.diff(offsets), 1)
     raw, history = kernels.fixed_point(
-        lambda score: kernels.tunkrank_kernel(score, out_deg, dst, safe_out, p, n),
+        lambda score: kernels.tunkrank_kernel(score, offsets, dst, safe_out, p, n),
         np.zeros(n), float(tol), int(max_iter),
     )
     total = raw.sum()
-    # with no edges, bincount's sums (so every raw score) are int64 zeros
     scores = raw / total if total > 0 else np.zeros(n)
     return _iterated("tunkrank", graph.users, scores, history, tol)
 
@@ -136,44 +138,48 @@ def build_retweet_graph(digest: StreamDigest, graph: UserGraph) -> RetweetGraph:
     attributions.
 
     Pairs without a follow edge are dropped and counted; a followee with
-    no authored events in the window yields no edge.
+    no authored events in the window yields no edge.  Users and edges come
+    in name order, as ``graph.users`` does.
     """
-    authored = digest.authored
-    pairs = sorted(((a, b), cnt) for a, counts in digest.retweets.items()
-                   for b, cnt in counts.items())
-
-    # follow edge i -> j as the key i * n + j, increasing (see UserGraph);
-    # -1 for a pair with a user off the graph
-    n = graph.n
-    follow_keys = np.frombuffer(graph.edge_keys, dtype=np.int64)
-    ij = [(graph.index(a), graph.index(b)) for (a, b), _ in pairs]
-    keys = np.array([-1 if i is None or j is None else i * n + j for i, j in ij], dtype=np.int64)
-    pos = np.searchsorted(follow_keys, keys)
-    inside = pos < follow_keys.size  # a key past the last edge has none to match
-    followed = np.zeros(keys.size, dtype=bool)
-    followed[inside] = follow_keys[pos[inside]] == keys[inside]
-
-    incident: set[str] = set()
-    kept: list[tuple[str, str, float]] = []
+    # one pass over the pairs: the follow key i * n + j of each pair on the
+    # graph (see UserGraph), its count and the followee's authored events
+    n, index, authored = graph.n, graph.index, digest.authored
+    keys, counts, opportunities = array("q"), array("q"), array("q")
     dropped = 0
-    for ((i_user, j_user), cnt), follows in zip(pairs, followed):
-        if not follows:
-            dropped += 1
+    for a, targets in digest.retweets.items():
+        i = index(a)
+        if i is None:
+            dropped += len(targets)
             continue
-        opportunities = authored.get(j_user, 0)
-        if opportunities == 0:
-            continue
-        weight = min(1.0, cnt / opportunities)
-        kept.append((i_user, j_user, weight))
-        incident.add(i_user)
-        incident.add(j_user)
+        for b, cnt in targets.items():
+            j = index(b)
+            if j is None:
+                dropped += 1
+                continue
+            keys.append(i * n + j)
+            counts.append(cnt)
+            opportunities.append(authored.get(b, 0))
 
-    users = sorted(incident)
-    idx = {u: i for i, u in enumerate(users)}
-    src = np.array([idx[a] for a, _, _ in kept], dtype=np.int64)
-    dst = np.array([idx[b] for _, b, _ in kept], dtype=np.int64)
-    weights = np.array([w for _, _, w in kept], dtype=np.float64)
-    return RetweetGraph(users, src, dst, weights, dropped_no_follow=dropped)
+    keys = np.frombuffer(keys, dtype=np.int64)
+    order = np.argsort(keys)  # the keys are unique: the digest holds each pair once
+    keys = keys[order]
+    follow_keys = np.frombuffer(graph.edge_keys, dtype=np.int64)
+    pos = np.searchsorted(follow_keys, keys)
+    followed = pos < follow_keys.size  # a key past the last edge has none to match
+    followed[followed] = follow_keys[pos[followed]] == keys[followed]
+    dropped += keys.size - int(np.count_nonzero(followed))
+    opportunities = np.frombuffer(opportunities, dtype=np.int64)[order]
+    kept = followed & (opportunities > 0)
+    weights = np.minimum(1.0, np.frombuffer(counts, dtype=np.int64)[order][kept]
+                         / opportunities[kept])
+    src, dst = np.divmod(keys[kept], max(n, 1))
+    incident = np.zeros(n, dtype=bool)
+    incident[src] = True
+    incident[dst] = True
+    ids = np.flatnonzero(incident)  # graph indices follow name order, as users do
+    users = [graph.users[k] for k in ids.tolist()]
+    return RetweetGraph(users, np.searchsorted(ids, src), np.searchsorted(ids, dst), weights,
+                        dropped_no_follow=dropped)
 
 
 def influence_passivity(
@@ -215,6 +221,6 @@ def followers_score(graph: UserGraph) -> ScoreVector:
 def ratio_score(graph: UserGraph) -> ScoreVector:
     """Followers/followees ratio; a user following nobody keeps a
     denominator of 1 so the score stays finite."""
-    out_deg = np.maximum(_out_degree(graph), 1)
+    out_deg = np.maximum(np.diff(_offsets(graph)), 1)
     values = np.frombuffer(graph.follower_count, dtype=np.int64) / out_deg
     return ScoreVector("ratio", list(graph.users), values.tolist())

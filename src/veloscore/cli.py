@@ -179,15 +179,16 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
     return graph
 
 
-def _stream_events(events_path: Path, out_dir: Path):
-    """The digest `score` wrote under ``out_dir`` if it matches the events
-    file's current content, else the digest of the file, parsed anew: held
-    to `score`'s default ceiling on skipped records, and their count printed
-    if there are any."""
+def _stream_events(events_path: Path, out_dir: Path, rows: tuple[str, ...]):
+    """The digest `score` wrote under ``out_dir``, with only its ``rows``
+    kinds read, if it matches the events file's current content; else the
+    digest of the file, parsed anew: held to `score`'s default ceiling on
+    skipped records, and their count printed if there are any."""
     from . import ingest
 
     path = out_dir / STREAM_DIGEST_FILE
-    digest = ingest.StreamDigest.load(path, _keyed(events_path)[0]) if path.is_file() else None
+    digest = ingest.StreamDigest.load(path, _keyed(events_path)[0], rows) \
+        if path.is_file() else None
     if digest is None:
         stats = ingest.IngestStats()
         digest = ingest.StreamDigest.of(ingest.read_events_file(events_path, stats))
@@ -323,6 +324,9 @@ def cmd_score(args) -> int:
     _write_run_config(out_dir, args, resolved)
     print(f"tracked {len(history.users)} users over {final + 1} hours; "
           f"skipped {stats.skipped}/{stats.records} records; zeta={zeta:g}")
+    if stats.bad_graph_lines or stats.self_loops_dropped or stats.duplicate_edges:
+        print(f"graph: skipped {stats.bad_graph_lines} bad lines, "
+              f"{stats.self_loops_dropped} self-loops, {stats.duplicate_edges} duplicate edges")
     return EXIT_OK
 
 
@@ -377,8 +381,8 @@ def cmd_centrality(args) -> int:
     if graph.n == 0:
         raise DataError("graph is empty")
 
-    rg = centrality.build_retweet_graph(_stream_events(events_path, out_dir), graph) \
-        if streamed else None
+    rg = centrality.build_retweet_graph(
+        _stream_events(events_path, out_dir, ("author", "retweet")), graph) if streamed else None
     try:
         vectors = [sv for scorer in chosen.values()
                    for sv in scorer.run(centrality, graph, rg, args)]
@@ -416,7 +420,8 @@ def cmd_eval(args) -> int:
 
     ds_stats: dict = {}
     global_records, weekly_records = evaluation.build_url_datasets(
-        _stream_events(events_path, out_dir), clicks_table, graph, epoch, stats=ds_stats)
+        _stream_events(events_path, out_dir, ("first", "url")), clicks_table, graph, epoch,
+        stats=ds_stats)
     if len(global_records) < 3:
         raise DataError(f"only {len(global_records)} qualified URLs; need at least 3")
     velocity_source = load_snapshots(snap_path)

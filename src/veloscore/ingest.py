@@ -356,6 +356,9 @@ def read_framed(path, magic: str, version: int, key: list) -> Iterator:
 
 
 _DIGEST_MAGIC = "veloscore stream digest"
+# the digest's row kinds: the first event's time, each author's event
+# count, each retweet pair's count and each URL occurrence
+DIGEST_ROWS = ("first", "author", "retweet", "url")
 # Bump whenever the parser changes what it yields, so older digests are re-parsed.
 _DIGEST_VERSION = 1
 
@@ -420,9 +423,11 @@ class StreamDigest:
             yield ["url", url, author, ts.isoformat()]
 
     @classmethod
-    def load(cls, path, key: list) -> Optional["StreamDigest"]:
+    def load(cls, path, key: list,
+             rows: tuple[str, ...] = DIGEST_ROWS) -> Optional["StreamDigest"]:
         """The digest at ``path`` if it is whole and its header key equals
-        ``key``; None otherwise."""
+        ``key``; None otherwise.  Only the row kinds named in ``rows`` are
+        kept: the others are checked, but their fields stay empty."""
         digest = cls()
         names: dict[str, str] = {}  # one str object per handle, as the parser keeps them
         name = names.setdefault
@@ -430,7 +435,10 @@ class StreamDigest:
         try:
             for row in read_framed(path, _DIGEST_MAGIC, _DIGEST_VERSION, key):
                 tag = row[0]
-                if tag == "url":
+                if tag not in rows:
+                    if tag not in DIGEST_ROWS:  # an unknown row, or a trailer that is not last
+                        return None
+                elif tag == "url":
                     if row[3] != ts_raw:
                         ts_raw, ts = row[3], datetime.fromisoformat(row[3])
                     digest.urls.append((row[1], name(row[2], row[2]), ts))
@@ -439,10 +447,8 @@ class StreamDigest:
                     counts[name(row[2], row[2])] = row[3]
                 elif tag == "author":
                     digest.authored[name(row[1], row[1])] = row[2]
-                elif tag == "first":
+                else:
                     digest.first_ts = datetime.fromisoformat(row[1])
-                else:  # an unknown row, or a trailer that is not the last line
-                    return None
         except (OSError, ValueError, TypeError, LookupError, RecursionError):
             return None
         return digest

@@ -62,16 +62,42 @@ def fixed_point(step, state, tol, max_iter):
 
 
 # ---------------------------------------------------------------------------
+# follower values summed over follower -> followee edges, for the two below
+# ---------------------------------------------------------------------------
+
+# edges per np.add.at call in edge_sum: bounds its per-edge temporaries
+_CHUNK = 1 << 16
+
+
+def edge_sum(values, offsets, dst, n):
+    """The sum over the edges into each of ``n`` users of the follower's
+    entry in ``values``.  The edges come in runs by follower, follower i's
+    in ``offsets[i]:offsets[i + 1]``, and ``dst`` holds each edge's
+    followee (intp: ``np.add.at`` is slow with int32 indices).
+
+    Adds one ``_CHUNK`` of edges at a time into one output, in edge order,
+    which gives the bits of ``np.bincount(dst, weights=np.repeat(values,
+    np.diff(offsets)), minlength=n)`` without an array of every edge."""
+    out = np.zeros(n)
+    for lo in range(0, dst.size, _CHUNK):
+        hi = min(lo + _CHUNK, dst.size)
+        # followers first..last - 1 hold edges lo..hi - 1
+        first = int(np.searchsorted(offsets, lo, "right")) - 1
+        last = int(np.searchsorted(offsets, hi, "left"))
+        runs = np.diff(np.clip(offsets[first:last + 1], lo, hi))
+        np.add.at(out, dst[lo:hi], np.repeat(values[first:last], runs))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # PageRank power iteration over follower -> followee edges
 # ---------------------------------------------------------------------------
 
-def pagerank_kernel(r, out_deg, dst, inv_out, dangling, n, damping):
-    """One round: (new scores, L1 change).  The edges come in runs by
-    follower, ``out_deg[i]`` edges for follower i, and ``dst`` holds each
-    edge's followee.  ``inv_out`` is 1/out-degree, 0 for a dangling user,
+def pagerank_kernel(r, offsets, dst, inv_out, dangling, n, damping):
+    """One round: (new scores, L1 change).  The edges are laid out as for
+    ``edge_sum``.  ``inv_out`` is 1/out-degree, 0 for a dangling user,
     whose mass is spread uniformly."""
-    contrib = r * inv_out
-    new = np.bincount(dst, weights=np.repeat(contrib, out_deg), minlength=n)
+    new = edge_sum(r * inv_out, offsets, dst, n)
     dmass = r[dangling].sum()
     new = (1.0 - damping) / n + damping * (new + dmass / n)
     return new, np.abs(new - r).sum()
@@ -81,12 +107,10 @@ def pagerank_kernel(r, out_deg, dst, inv_out, dangling, n, damping):
 # TunkRank fixed point: I(u) = sum over followers f of (1 + p*I(f)) / out(f)
 # ---------------------------------------------------------------------------
 
-def tunkrank_kernel(score, out_deg, dst, safe_out, p, n):
+def tunkrank_kernel(score, offsets, dst, safe_out, p, n):
     """One round: (new raw scores, L1 change).  The edges are laid out as
-    for ``pagerank_kernel``; ``safe_out`` is the out-degree with 0 raised
-    to 1."""
-    contrib = (1.0 + p * score) / safe_out
-    new = np.bincount(dst, weights=np.repeat(contrib, out_deg), minlength=n)
+    for ``edge_sum``; ``safe_out`` is the out-degree with 0 raised to 1."""
+    new = edge_sum((1.0 + p * score) / safe_out, offsets, dst, n)
     return new, np.abs(new - score).sum()
 
 

@@ -1,7 +1,8 @@
 """Independent dense oracles: the velocity law run per user in plain
 Python, plain matrix iterations for the centrality scorers over small
-adjacency and weight matrices, and the graphs the scorers take built from
-those matrices or from name pairs."""
+adjacency and weight matrices, the retweet graph built one pair at a
+time, and the graphs the scorers take built from those matrices or from
+name pairs."""
 
 from array import array
 from typing import Iterable, Optional
@@ -129,3 +130,33 @@ def rg_from_matrix(weight, mask):
                 w.append(weight[i, j])
     return RetweetGraph(names, np.array(src, dtype=np.int64),
                         np.array(dst, dtype=np.int64), np.array(w))
+
+
+def reference_retweet_graph(digest, graph) -> RetweetGraph:
+    """The retweet graph of ``digest`` on ``graph``, one sorted name pair at
+    a time: a pair is kept when the follow edge exists and the followee
+    authored an event, with weight ``min(1.0, count / authored)``; a pair
+    without a follow edge is counted as dropped.  Users are the names on a
+    kept edge, sorted."""
+    pairs = sorted(((a, b), cnt) for a, counts in digest.retweets.items()
+                   for b, cnt in counts.items())
+    follows = set(graph.edge_keys)  # follow edge i -> j as the key i * n + j
+    incident: set[str] = set()
+    kept: list[tuple[str, str, float]] = []
+    dropped = 0
+    for (a, b), cnt in pairs:
+        i, j = graph.index(a), graph.index(b)
+        if i is None or j is None or i * graph.n + j not in follows:
+            dropped += 1
+            continue
+        opportunities = digest.authored.get(b, 0)
+        if opportunities == 0:
+            continue
+        kept.append((a, b, min(1.0, cnt / opportunities)))
+        incident.update((a, b))
+    users = sorted(incident)
+    idx = {u: k for k, u in enumerate(users)}
+    return RetweetGraph(users, np.array([idx[a] for a, _, _ in kept], dtype=np.int64),
+                        np.array([idx[b] for _, b, _ in kept], dtype=np.int64),
+                        np.array([w for _, _, w in kept], dtype=np.float64),
+                        dropped_no_follow=dropped)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -13,7 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracles import (dense_ip, dense_pagerank, dense_tunkrank, graph_from_adj,
-                           graph_from_edges, rg_from_matrix)
+                           graph_from_edges, reference_retweet_graph, rg_from_matrix)
+from veloscore import kernels
 from veloscore.centrality import (
     DEFAULT_TOL,
     RetweetGraph,
@@ -239,7 +241,53 @@ def test_convergence_record_matches_residual_history(scorer, budget, converges):
         assert sv.converged == (sv.residual <= tol) == converges
 
 
+def follow_graph(users, followers, per_follower, seed):
+    """The first ``followers`` of ``users`` names each follow ``per_follower``
+    others drawn from the first nine tenths, and one of them follows all of
+    those: the rest follow nobody, and the last tenth has no follower."""
+    rng = random.Random(seed)
+    names = [f"u{i:05d}" for i in range(users)]
+    followed = names[:users * 9 // 10]
+    pairs = {(a, b) for a in names[:followers] for b in rng.sample(followed, per_follower)}
+    pairs |= {(names[1], b) for b in followed}
+    return graph_from_edges({(a, b) for a, b in pairs if a != b},
+                            overrides={u: 0 for u in names[users * 9 // 10:]})
+
+
+EDGE_SUM_GRAPHS = {
+    "past-one-chunk": lambda: follow_graph(1200, 800, 90, 4),
+    "small": lambda: follow_graph(120, 60, 12, 5),
+    "edgeless": lambda: graph_from_edges(set(), overrides={"a": 0, "b": 0, "c": 0}),
+}
+
+
+def bincount_edge_sum(values, offsets, dst, n):
+    """The edge sum through one weights array of every edge.  With no edge,
+    ``np.bincount`` gives int64 zeros."""
+    return np.bincount(dst, weights=np.repeat(values, np.diff(offsets)), minlength=n)
+
+
+@pytest.mark.parametrize("graph, chunk", [("past-one-chunk", kernels._CHUNK),
+                                          ("small", 1), ("small", 7), ("small", 64),
+                                          ("edgeless", kernels._CHUNK)])
+def test_chunked_edge_sum_gives_bincount_bits(monkeypatch, graph, chunk):
+    """PageRank and TunkRank give the same bits with the chunked edge sum as
+    with one ``np.bincount`` over every edge: the chunks add in edge order
+    into one output, whatever the chunk size and wherever a follower's run
+    of edges is cut."""
+    g = EDGE_SUM_GRAPHS[graph]()
+    if graph == "past-one-chunk":
+        assert g.edge_count > chunk
+    monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    chunked = [pagerank(g), tunkrank(g)]
+    monkeypatch.setattr(kernels, "edge_sum", bincount_edge_sum)
+    for got, want in zip(chunked, [pagerank(g), tunkrank(g)]):
+        assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
+        assert got.residual_history == want.residual_history
+
+
 RT_USERS = ["a", "b", "c", "d"]
+OFF_GRAPH = ["Z", "ghost"]  # "Z" sorts before every graph user, "ghost" among them
 
 
 def make_event(author, text, hour=0):
@@ -291,19 +339,31 @@ class TestBuildRetweetGraph:
 
     @given(follows=st.sets(st.tuples(st.sampled_from(RT_USERS), st.sampled_from(RT_USERS))),
            override_only=st.sets(st.sampled_from(RT_USERS)),
-           retweets=st.dictionaries(st.tuples(st.sampled_from(RT_USERS + ["ghost"]),
-                                              st.sampled_from(RT_USERS + ["ghost"])),
-                                    st.integers(1, 5), max_size=12),
-           authored=st.dictionaries(st.sampled_from(RT_USERS + ["ghost"]), st.integers(0, 4)))
+           retweets=st.dictionaries(st.tuples(st.sampled_from(RT_USERS + OFF_GRAPH),
+                                              st.sampled_from(RT_USERS + OFF_GRAPH)),
+                                    st.integers(1, 9), max_size=16),
+           authored=st.dictionaries(st.sampled_from(RT_USERS + OFF_GRAPH), st.integers(0, 4)))
     # only override users and no edge
     @example(follows=set(), override_only={"a", "b"}, retweets={("a", "b"): 1},
              authored={"b": 1})
     # b -> a is keyed past the last follow edge, a -> b
     @example(follows={("a", "b")}, override_only=set(), retweets={("b", "a"): 1, ("a", "b"): 2},
              authored={"a": 3, "b": 1})
-    @settings(max_examples=200, deadline=None)
+    # users off the graph, on either side of a pair
+    @example(follows={("a", "b")}, override_only=set(),
+             retweets={("Z", "a"): 1, ("a", "ghost"): 2, ("a", "b"): 1},
+             authored={"a": 1, "b": 1, "ghost": 3})
+    # a followee with no authored event, and a count above the authored count
+    @example(follows={("a", "b"), ("a", "c")}, override_only=set(),
+             retweets={("a", "b"): 2, ("a", "c"): 7}, authored={"b": 0, "c": 2})
+    # no pair is kept
+    @example(follows={("a", "b")}, override_only={"c"},
+             retweets={("b", "a"): 2, ("a", "b"): 1, ("c", "a"): 1}, authored={"a": 1})
+    @settings(max_examples=300, deadline=None)
     def test_kept_and_dropped_match_set_oracle(self, follows, override_only, retweets,
                                                authored):
+        """The kept pairs and weights match a set of name pairs, and every
+        field matches the per-pair reference build, weights bit for bit."""
         follows = {(a, b) for a, b in follows if a != b}
         g = graph_from_edges(follows, overrides={u: 0 for u in override_only})
         digest = StreamDigest(authored=dict(authored))
@@ -315,6 +375,13 @@ class TestBuildRetweetGraph:
         got = {(rg.users[s], rg.users[d]): w for s, d, w in zip(rg.src, rg.dst, rg.weights)}
         assert got == expected
         assert rg.dropped_no_follow == sum(1 for pair in retweets if pair not in follows)
+        ref = reference_retweet_graph(digest, g)
+        assert rg.users == ref.users and rg.dropped_no_follow == ref.dropped_no_follow
+        for field, want in ((rg.src, ref.src), (rg.dst, ref.dst), (rg.weights, ref.weights)):
+            assert field.dtype == want.dtype and field.tobytes() == want.tobytes()
+        if not expected:
+            with pytest.raises(ValueError, match="no edges"):
+                influence_passivity(rg)
 
     def test_weight_clamped_to_one(self):
         g = graph_from_edges({("i", "j")})
@@ -322,6 +389,30 @@ class TestBuildRetweetGraph:
         events.append(make_event("j", "only post"))
         rg = build_retweet_graph(StreamDigest.of(events), g)
         assert rg.weights[0] == 1.0
+
+    def test_build_memory_per_pair_bounded(self):
+        """The build holds a few machine words per retweet pair, not Python
+        objects.  On this digest's 63,107 pairs, a build that kept a tuple
+        per pair peaked at 301 B a pair under tracemalloc (348 B on the demo
+        workload's 17,201 pairs), and the array build at 75 B."""
+        rng = random.Random(9)
+        names = [f"u{i:04d}" for i in range(600)]
+        followees = {a: rng.sample([b for b in names if b != a], 120) for a in names}
+        g = graph_from_edges((a, b) for a in names for b in followees[a])
+        digest = StreamDigest(authored={u: rng.randint(0, 6) for u in names})
+        for a in names:
+            digest.retweets[a] = {b: rng.randint(1, 5)
+                                  for b in [*followees[a][:100], *rng.sample(names, 5), "ghost"]}
+        pairs = sum(map(len, digest.retweets.values()))
+        assert pairs >= 50_000
+        tracemalloc.start()
+        try:
+            rg = build_retweet_graph(digest, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < rg.edge_count < pairs
+        assert peak / pairs < 160
 
 
 class TestZeroIterationScorers:

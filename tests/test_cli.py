@@ -161,6 +161,22 @@ class TestScore:
         assert f"skipped 4/{len(good) + 4} records" in capsys.readouterr().out
         assert (out / "snapshots.tsv").read_bytes() == (clean / "snapshots.tsv").read_bytes()
 
+    def test_skipped_edge_lines_reported(self, dataset, tmp_path, capsys):
+        """The edge list's skip counts get one stdout line, and only when
+        one of them is not 0."""
+        capsys.readouterr()
+        assert run(*score_args(dataset, tmp_path / "clean")) == EXIT_OK
+        clean = capsys.readouterr().out
+        assert len(clean.splitlines()) == 1 and "graph:" not in clean
+        edges = tmp_path / "edges.tsv"
+        edges.write_text((dataset / "edges.tsv").read_text() + "not a handle!\tu00001\n"
+                         "u00002\tu00002\n")
+        assert run("score", "--events", dataset / "events.ndjson", "--edges", edges,
+                   "--out", tmp_path / "out") == EXIT_OK
+        first, extra = capsys.readouterr().out.splitlines()
+        assert first == clean.rstrip("\n")
+        assert extra == "graph: skipped 1 bad lines, 1 self-loops, 0 duplicate edges"
+
 
 @pytest.mark.parametrize("command", ["score", "centrality", "eval"])
 def test_count_past_int64_counted_not_fatal(dataset, tmp_path, command):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dense_oracles import graph_from_edges
 from pipeline_helpers import child_env
 from veloscore import ingest
-from veloscore.centrality import _followees, _out_degree, build_retweet_graph
+from veloscore.centrality import _followees, _offsets, build_retweet_graph
 from veloscore.ingest import (
     EventDecoder,
     IngestStats,
@@ -503,7 +503,7 @@ class TestUserGraphInvariant:
         hand_built = UserGraph(["a", "b", "c"], array("q", [1, 6]), self.COUNTS)
         loaded = graph_from_edges([("b", "a"), ("c", "a"), ("a", "c")])
         for graph in (hand_built, loaded):
-            out_degree, followees = _out_degree(graph), _followees(graph)
+            out_degree, followees = np.diff(_offsets(graph)), _followees(graph)
             followers = np.repeat(np.arange(graph.n), out_degree)
             assert (followers * graph.n + followees).tolist() == graph.edge_keys.tolist()
 

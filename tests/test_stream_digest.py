@@ -11,6 +11,7 @@ import json
 import os
 import shutil
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from hashlib import blake2b
 
 import pytest
@@ -115,6 +116,47 @@ def test_lines_that_are_not_one_row_are_rejected(tmp_path, monkeypatch, batch, e
     lines = edit(lines)
     path.write_bytes(b"".join(lines) + _trailer(lines))
     assert StreamDigest.load(path, list(file_fingerprint(source))) is None
+
+
+def _last_digit_changed(line):
+    at = max(k for k in range(len(line)) if line[k:k + 1].isdigit())
+    return line[:at] + (b"2" if line[at:at + 1] == b"1" else b"1") + line[at + 1:]
+
+
+def _row_damaged(tag, how, data):
+    """``data`` with its first ``tag`` row damaged: one byte changed and the
+    trailer kept, or the tag made unknown and the trailer's hash remade."""
+    lines = data.splitlines(keepends=True)
+    at = next(k for k, line in enumerate(lines) if line.startswith(b'["%s"' % tag.encode()))
+    if how == "byte":
+        lines[at] = _last_digit_changed(lines[at])
+        return b"".join(lines)
+    lines[at] = lines[at].replace(tag.encode(), b"unknown", 1)
+    return b"".join(lines[:-1]) + _trailer(lines[:-1])
+
+
+# damage inside a row that `centrality` (url) or `eval` (author, retweet) does not keep
+SKIPPED_ROW_DAMAGES = {f"{tag}-{how}": partial(_row_damaged, tag, how)
+                       for tag in ("url", "author", "retweet") for how in ("byte", "tag")}
+
+
+@pytest.mark.parametrize("rows", [("author", "retweet"), ("first", "url")])
+@pytest.mark.parametrize("damage", SKIPPED_ROW_DAMAGES.values(), ids=SKIPPED_ROW_DAMAGES)
+def test_partial_load_checks_every_row(tmp_path, rows, damage):
+    """A load that keeps some row kinds still hashes and checks the rows it
+    skips."""
+    source = tmp_path / "events.ndjson"
+    source.write_text("any content\n", encoding="utf-8")
+    key = list(file_fingerprint(source))
+    digest = StreamDigest.of(LONG_STREAM[:60])
+    path = tmp_path / STREAM_DIGEST_FILE
+    digest.write(path, key)
+    kept = {"first": {"first_ts": digest.first_ts}, "author": {"authored": digest.authored},
+            "retweet": {"retweets": digest.retweets}, "url": {"urls": digest.urls}}
+    assert StreamDigest.load(path, key, rows) == StreamDigest(
+        **{name: value for row in rows for name, value in kept[row].items()})
+    path.write_bytes(damage(path.read_bytes()))
+    assert StreamDigest.load(path, key, rows) is None
 
 
 def test_tallies():
@@ -238,6 +280,23 @@ def _extra_after_trailer(b):
 
 
 DAMAGES = {**CACHE_DAMAGES, "one-digit": _one_digit_changed, "extra-line": _extra_after_trailer}
+
+
+@pytest.mark.parametrize("damage", SKIPPED_ROW_DAMAGES.values(), ids=SKIPPED_ROW_DAMAGES)
+def test_damage_to_a_skipped_row_is_reparsed(dataset, tmp_path, parses, capsys, damage):
+    """`centrality` reads no url row and `eval` no author or retweet row, yet
+    a damaged row of any kind sends both back to `--events`, and they print
+    and write what they did with the whole digest."""
+    out = tmp_path / "out"
+    assert score(dataset, out) == EXIT_OK
+    with_digest = centrality_and_eval(dataset, out, capsys)
+    outputs = command_outputs(out)
+    assert len(parses) == 1
+    digest = out / STREAM_DIGEST_FILE
+    digest.write_bytes(damage(digest.read_bytes()))
+    assert centrality_and_eval(dataset, out, capsys) == with_digest
+    assert len(parses) == 3
+    assert command_outputs(out) == outputs
 
 
 @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES)
