@@ -155,19 +155,20 @@ def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
 
 
 def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
-           stats: IngestStats):
+           stats: IngestStats, rows: tuple[str, ...] | None = None):
     """The follower graph of ``edges_path`` and ``counts_path``.
 
-    Read from the cache under ``out_dir`` if it was made from the current
-    content of both files (an absent ``counts_path`` included), else
-    parsed anew and cached, unless a file changed while it was read.
-    Either way the load's graph counts are added to ``stats``.
+    Read from the cache under ``out_dir``, with only its ``rows`` kinds
+    kept (all by default), if it was made from the current content of
+    both files (an absent ``counts_path`` included), else parsed anew and
+    cached, unless a file changed while it was read.  Either way the
+    load's graph counts are added to ``stats``.
     """
     from . import ingest
 
     key, unchanged = _keyed(edges_path, counts_path)
     cache = out_dir / GRAPH_CACHE_FILE
-    cached = ingest.read_graph_cache(cache, key)
+    cached = ingest.read_graph_cache(cache, key, rows or ingest.GRAPH_ROWS)
     if cached is not None:
         graph, load_stats = cached
     else:
@@ -224,6 +225,13 @@ def _scored_epoch(out_dir: Path):
     except ingest.ParseError as exc:
         raise DataFileError(path, lineno, f"resolved_epoch: {exc}") from exc
     return epoch
+
+
+def _print_graph_skips(stats: IngestStats) -> None:
+    """Print what the graph load skipped, if it skipped anything."""
+    if stats.bad_graph_lines or stats.self_loops_dropped or stats.duplicate_edges:
+        print(f"graph: skipped {stats.bad_graph_lines} bad lines, "
+              f"{stats.self_loops_dropped} self-loops, {stats.duplicate_edges} duplicate edges")
 
 
 def _check_flag(flag: str, value, ok: bool, want: str) -> None:
@@ -324,9 +332,7 @@ def cmd_score(args) -> int:
     _write_run_config(out_dir, args, resolved)
     print(f"tracked {len(history.users)} users over {final + 1} hours; "
           f"skipped {stats.skipped}/{stats.records} records; zeta={zeta:g}")
-    if stats.bad_graph_lines or stats.self_loops_dropped or stats.duplicate_edges:
-        print(f"graph: skipped {stats.bad_graph_lines} bad lines, "
-              f"{stats.self_loops_dropped} self-loops, {stats.duplicate_edges} duplicate edges")
+    _print_graph_skips(stats)
     return EXIT_OK
 
 
@@ -377,7 +383,8 @@ def cmd_centrality(args) -> int:
     _clear_outputs(out_dir, args.command, *(SCORE_FILE_TEMPLATE.format(name)
                                             for scorer in chosen.values()
                                             for name in scorer.outputs))
-    graph = _graph(edges_path, counts_path, out_dir, ingest.IngestStats())
+    graph_stats = ingest.IngestStats()
+    graph = _graph(edges_path, counts_path, out_dir, graph_stats)
     if graph.n == 0:
         raise DataError("graph is empty")
 
@@ -393,6 +400,7 @@ def cmd_centrality(args) -> int:
         note = "" if sv.converged else " (NOT converged)"
         print(f"{sv.algorithm}: {len(sv.users)} users, {sv.iterations} iterations, "
               f"residual {sv.residual:.3g}{note}")
+    _print_graph_skips(graph_stats)
     _write_run_config(out_dir, args, {})
     return EXIT_OK
 
@@ -415,12 +423,15 @@ def cmd_eval(args) -> int:
     static_sources = {name: ScoreVector.read_tsv(path, name)
                       for name, path in static_paths.items()}
     epoch = _scored_epoch(out_dir)
-    graph = _graph(edges_path, counts_path, out_dir, ingest.IngestStats())
+    graph_stats = ingest.IngestStats()
+    # a URL's audience needs each user's follower count, not the edges
+    followers = _graph(edges_path, counts_path, out_dir, graph_stats,
+                       ("users", "followers")).follower_map()
     clicks_table = evaluation.read_clicks(clicks_path)
 
     ds_stats: dict = {}
     global_records, weekly_records = evaluation.build_url_datasets(
-        _stream_events(events_path, out_dir, ("first", "url")), clicks_table, graph, epoch,
+        _stream_events(events_path, out_dir, ("first", "url")), clicks_table, followers, epoch,
         stats=ds_stats)
     if len(global_records) < 3:
         raise DataError(f"only {len(global_records)} qualified URLs; need at least 3")
@@ -444,6 +455,7 @@ def cmd_eval(args) -> int:
         for row in sec.rows:
             print(f"{sec.section}\t{row.score}\tr={row.pearson_r:.5f}\t"
                   f"p={row.p_value:.3g}\tn={row.n}")
+    _print_graph_skips(graph_stats)
     return EXIT_OK
 
 

@@ -11,9 +11,13 @@ reads the score files, without loading numpy.  `ingest`, `dynamics` and
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
+from operator import ne
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 WEEK_HOURS = 168
@@ -151,24 +155,24 @@ def rank_trending(
     decreasing acceleration (velocity delta), ties broken by user id.
 
     A user starting at velocity 0 with a positive delta counts as an
-    infinite relative increase.
+    infinite relative increase.  Only the top ``k`` are kept while ranking.
     """
     if k <= 0:
         return []
-    entries = []
-    for u in sorted(set(v_start) | set(v_end)):
-        v0 = v_start.get(u, 0.0)
-        v1 = v_end.get(u, 0.0)
-        dv = v1 - v0
-        if v0 == 0.0:
-            rel = math.inf if dv > 0.0 else 0.0
-        else:
-            rel = dv / v0
-        if rel < threshold:
-            continue
-        entries.append(TrendingEntry(u, window, dv, rel))
-    entries.sort(key=lambda e: (-e.acceleration, e.user))
-    return entries[:k]
+
+    def passing():
+        for u in sorted(set(v_start) | set(v_end)):
+            v0 = v_start.get(u, 0.0)
+            dv = v_end.get(u, 0.0) - v0
+            if v0 == 0.0:
+                rel = math.inf if dv > 0.0 else 0.0
+            else:
+                rel = dv / v0
+            if not rel < threshold:
+                yield -dv, u, rel  # users are distinct, so rel is never compared
+
+    return [TrendingEntry(u, window, -neg_dv, rel)
+            for neg_dv, u, rel in heapq.nsmallest(k, passing())]
 
 
 def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> None:
@@ -181,32 +185,94 @@ def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> Non
                 fh.write(f"{h}\t{u}\t{v!r}\t{v - before[u]!r}\n")
 
 
+# characters of snapshots.tsv checked at a time: the ``readlines`` hint
+_SNAPSHOT_BLOCK = 1 << 14
+
+
 def load_snapshots(path) -> VelocityHistory:
     """The checkpoints of a ``write_snapshots`` file, one row per hour and
     users sorted.  Every line is checked, whichever hours are read later:
     the hour and the velocity must be >= 0, as ``score`` writes them; a
-    user an hour does not list reads as velocity 0 at that hour."""
-    def parse(line):
-        h_s, user, v_s, a_s = line.split("\t")
-        h, v, a = int(h_s), float(v_s), float(a_s)  # a is checked, not kept
-        if not (math.isfinite(v) and math.isfinite(a)):
-            raise ValueError("velocity and acceleration must be finite")
-        if h < 0:
-            raise ValueError(f"hour {h} is before the epoch")
-        if v < 0:
-            raise ValueError(f"velocity {v_s} is negative")
-        return h, user, v
+    user an hour does not list reads as velocity 0 at that hour.
 
+    Lines are checked a block at a time, a column at a time.  A file that
+    fails a check is read again a line at a time, which raises the
+    DataFileError that names the first bad line.
+    """
+    try:
+        rows = _snapshot_blocks(path)
+    except ValueError:  # bytes that are not UTF-8 included
+        rows = None
+    if rows is None:
+        rows = _snapshot_lines(path)
+    users = sorted(set().union(*(listed for listed, _ in rows.values())))
+    hours = sorted(rows)
+    matrix = []
+    for h in hours:
+        listed, velocities = rows.pop(h)
+        if listed != users:
+            velocities = array("d", map(dict(zip(listed, velocities)).get, users, repeat(0.0)))
+        matrix.append(velocities)
+    return VelocityHistory(users, matrix, hours)
+
+
+def _snapshot_blocks(path) -> Optional[dict[int, tuple[list[str], array]]]:
+    """Each hour of the snapshot file ``path`` with its users, in file
+    order, and their velocities in one ``array('d')``, every hour sharing
+    one str per user; None if a line fails a check of ``_snapshot_line``.
+    Raises ValueError for a value that does not parse, or for bytes that
+    are not UTF-8."""
+    rows: dict[int, tuple[list[str], array]] = {}
+    names: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        while block := fh.readlines(_SNAPSHOT_BLOCK):
+            lines = [line for line in map(str.strip, block) if line]
+            if not lines:
+                continue
+            if set(map(str.count, lines, repeat("\t"))) != {3}:
+                return None
+            fields = "\t".join(lines).split("\t")
+            hours = list(map(int, fields[0::4]))
+            velocities = array("d", map(float, fields[2::4]))
+            if not (all(map(math.isfinite, velocities))
+                    and all(map(math.isfinite, map(float, fields[3::4])))
+                    and min(hours) >= 0 and min(velocities) >= 0):
+                return None
+            users = fields[1::4]
+            # the runs of lines of one hour
+            cuts = [0, *compress(range(1, len(hours)), map(ne, hours, islice(hours, 1, None))),
+                    len(hours)]
+            for lo, hi in zip(cuts, islice(cuts, 1, None)):
+                listed, row = rows.setdefault(hours[lo], ([], array("d")))
+                listed.extend(map(names.setdefault, users[lo:hi], users[lo:hi]))
+                row.extend(velocities[lo:hi])
+    if any(len(set(listed)) != len(listed) for listed, _ in rows.values()):
+        return None  # a user listed again at an hour
+    return rows
+
+
+def _snapshot_line(line: str) -> tuple[int, str, float]:
+    h_s, user, v_s, a_s = line.split("\t")
+    h, v, a = int(h_s), float(v_s), float(a_s)  # a is checked, not kept
+    if not (math.isfinite(v) and math.isfinite(a)):
+        raise ValueError("velocity and acceleration must be finite")
+    if h < 0:
+        raise ValueError(f"hour {h} is before the epoch")
+    if v < 0:
+        raise ValueError(f"velocity {v_s} is negative")
+    return h, user, v
+
+
+def _snapshot_lines(path) -> dict[int, tuple[list[str], array]]:
+    """``_snapshot_blocks``'s rows of ``path``, read a line at a time by
+    ``table_rows``: a line that fails a check raises a DataFileError naming it."""
     rows: dict[int, dict[str, float]] = {}
-    for lineno, (h, user, v) in table_rows(path, parse):
+    for lineno, (h, user, v) in table_rows(path, _snapshot_line):
         row = rows.setdefault(h, {})
         if user in row:
             raise DataFileError(path, lineno, f"user {user!r} is listed again at hour {h}")
         row[user] = v
-    users = sorted(set().union(*rows.values()))
-    hours = sorted(rows)
-    return VelocityHistory(users, [array("d", [rows[h].get(u, 0.0) for u in users])
-                                   for h in hours], hours)
+    return {h: (list(row), array("d", row.values())) for h, row in rows.items()}
 
 
 @dataclass
@@ -246,7 +312,7 @@ class ScoreVector:
             value = float(s)
             if not math.isfinite(value):
                 raise ValueError(f"score {s!r} is not finite")
-            return u, value
+            return sys.intern(u), value  # one str per user across the score files
 
         scores: dict[str, float] = {}
         for lineno, (u, value) in table_rows(path, parse):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import AUDIENCE, WEEK_HOURS, DataFileError, table_rows, week_end_hour
-from .ingest import StreamDigest, UserGraph, floor_to_hour, hours_since
+from .ingest import StreamDigest, floor_to_hour, hours_since
 
 @dataclass(frozen=True)
 class UrlRecord:
@@ -59,7 +59,7 @@ def read_clicks(path) -> dict[str, int]:
 def build_url_datasets(
     digest: StreamDigest,
     clicks_table: Mapping[str, int],
-    graph: UserGraph,
+    followers: Mapping[str, int],
     epoch=None,
     stats: Optional[dict] = None,
 ) -> tuple[list[UrlRecord], list[UrlRecord]]:
@@ -67,8 +67,9 @@ def build_url_datasets(
 
     The weekly dataset keeps only URLs whose every occurrence falls inside
     one week-sized span aligned to the stream epoch.  Both datasets
-    require a click entry and at least 3 distinct promoters with graph
-    data; audience is the promoters' accumulated follower count.
+    require a click entry and at least 3 distinct promoters on the graph,
+    the users ``followers`` maps to their follower counts; audience is
+    the promoters' accumulated follower count.
     """
     stats = stats if stats is not None else {}
     if epoch is None and digest.first_ts is not None:
@@ -85,11 +86,11 @@ def build_url_datasets(
             stats["no_click_entry"] = stats.get("no_click_entry", 0) + 1
             continue
         occ = occurrences[url]
-        promoters = tuple(sorted({a for a, _ in occ if a in graph}))
+        promoters = tuple(sorted({a for a, _ in occ if a in followers}))
         if len(promoters) < 3:
             stats["too_few_promoters"] = stats.get("too_few_promoters", 0) + 1
             continue
-        audience = int(sum(graph.followers_of(u) for u in promoters))
+        audience = int(sum(followers[u] for u in promoters))
         clicks = int(clicks_table[url])
         global_records.append(UrlRecord(url, clicks, promoters, audience, None))
         weeks = {w for _, w in occ}

@@ -429,7 +429,7 @@ class StreamDigest:
         ``key``; None otherwise.  Only the row kinds named in ``rows`` are
         kept: the others are checked, but their fields stay empty."""
         digest = cls()
-        names: dict[str, str] = {}  # one str object per handle, as the parser keeps them
+        names: dict[str, str] = {}  # one str object per handle and per URL
         name = names.setdefault
         ts_raw, ts = None, None
         try:
@@ -441,7 +441,7 @@ class StreamDigest:
                 elif tag == "url":
                     if row[3] != ts_raw:
                         ts_raw, ts = row[3], datetime.fromisoformat(row[3])
-                    digest.urls.append((row[1], name(row[2], row[2]), ts))
+                    digest.urls.append((name(row[1], row[1]), name(row[2], row[2]), ts))
                 elif tag == "retweet":
                     counts = digest.retweets.setdefault(name(row[1], row[1]), {})
                     counts[name(row[2], row[2])] = row[3]
@@ -543,8 +543,7 @@ class UserGraph:
 
     def __init__(self, users: list[str], edge_keys: array, follower_count: array):
         n, keys = len(users), edge_keys
-        if keys and not (0 <= keys[0] and keys[-1] < n * n
-                         and all(map(operator.lt, keys, islice(keys, 1, None)))):
+        if not _in_order(keys, 0, n * n):
             raise ValueError(f"UserGraph edge keys must strictly increase within [0, {n * n}); "
                              "build graphs with from_ids")
         self.users = users
@@ -620,6 +619,16 @@ class UserGraph:
     def mean_followers(self) -> float:
         # an exact integer sum, correctly rounded once: the bits of numpy's mean
         return sum(self.follower_count) / self.n if self.n else 0.0
+
+    def follower_map(self) -> dict[str, int]:
+        """Each user's follower count."""
+        return dict(zip(self.users, self.follower_count))
+
+
+def _in_order(keys: array, lo: int, hi: int) -> bool:
+    """Whether the values of ``keys`` strictly increase within [lo, hi)."""
+    return not keys or (lo <= keys[0] and keys[-1] < hi
+                        and all(map(operator.lt, keys, islice(keys, 1, None))))
 
 
 # values a numpy pass over a key array takes at a time, so its temporaries
@@ -732,6 +741,8 @@ _GRAPH_MAGIC = "veloscore graph cache"
 # older caches are re-parsed.
 _GRAPH_VERSION = 2
 _GRAPH_ROW = 4096  # values per row, so the cache is written a bounded chunk at a time
+# the row kinds of a graph cache after its header row, in the order they are written
+GRAPH_ROWS = ("users", "edges", "followers")
 
 
 def _packed(values: array) -> str:
@@ -768,30 +779,49 @@ def write_graph_cache(path, graph: UserGraph, stats: IngestStats, key: list) -> 
     write_framed(path, [_GRAPH_MAGIC, _GRAPH_VERSION, *key], rows())
 
 
-def read_graph_cache(path, key: list) -> Optional[tuple[UserGraph, IngestStats]]:
+def _unpacked(text: str) -> array:
+    """The ``array('q')`` whose ``_packed`` text is ``text``; ValueError if it is not one."""
+    values = array("q", base64.b64decode(text, validate=True))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
+def read_graph_cache(path, key: list,
+                     rows: tuple[str, ...] = GRAPH_ROWS) -> Optional[tuple[UserGraph, IngestStats]]:
     """The graph cached at ``path`` and the graph counts of the load that
     made it, if the cache is whole and its header key equals ``key``;
-    None otherwise."""
-    users: list[str] = []
-    parts = {"edges": array("q"), "followers": array("q")}
+    None otherwise.
+
+    Only the row kinds named in ``rows`` are kept; the others are checked,
+    but their fields of the graph stay empty.  Every ``edges`` row is
+    decoded, one row at a time, so the edge count, the key range and the
+    strictly increasing key order hold whether or not the keys are kept.
+    """
+    parts = {"users": [], "edges": array("q"), "followers": array("q")}
+    sizes = dict.fromkeys(parts, 0)
+    last = -1  # the last edge key read
     try:
-        rows = read_framed(path, _GRAPH_MAGIC, _GRAPH_VERSION, key)
-        tag, n, m, *counts = next(rows)
+        frames = read_framed(path, _GRAPH_MAGIC, _GRAPH_VERSION, key)
+        tag, n, m, *counts = next(frames)
         if tag != "graph":
             return None
-        for row in rows:
-            if row[0] == "users":
-                users.extend(row[1:])
-            else:  # a row of another tag is a KeyError
-                name, text = row
-                parts[name].frombytes(base64.b64decode(text, validate=True))
-        keys, follower_count = parts["edges"], parts["followers"]
-        if sys.byteorder == "big":
-            keys.byteswap()
-            follower_count.byteswap()
-        if (len(users), len(keys), len(follower_count)) != (n, m, n):
+        for tag, *fields in frames:
+            if tag == "users":
+                values = fields
+            else:
+                (text,) = fields
+                values = _unpacked(text)
+            sizes[tag] += len(values)  # a row of another tag is a KeyError
+            if tag in rows:
+                parts[tag].extend(values)
+            elif tag == "edges":  # kept keys are checked when the graph is made
+                if not _in_order(values, last + 1, n * n):
+                    return None
+                last = values[-1] if values else last
+        if tuple(sizes.values()) != (n, m, n):
             return None
-        graph = UserGraph(users, keys, follower_count)
+        graph = UserGraph(parts["users"], parts["edges"], parts["followers"])
         stats = IngestStats()
         stats.bad_graph_lines, stats.self_loops_dropped, stats.duplicate_edges = counts
     except (OSError, ValueError, TypeError, LookupError, RecursionError, StopIteration):

@@ -1,15 +1,18 @@
 """Independent dense oracles: the velocity law run per user in plain
 Python, plain matrix iterations for the centrality scorers over small
 adjacency and weight matrices, the retweet graph built one pair at a
-time, and the graphs the scorers take built from those matrices or from
-name pairs."""
+time, the graphs the scorers take built from those matrices or from
+name pairs, the snapshot file read into per-hour dicts a line at a time,
+and trending ranked in full."""
 
+import math
 from array import array
 from typing import Iterable, Optional
 
 import numpy as np
 
 from veloscore.centrality import RetweetGraph
+from veloscore.core import DataFileError, TrendingEntry, VelocityHistory, table_rows
 from veloscore.ingest import UserGraph
 
 
@@ -160,3 +163,43 @@ def reference_retweet_graph(digest, graph) -> RetweetGraph:
                         np.array([idx[b] for _, b, _ in kept], dtype=np.int64),
                         np.array([w for _, _, w in kept], dtype=np.float64),
                         dropped_no_follow=dropped)
+
+
+def reference_load_snapshots(path) -> VelocityHistory:
+    """``load_snapshots`` a line at a time into one {user: velocity} dict
+    per hour: the same checks, in file order, and the same DataFileError."""
+    def parse(line):
+        h_s, user, v_s, a_s = line.split("\t")
+        h, v, a = int(h_s), float(v_s), float(a_s)
+        if not (math.isfinite(v) and math.isfinite(a)):
+            raise ValueError("velocity and acceleration must be finite")
+        if h < 0:
+            raise ValueError(f"hour {h} is before the epoch")
+        if v < 0:
+            raise ValueError(f"velocity {v_s} is negative")
+        return h, user, v
+
+    rows: dict[int, dict[str, float]] = {}
+    for lineno, (h, user, v) in table_rows(path, parse):
+        row = rows.setdefault(h, {})
+        if user in row:
+            raise DataFileError(path, lineno, f"user {user!r} is listed again at hour {h}")
+        row[user] = v
+    users = sorted(set().union(*rows.values()))
+    hours = sorted(rows)
+    return VelocityHistory(users, [array("d", [rows[h].get(u, 0.0) for u in users])
+                                   for h in hours], hours)
+
+
+def reference_rank_trending(v_start, v_end, threshold, k, window=""):
+    """``rank_trending`` by an entry for every passing user, all of them
+    sorted, then the first ``k``."""
+    entries = []
+    for u in sorted(set(v_start) | set(v_end)):
+        v0 = v_start.get(u, 0.0)
+        dv = v_end.get(u, 0.0) - v0
+        rel = (math.inf if dv > 0.0 else 0.0) if v0 == 0.0 else dv / v0
+        if not rel < threshold:
+            entries.append(TrendingEntry(u, window, dv, rel))
+    entries.sort(key=lambda e: (-e.acceleration, e.user))
+    return entries[:max(k, 0)]

@@ -3,6 +3,7 @@ what they wrote, as a user of the command line would; and the datasets,
 file lists and damage that the tests of those commands share."""
 
 import hashlib
+import json
 import os
 import shutil
 from pathlib import Path
@@ -42,6 +43,12 @@ CACHE_DAMAGES = {
     "empty": lambda b: b"",
     "header-only": lambda b: b.split(b"\n")[0] + b"\n",
 }
+
+
+def trailer(lines):
+    """The last line `write_framed` writes after ``lines``: the BLAKE2b
+    hash of every line before it."""
+    return (json.dumps(["end", hashlib.blake2b(b"".join(lines)).hexdigest()]) + "\n").encode()
 
 
 def run(*argv):

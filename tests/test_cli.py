@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from dense_oracles import graph_from_edges
-from pipeline_helpers import CLI_DATA, SCORE_FILES, child_env, hash_dir, run, run_pipeline
+from pipeline_helpers import (CLI_DATA, SCORE_FILES, child_env, hash_dir, pipeline_argvs, run,
+                              run_pipeline)
 from veloscore import cli, ingest
 from veloscore.centrality import SCORERS, ScoreVector, ratio_score
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
@@ -176,6 +177,32 @@ class TestScore:
         first, extra = capsys.readouterr().out.splitlines()
         assert first == clean.rstrip("\n")
         assert extra == "graph: skipped 1 bad lines, 1 self-loops, 0 duplicate edges"
+
+
+def test_every_graph_load_reports_skipped_edge_lines(dataset, tmp_path, capsys):
+    """`centrality` and `eval` end with `score`'s line of graph skip counts,
+    whether they parse the edge list or read its cache, and print none
+    for a clean one."""
+    for argv in pipeline_argvs(dataset, tmp_path / "clean"):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_OK
+        assert "graph:" not in capsys.readouterr().out
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    with open(data / "edges.tsv", "a", encoding="utf-8") as fh:
+        fh.write("not a handle!\tu00001\nu00002\tu00002\n")
+    out = tmp_path / "out"
+    # each command with no cache, so each parses the edge list; then with the cache
+    runs = [(argv, False) for argv in pipeline_argvs(data, out)]
+    runs += [(argv, True) for argv in pipeline_argvs(data, out, commands=("centrality", "eval"))]
+    for argv, cached in runs:
+        if not cached:
+            (out / cli.GRAPH_CACHE_FILE).unlink(missing_ok=True)
+        assert (out / cli.GRAPH_CACHE_FILE).is_file() == cached
+        capsys.readouterr()
+        assert run(*argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "graph: skipped 1 bad lines, 1 self-loops, 0 duplicate edges"
 
 
 @pytest.mark.parametrize("command", ["score", "centrality", "eval"])
@@ -453,7 +480,7 @@ class TestScorerTable:
         followers = ScoreVector.read_tsv(scored / "followers.tsv")
         global_records, weekly_records = build_url_datasets(
             StreamDigest.of(read_events_file(dataset / "events.ndjson")),
-            read_clicks(dataset / "clicks.tsv"), load_graph(dataset / "edges.tsv"))
+            read_clicks(dataset / "clicks.tsv"), load_graph(dataset / "edges.tsv").follower_map())
         assert global_records and weekly_records
         for record in (*global_records, *weekly_records):
             assert accumulate_scores(record, followers) == record.audience

@@ -3,14 +3,17 @@
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracles import graph_from_edges, velocity_oracle
-from veloscore import kernels
+from dense_oracles import (graph_from_edges, reference_load_snapshots, reference_rank_trending,
+                           velocity_oracle)
+from veloscore import core, kernels
+from veloscore.core import DataFileError
 from veloscore.dynamics import (
     FORCE_SOURCES,
     MASS_MODES,
@@ -312,6 +315,11 @@ class TestVelocityAt:
             hist.row(99)
 
 
+# a velocity at one end of a week, or None for a user that end does not list
+MAYBE_VELOCITY = st.none() | st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf]) \
+    | st.floats(0.0, 4.0)
+
+
 class TestTrending:
     def test_relative_filter(self):
         v0 = {"u1": 1.0, "u2": 10.0}
@@ -356,6 +364,28 @@ class TestTrending:
         got = [e.user for e in rank_trending(v0, v1, threshold, k)]
         assert got == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.dictionaries(st.sampled_from("abcdefg"),
+                                 st.tuples(MAYBE_VELOCITY, MAYBE_VELOCITY)
+                                 .filter(lambda p: p != (math.inf, math.inf))),
+           threshold=st.sampled_from([-math.inf, -1.0, 0.0, 0.1, 1.0, math.inf])
+           | st.floats(-2.0, 2.0))
+    def test_top_k_is_the_head_of_the_full_ranking(self, pairs, threshold):
+        """Keeping only the top k while ranking gives the first k entries of
+        the full ranking, for every k, with tied accelerations, users absent
+        from one end and infinite velocities (a user infinite at both ends
+        has no acceleration, and no velocity file holds one)."""
+        v0 = {u: a for u, (a, _) in pairs.items() if a is not None}
+        v1 = {u: b for u, (_, b) in pairs.items() if b is not None}
+
+        def fields(entries):  # repr tells -0.0 from 0.0, and nan equals itself
+            return [(e.user, e.window, repr(e.acceleration), repr(e.relative_increase))
+                    for e in entries]
+
+        for k in range(-1, len(pairs) + 2):
+            assert fields(rank_trending(v0, v1, threshold, k, "w")) == \
+                fields(reference_rank_trending(v0, v1, threshold, k, "w"))
+
     def test_engine_window(self):
         # b is held at force/mass == zeta (flat velocity); a accelerates in week 1
         g = graph_with_counts({"a": 1, "b": 10})
@@ -368,7 +398,80 @@ class TestTrending:
         assert entries[0].acceleration == 1.5 * WEEK_HOURS
 
 
+# snapshot lines: valid rows, and lines that are blank, padded, short, long,
+# out of range, not numbers or not UTF-8; numbers int() and float() accept
+# with padding or an underscore pass in both loaders
+SNAPSHOT_HOURS = st.sampled_from(["0", "1", "7", "167"]) | st.sampled_from(
+    ["-1", " 5 ", "1_0", "+3", "x", "", "1.0"])
+SNAPSHOT_USERS = st.sampled_from(["a", "b", "u00001", "é", " c"])
+SNAPSHOT_VELOCITIES = st.sampled_from(["0.0", "0.5", "2", "1e-300", "3.25"]) | st.sampled_from(
+    ["-0.0", "-1.0", "nan", "inf", "-inf", "1_0", " 5 ", "", "fast"])
+SNAPSHOT_ACCELERATIONS = st.sampled_from(["0.0", "-0.5", "1.5"]) | st.sampled_from(
+    ["-0.0", "nan", "inf", "1_0", ""])
+snapshot_rows = st.tuples(SNAPSHOT_HOURS, SNAPSHOT_USERS, SNAPSHOT_VELOCITIES,
+                          SNAPSHOT_ACCELERATIONS).map("\t".join)
+snapshot_lines = (
+    snapshot_rows.map(lambda line: line.encode())
+    | st.sampled_from([b"", b"  ", b"\t", b" \t ", b"\xff", b"0\ta\xff\t1.0\t0.0"])
+    | snapshot_rows.map(lambda line: f"\t{line}".encode())
+    | snapshot_rows.map(lambda line: f"{line}\t".encode())
+    | snapshot_rows.map(lambda line: line.rsplit("\t", 1)[0].encode())   # 3 fields
+    | snapshot_rows.map(lambda line: f"{line}\t0.0".encode()))           # 5 fields
+snapshot_files = st.lists(st.tuples(snapshot_lines, st.sampled_from([b"\n", b"\r\n", b"\r"])),
+                          max_size=14).map(lambda lines: b"".join(a + b for a, b in lines))
+
+
+def snapshot_outcome(load, path):
+    """What ``load`` makes of ``path``: the DataFileError's text, or the
+    users, hours and velocity bits of the history."""
+    try:
+        hist = load(path)
+    except DataFileError as exc:
+        return str(exc)
+    return hist.users, hist.hours, [[v.hex() for v in row] for row in hist.matrix]
+
+
 class TestSnapshots:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=snapshot_files, data=st.data())
+    @example(content=b"1\ta\t0.5\t0.0\n0\tb\t1.0\t0.0\n1\tb\t-0.0\t0.0\n0\ta\t2\t0\n", data=None)
+    @example(content=b"0\ta\t0.5\t0.0\r\n\r0\tb\t1\t0\r0\ta\t2\t0\n", data=None)
+    def test_block_loader_agrees_with_the_line_loop(self, tmp_path, content, data):
+        """The block loader gives the history, or the `file:line: message`,
+        of the line loop, at any block size from 1 character to the file."""
+        path = tmp_path / "snapshots.tsv"
+        path.write_bytes(content)
+        want = snapshot_outcome(reference_load_snapshots, path)
+        hints = [data.draw(st.integers(1, len(content) + 1), label="hint")] if data \
+            else range(1, len(content) + 2)
+        for hint in hints:
+            with mock.patch.object(core, "_SNAPSHOT_BLOCK", hint):
+                assert snapshot_outcome(load_snapshots, path) == want
+
+    def test_load_memory_per_line_bounded(self, tmp_path):
+        """A checkpoint costs an 8-byte velocity and an 8-byte user pointer,
+        with one str per user, and the block being checked.  On these 25,000
+        lines a load into per-hour dicts of per-line floats and strs peaked
+        at 116 B a line under tracemalloc."""
+        rng = random.Random(12)
+        users = [f"u{i:05d}" for i in range(2500)]
+        path = tmp_path / "snapshots.tsv"
+        with open(path, "w", encoding="utf-8") as fh:
+            for h in range(167, 10 * WEEK_HOURS, WEEK_HOURS):
+                for u in users:
+                    v = rng.choice([0.0, rng.random() * 9])
+                    fh.write(f"{h}\t{u}\t{v!r}\t{v - rng.random()!r}\n")
+        lines = 10 * len(users)
+        tracemalloc.start()
+        try:
+            hist = load_snapshots(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.users == users and len(hist.hours) == 10
+        assert peak / lines <= 64
+
     def test_roundtrip(self, tmp_path):
         g, buckets = random_fixture(51, hours=200)
         hist = replay_every_hour(buckets, KineticsConfig(zeta=0.03), g)

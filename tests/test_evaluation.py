@@ -36,9 +36,10 @@ def ev(author, urls, week=0, hour_in_week=5):
     return Event("e", author, ts, urls=list(urls))
 
 
-def url_datasets(events, *args, **kwargs):
-    """``build_url_datasets`` over the digest of the events."""
-    return build_url_datasets(StreamDigest.of(events), *args, **kwargs)
+def url_datasets(events, clicks, graph, *args, **kwargs):
+    """``build_url_datasets`` over the digest of the events and the graph's follower counts."""
+    return build_url_datasets(StreamDigest.of(events), clicks, graph.follower_map(),
+                              *args, **kwargs)
 
 
 def rec(url="u", clicks=10, promoters=("a", "b", "c"), audience=100, week=None):

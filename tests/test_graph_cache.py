@@ -8,23 +8,28 @@ every other case it parses the files again, and its outputs are the same
 either way.
 """
 
+import json
 import os
 import shutil
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pipeline_helpers import (CACHE_DAMAGES, CLI_DATA, centrality_and_eval, command_outputs, run,
-                              run_pipeline, scored_copy)
+from pipeline_helpers import (CACHE_DAMAGES, CLI_DATA, centrality_and_eval, command_outputs,
+                              pipeline_argvs, run, run_pipeline, scored_copy, trailer)
 from veloscore import cli, ingest
-from veloscore.cli import EXIT_OK, GRAPH_CACHE_FILE
+from veloscore.cli import EXIT_OK, GRAPH_CACHE_FILE, REPORT_TSV, REPORT_TXT, REPORT_WEEKLY
 from veloscore.ingest import (IngestStats, file_fingerprint, load_graph, read_graph_cache,
                               write_graph_cache)
 from veloscore.synth import generate
 
 GRAPH_COUNTS = ("bad_graph_lines", "self_loops_dropped", "duplicate_edges")
+# the rows `eval` keeps: a URL's audience needs follower counts, not edges
+EVAL_ROWS = ("users", "followers")
 
 
 def graph_counts(stats):
@@ -78,6 +83,10 @@ def test_round_trip(tmp_path, edges, counts):
     got, got_stats = read_graph_cache(cache, key)
     assert_same_graph(got, graph)
     assert got_stats == stats
+    part, part_stats = read_graph_cache(cache, key, EVAL_ROWS)
+    assert (part.users, part.follower_count, part.edge_keys) == \
+        (graph.users, graph.follower_count, array("q"))
+    assert part_stats == stats
     assert not list(tmp_path.glob("*.tmp"))
     assert read_graph_cache(cache, key[:2] + ["0", "0"]) is None
 
@@ -114,6 +123,114 @@ def test_cached_read_adds_the_parse_counts(tmp_path, parses):
     assert graph_counts(parsed) == (3, 2, 2)
     assert cached == parsed
     assert_same_graph(second, first)
+
+
+# --- damage the full read and the follower-only read both reject --------
+
+def _rehashed(damage):
+    """``damage`` applied to a cache's lines but its trailer, and the
+    trailer's hash remade, so only the rows' own checks can catch it."""
+    def damaged(b):
+        lines = damage(b.splitlines(keepends=True)[:-1])
+        return b"".join(lines) + trailer(lines)
+    return damaged
+
+
+def _edited_row(tag, k, edit):
+    """A damage that passes the ``k``-th row tagged ``tag`` through ``edit``."""
+    def damage(lines):
+        at = [i for i, line in enumerate(lines) if line.startswith(b'["%s"' % tag.encode())][k]
+        lines[at] = (json.dumps(edit(json.loads(lines[at]))) + "\n").encode()
+        return lines
+    return damage
+
+
+def _keys_edited(edit):
+    """A row edit that passes an ``edges`` row's keys, as a list, through ``edit``."""
+    def row_edit(row):
+        keys = list(ingest._unpacked(row[1]))
+        edit(keys)
+        return ["edges", ingest._packed(array("q", keys))]
+    return row_edit
+
+
+def _swap_first_two(keys):
+    keys[0], keys[1] = keys[1], keys[0]
+
+
+FOLLOWER_READ_DAMAGES = {
+    "bad-base64": _rehashed(_edited_row("edges", 0, lambda row: ["edges", "!" + row[1][1:]])),
+    "short-edge-count": _rehashed(_edited_row("graph", 0, lambda row: [*row[:2], row[2] + 1,
+                                                                      *row[3:]])),
+    "out-of-order": _rehashed(_edited_row("edges", 0, _keys_edited(_swap_first_two))),
+    "unknown-tag": _rehashed(_edited_row("edges", 0, lambda row: ["edgez", *row[1:]])),
+}
+
+
+def _across_rows(lines):
+    """The first key of the second ``edges`` row made the last key of the
+    first, so each row still increases on its own."""
+    edges = [i for i, line in enumerate(lines) if line.startswith(b'["edges"')]
+    last = ingest._unpacked(json.loads(lines[edges[0]])[1])[-1]
+
+    def edit(keys):
+        keys[0] = last
+    return _edited_row("edges", 1, _keys_edited(edit))(lines)
+
+
+def _past_the_range(lines):
+    n = json.loads(lines[1])[1]
+
+    def edit(keys):
+        keys[-1] = n * n
+    return _edited_row("edges", -1, _keys_edited(edit))(lines)
+
+
+ROW_DAMAGES = {**FOLLOWER_READ_DAMAGES, "order-across-rows": _rehashed(_across_rows),
+               "key-past-the-range": _rehashed(_past_the_range)}
+
+
+@pytest.mark.parametrize("rows", [ingest.GRAPH_ROWS, EVAL_ROWS])
+@pytest.mark.parametrize("damage", ROW_DAMAGES.values(), ids=ROW_DAMAGES)
+def test_every_read_checks_the_edges(tmp_path, monkeypatch, rows, damage):
+    """The edge keys' count, range and order, across row boundaries too,
+    are checked whether or not the read keeps them."""
+    monkeypatch.setattr(ingest, "_GRAPH_ROW", 8)
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("".join(f"u{a}\tu{(a * 7 + b) % 30}\n" for a in range(30) for b in (1, 2, 3)),
+                     encoding="ascii")
+    stats = IngestStats()
+    graph = load_graph(edges, None, stats)
+    cache = tmp_path / GRAPH_CACHE_FILE
+    write_graph_cache(cache, graph, stats, key_of(edges))
+    assert read_graph_cache(cache, key_of(edges), rows)[0].follower_count == graph.follower_count
+    cache.write_bytes(damage(cache.read_bytes()))
+    assert read_graph_cache(cache, key_of(edges), rows) is None
+
+
+def test_follower_read_memory_bounded(tmp_path):
+    """`eval`'s graph read checks a 258k-edge cache's keys a row at a time
+    and keeps none.  Keeping them, the read peaked at 2.9 MiB under
+    tracemalloc; without them, 1.0 MiB."""
+    rng = np.random.default_rng(0)
+    users, per_user = 5000, 52
+    src = np.repeat(np.arange(users), per_user)
+    dst = rng.integers(0, users, src.size)
+    edges = tmp_path / "edges.tsv"
+    with open(edges, "w", encoding="utf-8") as fh:
+        fh.writelines(f"u{a}\tu{b}\n" for a, b in zip(src.tolist(), dst.tolist()))
+    out = tmp_path / "out"
+    out.mkdir()
+    graph = cli._graph(edges, None, out, IngestStats())  # parses and caches
+    assert graph.edge_count > 250_000
+    tracemalloc.start()
+    try:
+        followers = cli._graph(edges, None, out, IngestStats(), EVAL_ROWS).follower_map()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert followers == graph.follower_map()
+    assert peak < 1.5 * 2 ** 20
 
 
 # --- the CLI -----------------------------------------------------------
@@ -249,3 +366,37 @@ def test_edges_changed_while_read_leaves_no_cache(dataset, tmp_path, monkeypatch
     assert (out / "snapshots.tsv").is_file()
     assert not (out / GRAPH_CACHE_FILE).exists()
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("damage", FOLLOWER_READ_DAMAGES.values(), ids=FOLLOWER_READ_DAMAGES)
+def test_eval_follower_read_misses_damaged_edges(dataset, tmp_path, monkeypatch, parses, capsys,
+                                                damage):
+    """`eval` keeps no edge key, yet each damage to the edges that the full
+    read rejects sends it back to `--edges`, and it prints and writes what
+    a clean run does."""
+    out = run_pipeline(dataset, tmp_path / "out")
+    (eval_argv,) = pipeline_argvs(dataset, out, commands=("eval",))
+    reports = (REPORT_TSV, REPORT_TXT, REPORT_WEEKLY)
+    kept = []
+
+    def recording(path, key, rows=ingest.GRAPH_ROWS):
+        kept.append(rows)
+        return read_graph_cache(path, key, rows)
+
+    monkeypatch.setattr(ingest, "read_graph_cache", recording)
+    capsys.readouterr()
+    assert run(*eval_argv) == EXIT_OK
+    assert kept == [EVAL_ROWS]
+    clean = capsys.readouterr().out
+    written = {name: (out / name).read_bytes() for name in reports}
+    cache = out / GRAPH_CACHE_FILE
+    whole = cache.read_bytes()
+    assert read_graph_cache(cache, key_of(dataset / "edges.tsv"), EVAL_ROWS) is not None
+    cache.write_bytes(damage(whole))
+    assert read_graph_cache(cache, key_of(dataset / "edges.tsv")) is None
+    del parses[:]
+    assert run(*eval_argv) == EXIT_OK
+    assert capsys.readouterr().out == clean
+    assert len(parses) == 1
+    assert {name: (out / name).read_bytes() for name in reports} == written
+    assert cache.read_bytes() == whole

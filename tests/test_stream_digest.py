@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pipeline_helpers import (CACHE_DAMAGES, CLI_DATA, centrality_and_eval, command_outputs, run,
-                              scored_copy)
+                              scored_copy, trailer)
 from veloscore import ingest
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, STREAM_DIGEST_FILE
 from veloscore.ingest import Event, StreamDigest, file_fingerprint, read_events_file
@@ -86,13 +86,9 @@ def test_digest_spans_many_batches(tmp_path):
     assert StreamDigest.load(path, list(file_fingerprint(source))) == digest
 
 
-def _trailer(lines):
-    return (json.dumps(["end", blake2b(b"".join(lines)).hexdigest()]) + "\n").encode()
-
-
 def _trailer_in_the_middle(lines):
     mid = len(lines) // 2
-    return lines[:mid] + [_trailer(lines[:mid])] + lines[mid:]
+    return lines[:mid] + [trailer(lines[:mid])] + lines[mid:]
 
 
 def _two_rows_on_one_line(lines):
@@ -111,10 +107,10 @@ def test_lines_that_are_not_one_row_are_rejected(tmp_path, monkeypatch, batch, e
     digest = StreamDigest.of(LONG_STREAM[:40])
     digest.write(path, file_fingerprint(source))
     lines = path.read_bytes().splitlines(keepends=True)[:-1]
-    path.write_bytes(b"".join(lines) + _trailer(lines))
+    path.write_bytes(b"".join(lines) + trailer(lines))
     assert StreamDigest.load(path, list(file_fingerprint(source))) == digest
     lines = edit(lines)
-    path.write_bytes(b"".join(lines) + _trailer(lines))
+    path.write_bytes(b"".join(lines) + trailer(lines))
     assert StreamDigest.load(path, list(file_fingerprint(source))) is None
 
 
@@ -132,7 +128,7 @@ def _row_damaged(tag, how, data):
         lines[at] = _last_digit_changed(lines[at])
         return b"".join(lines)
     lines[at] = lines[at].replace(tag.encode(), b"unknown", 1)
-    return b"".join(lines[:-1]) + _trailer(lines[:-1])
+    return b"".join(lines[:-1]) + trailer(lines[:-1])
 
 
 # damage inside a row that `centrality` (url) or `eval` (author, retweet) does not keep

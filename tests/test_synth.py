@@ -257,7 +257,7 @@ class TestUrls:
         manifest = generate(cfg, tmp_path)
         global_recs, weekly_recs = build_url_datasets(
             StreamDigest.of(read_events_file(tmp_path / "events.ndjson")),
-            read_clicks(tmp_path / "clicks.tsv"), load_graph(tmp_path / "edges.tsv"),
+            read_clicks(tmp_path / "clicks.tsv"), load_graph(tmp_path / "edges.tsv").follower_map(),
             parse_timestamp(manifest["epoch"]))
         n_cross = sum(1 for info in manifest["urls"].values() if len(info["weeks"]) > 1)
         assert n_cross > 0
