@@ -155,14 +155,14 @@ def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
 
 
 def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
-           stats: IngestStats, rows: tuple[str, ...] | None = None):
-    """The follower graph of ``edges_path`` and ``counts_path``.
+           rows: tuple[str, ...] | None = None):
+    """The follower graph of ``edges_path`` and ``counts_path``, and the
+    graph counts of the load that made it.
 
     Read from the cache under ``out_dir``, with only its ``rows`` kinds
     kept (all by default), if it was made from the current content of
     both files (an absent ``counts_path`` included), else parsed anew and
-    cached, unless a file changed while it was read.  Either way the
-    load's graph counts are added to ``stats``.
+    cached, unless a file changed while it was read.
     """
     from . import ingest
 
@@ -170,14 +170,12 @@ def _graph(edges_path: Path, counts_path: Path | None, out_dir: Path,
     cache = out_dir / GRAPH_CACHE_FILE
     cached = ingest.read_graph_cache(cache, key, rows or ingest.GRAPH_ROWS)
     if cached is not None:
-        graph, load_stats = cached
-    else:
-        load_stats = ingest.IngestStats()
-        graph = ingest.load_graph(edges_path, counts_path, load_stats)
-        if unchanged():
-            ingest.write_graph_cache(cache, graph, load_stats, key)
-    stats.add(load_stats)
-    return graph
+        return cached
+    stats = ingest.IngestStats()
+    graph = ingest.load_graph(edges_path, counts_path, stats)
+    if unchanged():
+        ingest.write_graph_cache(cache, graph, stats, key)
+    return graph, stats
 
 
 def _stream_events(events_path: Path, out_dir: Path, rows: tuple[str, ...]):
@@ -307,7 +305,7 @@ def cmd_score(args) -> int:
     _clear_outputs(out_dir, args.command, SNAPSHOT_FILE, FINAL_VELOCITY_FILE)
     stats = ingest.IngestStats()
     table, epoch = _score_stream(events_path, epoch, out_dir, cfg, stats, args.error_ceiling)
-    graph = _graph(edges_path, counts_path, out_dir, stats)
+    graph, graph_stats = _graph(edges_path, counts_path, out_dir)
 
     if zeta is None:
         try:
@@ -332,7 +330,7 @@ def cmd_score(args) -> int:
     _write_run_config(out_dir, args, resolved)
     print(f"tracked {len(history.users)} users over {final + 1} hours; "
           f"skipped {stats.skipped}/{stats.records} records; zeta={zeta:g}")
-    _print_graph_skips(stats)
+    _print_graph_skips(graph_stats)
     return EXIT_OK
 
 
@@ -363,7 +361,7 @@ def cmd_trend(args) -> int:
 
 
 def cmd_centrality(args) -> int:
-    from . import centrality, ingest
+    from . import centrality
 
     _check_flag("--damping", args.damping, 0.0 < args.damping < 1.0, "in (0, 1)")
     _check_flag("--retweet-prob", args.retweet_prob, 0.0 <= args.retweet_prob <= 1.0,
@@ -383,8 +381,7 @@ def cmd_centrality(args) -> int:
     _clear_outputs(out_dir, args.command, *(SCORE_FILE_TEMPLATE.format(name)
                                             for scorer in chosen.values()
                                             for name in scorer.outputs))
-    graph_stats = ingest.IngestStats()
-    graph = _graph(edges_path, counts_path, out_dir, graph_stats)
+    graph, graph_stats = _graph(edges_path, counts_path, out_dir)
     if graph.n == 0:
         raise DataError("graph is empty")
 
@@ -406,7 +403,7 @@ def cmd_centrality(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import evaluation, ingest
+    from . import evaluation
 
     _check_flag("--iqr-k", args.iqr_k, 0.0 <= args.iqr_k < math.inf, "finite and >= 0")
     out_dir = Path(args.out)
@@ -423,10 +420,10 @@ def cmd_eval(args) -> int:
     static_sources = {name: ScoreVector.read_tsv(path, name)
                       for name, path in static_paths.items()}
     epoch = _scored_epoch(out_dir)
-    graph_stats = ingest.IngestStats()
     # a URL's audience needs each user's follower count, not the edges
-    followers = _graph(edges_path, counts_path, out_dir, graph_stats,
-                       ("users", "followers")).follower_map()
+    graph, graph_stats = _graph(edges_path, counts_path, out_dir, ("users", "followers"))
+    followers = graph.follower_map()
+    del graph  # its user index is not read again
     clicks_table = evaluation.read_clicks(clicks_path)
 
     ds_stats: dict = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -32,6 +33,10 @@ DEFAULT_RETWEET_PROB = 0.05
 # `score`'s --error-ceiling default, and the ceiling where no such flag is given
 DEFAULT_ERROR_CEILING = 0.01
 
+# what bytes that are not UTF-8 become when read with errors="surrogateescape":
+# every text reader opens its file so, and finds them with this
+SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
 
 class DataFileError(ValueError):
     """A malformed line in a table a command reads whole; names the file and line."""
@@ -44,29 +49,18 @@ def table_rows(path, parse: Callable[[str], tuple],
                comments: bool = False) -> Iterator[tuple[int, tuple]]:
     """The number and ``parse(line)`` of each line of the table ``path``,
     read as UTF-8 and stripped, but for blank lines and, with ``comments``,
-    lines that start with ``#``.  A ValueError from ``parse``, like bytes
-    that are not UTF-8, raises a DataFileError naming the line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line and not (comments and line[0] == "#"):
-                    try:
-                        yield lineno, parse(line)
-                    except ValueError as exc:
-                        raise DataFileError(path, lineno, exc) from None
-    except UnicodeDecodeError:
-        pass
-    else:
-        return
-    lineno = 0
-    with open(path, "rb") as fh:  # the decoder reads ahead, so find the line afresh
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    raise DataFileError(path, lineno, "not valid UTF-8")
+    lines that start with ``#``.  Bytes that are not UTF-8, like a
+    ValueError from ``parse``, raise a DataFileError naming the line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and SURROGATE_RE.search(line):
+                raise DataFileError(path, lineno, "not valid UTF-8")
+            line = line.strip()
+            if line and not (comments and line[0] == "#"):
+                try:
+                    yield lineno, parse(line)
+                except ValueError as exc:
+                    raise DataFileError(path, lineno, exc) from None
 
 
 def week_end_hour(week: int) -> int:
@@ -201,7 +195,7 @@ def load_snapshots(path) -> VelocityHistory:
     """
     try:
         rows = _snapshot_blocks(path)
-    except ValueError:  # bytes that are not UTF-8 included
+    except ValueError:
         rows = None
     if rows is None:
         rows = _snapshot_lines(path)
@@ -219,19 +213,21 @@ def load_snapshots(path) -> VelocityHistory:
 def _snapshot_blocks(path) -> Optional[dict[int, tuple[list[str], array]]]:
     """Each hour of the snapshot file ``path`` with its users, in file
     order, and their velocities in one ``array('d')``, every hour sharing
-    one str per user; None if a line fails a check of ``_snapshot_line``.
-    Raises ValueError for a value that does not parse, or for bytes that
-    are not UTF-8."""
+    one str per user; None if a line fails a check of ``_snapshot_line``
+    or holds bytes that are not UTF-8.  Raises ValueError for a value that
+    does not parse."""
     rows: dict[int, tuple[list[str], array]] = {}
     names: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while block := fh.readlines(_SNAPSHOT_BLOCK):
             lines = [line for line in map(str.strip, block) if line]
             if not lines:
                 continue
-            if set(map(str.count, lines, repeat("\t"))) != {3}:
+            text = "\t".join(lines)
+            if (set(map(str.count, lines, repeat("\t"))) != {3}
+                    or not text.isascii() and SURROGATE_RE.search(text)):
                 return None
-            fields = "\t".join(lines).split("\t")
+            fields = text.split("\t")
             hours = list(map(int, fields[0::4]))
             velocities = array("d", map(float, fields[2::4]))
             if not (all(map(math.isfinite, velocities))

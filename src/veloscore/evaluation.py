@@ -131,42 +131,25 @@ def _quartiles(values: Iterable[float], rule: str) -> tuple[float, float]:
 def iqr_filter(
     records: Sequence[UrlRecord],
     k: float = 1.5,
-    per_week: bool = False,
     rule: str = "linear",
     stats: Optional[dict] = None,
 ) -> list[UrlRecord]:
     """Drop records whose clicks fall outside [Q1 - k*IQR, Q3 + k*IQR].
 
-    With ``per_week`` the fences are computed independently per week.
-    Groups with fewer than 4 records pass through unfiltered (flagged in
-    ``stats``).
+    Fewer than 4 records pass through unfiltered (flagged in ``stats``).
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     stats = stats if stats is not None else {}
-
-    def filter_group(group: Sequence[UrlRecord]) -> list[UrlRecord]:
-        if len(group) < 4:
-            stats["groups_unfiltered"] = stats.get("groups_unfiltered", 0) + 1
-            return list(group)
-        q1, q3 = _quartiles((r.clicks for r in group), rule)
-        iqr = q3 - q1
-        lo, hi = q1 - k * iqr, q3 + k * iqr
-        kept = [r for r in group if lo <= r.clicks <= hi]
-        stats["dropped"] = stats.get("dropped", 0) + (len(group) - len(kept))
-        return kept
-
-    if not per_week:
-        return filter_group(records)
-    by_week: dict[int, list[UrlRecord]] = {}
-    for r in records:
-        if r.week_index is None:
-            raise ValueError(f"record {r.url} has no week index for per-week filtering")
-        by_week.setdefault(r.week_index, []).append(r)
-    out: list[UrlRecord] = []
-    for week in sorted(by_week):
-        out.extend(filter_group(by_week[week]))
-    return out
+    if len(records) < 4:
+        stats["groups_unfiltered"] = stats.get("groups_unfiltered", 0) + 1
+        return list(records)
+    q1, q3 = _quartiles((r.clicks for r in records), rule)
+    iqr = q3 - q1
+    lo, hi = q1 - k * iqr, q3 + k * iqr
+    kept = [r for r in records if lo <= r.clicks <= hi]
+    stats["dropped"] = stats.get("dropped", 0) + (len(records) - len(kept))
+    return kept
 
 
 def accumulate_scores(record: UrlRecord, source: Mapping[str, float]) -> float:
@@ -308,35 +291,35 @@ def pearson(xs, ys) -> tuple[float, float, float]:
     return r, r * r, _p_from_r(r, n)
 
 
-def average_weekly_r(per_week: Sequence[tuple[float, int]]) -> tuple[float, float, int]:
+def average_weekly_r(per_week: Sequence[tuple[int, float, int]]) -> tuple[float, float, int]:
     """Average weekly coefficients via the Fisher z-transform.
 
-    Each (r, n) pair needs n >= 3 and |r| < 1 (z diverges otherwise; the
-    offending week is named).  Significance is computed from the averaged
-    coefficient at the rounded mean sample size.  Returns
-    (mean_r, p_value, n_effective).
+    Each (week, r, n) triple needs n >= 3 and |r| < 1 (z diverges
+    otherwise; the offending week is named).  Significance is computed
+    from the averaged coefficient at the rounded mean sample size.
+    Returns (mean_r, p_value, n_effective).
     """
     if not per_week:
         raise ValueError("no weekly coefficients to average")
-    for i, (r, n) in enumerate(per_week):
+    for week, r, n in per_week:
         if n < 3:
-            raise ValueError(f"week {i} has n={n} < 3")
+            raise ValueError(f"week {week} has n={n} < 3")
         if abs(r) >= 1.0:
-            raise ValueError(f"week {i} has |r|={abs(r)}; z-transform diverges")
-    n_eff = round(sum(n for _, n in per_week) / len(per_week))
-    first = per_week[0][0]
-    if all(r == first for r, _ in per_week):
+            raise ValueError(f"week {week} has |r|={abs(r)}; z-transform diverges")
+    n_eff = round(sum(n for _, _, n in per_week) / len(per_week))
+    first = per_week[0][1]
+    if all(r == first for _, r, _ in per_week):
         # Exact fixed point of the transform; skip the atanh/tanh round
         # trip, which is not bit-exact.
         return first, _p_from_r(first, n_eff), n_eff
-    mean_z = sum(math.atanh(r) for r, _ in per_week) / len(per_week)
+    mean_z = sum(math.atanh(r) for _, r, _ in per_week) / len(per_week)
     mean_r = math.tanh(mean_z)
     return mean_r, _p_from_r(mean_r, n_eff), n_eff
 
 
-def correlate(name: str, xs, ys, per_week=None) -> CorrelationReport:
+def correlate(name: str, xs, ys) -> CorrelationReport:
     r, r2, p = pearson(xs, ys)
-    return CorrelationReport(name, r, r2, len(xs), p, per_week)
+    return CorrelationReport(name, r, r2, len(xs), p)
 
 
 def audience_confound_report(records: Sequence[UrlRecord], source, name: str) -> CorrelationReport:
@@ -417,14 +400,17 @@ def run_full_evaluation(
         corrected.add(name, lambda: correlate(name, *_corrected(correctable, source)))
 
     weekly = EvalSection("corrected_weekly", [])
+    weeks: dict[int, list[UrlRecord]] = {}
+    for r in weekly_records:
+        weeks.setdefault(r.week_index, []).append(r)
+    # each week fenced by its own quartiles, then its correctable records kept
     w_stats: dict = {}
-    filtered_weekly = iqr_filter(weekly_records, iqr_k, per_week=True, rule=quartile_rule,
-                                 stats=w_stats)
-    stats["weekly_dropped"] = w_stats.get("dropped", 0)
     by_week: dict[int, list[UrlRecord]] = {}
-    for r in filtered_weekly:
-        if r.audience > 0:
-            by_week.setdefault(r.week_index, []).append(r)
+    for w in sorted(weeks):
+        fenced = iqr_filter(weeks[w], iqr_k, rule=quartile_rule, stats=w_stats)
+        if kept := [r for r in fenced if r.audience > 0]:
+            by_week[w] = kept
+    stats["weekly_dropped"] = w_stats.get("dropped", 0)
 
     usable_weeks = [w for w in sorted(by_week) if week_end_hour(w) <= velocity_source.final_hour]
     stats["weekly_weeks_skipped"] = len(by_week) - len(usable_weeks)
@@ -450,8 +436,12 @@ def run_full_evaluation(
         if not per_week:
             stats["weekly_rows_skipped"] = stats.get("weekly_rows_skipped", 0) + 1
             continue
-        mean_r, p, n_eff = average_weekly_r([(r_w, n_w) for _, r_w, n_w in per_week])
-        weekly.rows.append(CorrelationReport(label, mean_r, mean_r * mean_r, n_eff, p, per_week))
+
+        def report():
+            mean_r, p, n_eff = average_weekly_r(per_week)
+            return CorrelationReport(label, mean_r, mean_r * mean_r, n_eff, p, per_week)
+
+        weekly.add(label, report)
 
     return [uncorrected, confound, corrected, weekly]
 

@@ -16,13 +16,13 @@ import os
 import re
 import sys
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .core import DataFileError  # noqa: F401  (re-exported)
+from .core import SURROGATE_RE, DataFileError  # noqa: F401  (DataFileError is re-exported)
 
 HOUR_SECONDS = 3600.0
 WINDOW_HOURS = 1  # hours an event may lag the newest one seen and still be bucketed
@@ -33,8 +33,6 @@ _MENTION_RE = re.compile(r"(?<![A-Za-z0-9_])@([A-Za-z0-9_]{1,15})")
 _RETWEET_RE = re.compile(r"^\s*rt\s+@([A-Za-z0-9_]{1,15})\b", re.IGNORECASE)
 _URL_RE = re.compile(r"https?://[^\s]+")
 _URL_TRAIL = ".,;:!?)'\">"
-# what bytes that are not UTF-8 become when read with errors="surrogateescape"
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 class ParseError(ValueError):
@@ -77,11 +75,6 @@ class IngestStats:
     @property
     def skipped(self) -> int:
         return self.parse_errors + self.pre_epoch_events + self.late_events
-
-    def add(self, other: "IngestStats") -> None:
-        """Add every count of ``other`` to this one's."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     @property
     def skip_rate(self) -> float:
@@ -184,7 +177,7 @@ class EventDecoder:
             raise ParseError("record nested too deeply") from exc
 
     def _decode(self, line: str) -> Event:
-        if not line.isascii() and _SURROGATE_RE.search(line):
+        if not line.isascii() and SURROGATE_RE.search(line):
             raise ParseError("not valid UTF-8")
         rec = decode_json(line)
         if not isinstance(rec, dict):
@@ -605,9 +598,6 @@ class UserGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_keys)
-
-    def __contains__(self, user: str) -> bool:
-        return user in self._idx
 
     def index(self, user: str) -> Optional[int]:
         return self._idx.get(user)

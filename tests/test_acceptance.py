@@ -191,7 +191,7 @@ def test_criterion_4_statistics_oracles():
     fisher_ok = True
     for _ in range(50):
         r = rng.uniform(-0.99, 0.99)
-        weeks = [(r, rng.randint(3, 400)) for _ in range(rng.randint(1, 8))]
+        weeks = [(w, r, rng.randint(3, 400)) for w in range(rng.randint(1, 8))]
         mean_r, _, _ = average_weekly_r(weeks)
         fisher_ok = fisher_ok and mean_r == r
 

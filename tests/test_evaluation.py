@@ -195,7 +195,7 @@ class TestIqrFilter:
     def test_per_week_fences_independent(self):
         week0 = [rec(url=f"a{c}", clicks=c, week=0) for c in (1, 2, 3, 4, 100)]
         week1 = [rec(url=f"b{c}", clicks=c, week=1) for c in (90, 100, 110, 120)]
-        kept = iqr_filter(week0 + week1, 1.5, per_week=True)
+        kept = iqr_filter(week0, 1.5) + iqr_filter(week1, 1.5)
         assert {r.url for r in kept} == {"a1", "a2", "a3", "a4",
                                          "b90", "b100", "b110", "b120"}
 
@@ -536,37 +536,37 @@ class TestPearson:
 class TestAverageWeeklyR:
     def test_identical_r_exact(self):
         for r in (0.3, -0.42, 0.87654321):
-            mean_r, _, n_eff = average_weekly_r([(r, 100), (r, 200), (r, 300)])
+            mean_r, _, n_eff = average_weekly_r([(0, r, 100), (1, r, 200), (2, r, 300)])
             assert mean_r == r  # exact, not approx
             assert n_eff == 200
 
     def test_antisymmetric_pair_cancels(self):
-        mean_r, _, _ = average_weekly_r([(0.3, 50), (-0.3, 50)])
+        mean_r, _, _ = average_weekly_r([(0, 0.3, 50), (1, -0.3, 50)])
         assert mean_r == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_z_average(self):
         rs = [0.2, 0.4, 0.6]
         zs = [math.atanh(r) for r in rs]
         expected = math.tanh(sum(zs) / 3)
-        mean_r, p, n_eff = average_weekly_r([(r, 349) for r in rs])
+        mean_r, p, n_eff = average_weekly_r([(w, r, 349) for w, r in enumerate(rs)])
         assert mean_r == pytest.approx(expected, abs=1e-15)
         assert n_eff == 349
         assert 0.0 <= p <= 1.0
 
     def test_unit_r_error_names_week(self):
         with pytest.raises(ValueError, match="week 1"):
-            average_weekly_r([(0.5, 10), (1.0, 10)])
+            average_weekly_r([(0, 0.5, 10), (1, 1.0, 10)])
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            average_weekly_r([(0.5, 2)])
+            average_weekly_r([(0, 0.5, 2)])
 
     def test_three_point_week_accepted_two_point_week_named(self):
-        mean_r, p, n_eff = average_weekly_r([(0.5, 3), (0.5, 3)])
+        mean_r, p, n_eff = average_weekly_r([(0, 0.5, 3), (1, 0.5, 3)])
         assert (mean_r, n_eff) == (0.5, 3)
         assert p == _p_from_r(0.5, 3)
         with pytest.raises(ValueError, match="week 1 has n=2"):
-            average_weekly_r([(0.5, 3), (0.5, 2)])
+            average_weekly_r([(0, 0.5, 3), (1, 0.5, 2)])
 
 
 class TestConfoundReport:
@@ -771,6 +771,45 @@ class TestFullEvaluation:
         assert [(w, n) for w, _, n in per_week["pagerank"]] == [(1, 3)]
         # the other degenerate week is velocity_prior_week's week 0, all zeros
         assert stats["weekly_degenerate_weeks"] == 2
+
+    def test_each_week_fenced_by_its_own_quartiles(self):
+        """Week 0's 40 clicks lie outside week 0's fences, [8, 16], though
+        inside the fences of both weeks together, [-135, 257]: it is dropped,
+        and week 0's rows count 4 records."""
+        rng = random.Random(6)
+        users = [f"p{i}" for i in range(12)]
+        hist = VelocityHistory(users, np.array([[rng.uniform(0, 1) for _ in users]
+                                                for _ in range(2 * 168)]), range(2 * 168))
+        static = {"pagerank": {u: rng.uniform(0, 1) for u in users}}
+        clicks = {0: (10, 11, 12, 13, 40), 1: (100, 110, 120, 130)}
+        records_w = [UrlRecord(f"w{w}u{i}", c, tuple(users[i:i + 3]), 200 + 17 * i, w)
+                     for w, week_clicks in clicks.items() for i, c in enumerate(week_clicks)]
+        records_g = [dataclasses.replace(r, week_index=None) for r in records_w]
+        stats: dict = {}
+        weekly = run_full_evaluation(records_g, records_w, static, hist, stats=stats)[3]
+        assert stats["weekly_dropped"] == 1
+        per_week = {row.score: row.per_week for row in weekly.rows}
+        for score in ("pagerank", "velocity_final_date", "velocity_on_week"):
+            assert [(w, n) for w, _, n in per_week[score]] == [(0, 4), (1, 4)]
+
+    def test_unit_r_week_names_its_row_and_week(self):
+        """A week whose corrected velocities and clicks are collinear stops
+        the evaluation with the section, the row and the week's own number."""
+        users = [f"p{i}" for i in range(9)] + ["q1", "q2", "q3"]
+        hours = [week_end_hour(1), week_end_hour(2), week_end_hour(3), week_end_hour(3) + 30]
+        rng = random.Random(9)
+        matrix = np.array([[rng.uniform(0, 1) for _ in users] for _ in hours])
+        matrix[2, -3:] = (1.0, 2.0, 3.0)  # the q users at the end of week 3
+        hist = VelocityHistory(users, matrix, hours)
+        static = {"pagerank": {u: rng.uniform(0, 1) for u in users}}
+        records_w = [UrlRecord(f"w2u{i}", 10 + 9 * i * i, tuple(users[3 * i:3 * i + 3]),
+                               100 + 7 * i, 2) for i in range(3)]
+        records_w += [UrlRecord(f"w3u{i}", 10 * i, (f"q{i}",), 100, 3) for i in (1, 2, 3)]
+        records_g = [dataclasses.replace(r, week_index=None) for r in records_w]
+        with pytest.raises(ValueError) as raised:
+            run_full_evaluation(records_g, records_w, static, hist, iqr_k=1e9)
+        assert str(raised.value) == \
+            "corrected_weekly/velocity_on_week: week 3 has |r|=1.0; z-transform diverges"
 
 
 def test_correlate_builds_report():

@@ -108,7 +108,7 @@ def test_rows_span_many_batches(tmp_path):
 
 
 def test_cached_read_adds_the_parse_counts(tmp_path, parses):
-    """A cached read adds to IngestStats what the parse that made it added."""
+    """A cached read returns the graph counts of the parse that made it."""
     edges = tmp_path / "edges.tsv"
     edges.write_text("# comment\nb\ta\nb\ta\nB\t@a\na\ta\nnot a pair\nc\tc\nb\tc\tz\n"
                      "c\tb\n", encoding="utf-8")
@@ -116,9 +116,8 @@ def test_cached_read_adds_the_parse_counts(tmp_path, parses):
     counts.write_text("zed\t4\nbad\n", encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
-    parsed, cached = IngestStats(records=5), IngestStats(records=5)
-    first = cli._graph(edges, counts, out, parsed)
-    second = cli._graph(edges, counts, out, cached)
+    first, parsed = cli._graph(edges, counts, out)
+    second, cached = cli._graph(edges, counts, out)
     assert len(parses) == 1
     assert graph_counts(parsed) == (3, 2, 2)
     assert cached == parsed
@@ -221,11 +220,11 @@ def test_follower_read_memory_bounded(tmp_path):
         fh.writelines(f"u{a}\tu{b}\n" for a, b in zip(src.tolist(), dst.tolist()))
     out = tmp_path / "out"
     out.mkdir()
-    graph = cli._graph(edges, None, out, IngestStats())  # parses and caches
+    graph, _ = cli._graph(edges, None, out)  # parses and caches
     assert graph.edge_count > 250_000
     tracemalloc.start()
     try:
-        followers = cli._graph(edges, None, out, IngestStats(), EVAL_ROWS).follower_map()
+        followers = cli._graph(edges, None, out, EVAL_ROWS)[0].follower_map()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -350,7 +350,7 @@ class TestLoadGraph:
         edges = self.write(tmp_path, "b\ta\n")
         counts = self.write(tmp_path, "zed\t7\n", "counts.tsv")
         g = load_graph(edges, counts)
-        assert "zed" in g
+        assert g.index("zed") is not None
         assert g.followers_of("zed") == 7
 
     @pytest.mark.parametrize("line", ["a\t-1", "a\t99999999999999999999", f"a\t{2**63}",

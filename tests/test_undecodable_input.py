@@ -7,7 +7,8 @@ import pytest
 
 from pipeline_helpers import run, run_pipeline
 from veloscore.cli import EXIT_DATA, EXIT_OK
-from veloscore.core import table_rows
+from veloscore.core import ScoreVector, load_snapshots, table_rows
+from veloscore.evaluation import read_clicks
 from veloscore.ingest import DataFileError, IngestStats, load_graph, read_events_file
 from veloscore.synth import SynthConfig, generate
 
@@ -100,3 +101,35 @@ def test_table_line_named_past_the_decoders_read_ahead(tmp_path):
     with pytest.raises(DataFileError, match=r":5001: not valid UTF-8"):
         for _ in table_rows(path, str.split):
             pass
+
+
+FIRST_BAD_LINE = {
+    "clicks.tsv": (read_clicks, b"a\t1\n", b"b\tnot-a-number\n", b"e\xff\t5\n"),
+    "pagerank.tsv": (ScoreVector.read_tsv, b"a\t0.5\n", b"b\tnot-a-number\n", b"e\xff\t5\n"),
+    "snapshots.tsv": (load_snapshots, b"0\ta\t1.0\t0.0\n", b"0\tb\tnot-a-number\t0.0\n",
+                      b"0\te\xff\t1.0\t0.0\n"),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_BAD_LINE)
+def test_table_names_its_first_bad_line(tmp_path, name):
+    """A parse error on line 2 is named, though line 5 holds bytes that are
+    not UTF-8 and the decoder reads the whole small file at once."""
+    read, good, unparsable, undecodable = FIRST_BAD_LINE[name]
+    path = tmp_path / name
+    path.write_bytes(good + unparsable + good.replace(b"a", b"c") + good.replace(b"a", b"d")
+                     + undecodable)
+    assert path.stat().st_size < 8192
+    with pytest.raises(DataFileError, match=rf"{name}:2: "):
+        read(path)
+
+
+def test_undecodable_comment_line_is_a_data_error(dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    pipeline(dataset, out)
+    clicks = tmp_path / "clicks.tsv"
+    clicks.write_bytes(b"# caf\xe9\n" + (dataset / "clicks.tsv").read_bytes())
+    capsys.readouterr()
+    assert run("eval", "--events", dataset / "events.ndjson", "--edges", dataset / "edges.tsv",
+               "--clicks", clicks, "--out", out) == EXIT_DATA
+    assert f"{clicks}:1: not valid UTF-8" in capsys.readouterr().err
