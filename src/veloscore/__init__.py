@@ -24,9 +24,9 @@ _EXPORTS = {
     "KineticsEngine": "dynamics",
     "TrendingEntry": "core",
     "VelocityHistory": "core",
-    "estimate_zeta": "dynamics",
+    "estimate_zeta": "core",
     "rank_trending": "core",
-    "replay": "dynamics",
+    "replay": "core",
     "RetweetGraph": "centrality",
     "ScoreVector": "core",
     "build_retweet_graph": "centrality",

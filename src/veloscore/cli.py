@@ -14,12 +14,13 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-# only the standard library at import: each command imports the numpy
-# modules it runs, so `trend` and `eval` load none of them
+# only the standard library at import: `centrality` imports the numpy
+# modules it runs, so `score`, `trend` and `eval` load none of them
 from .core import (DEFAULT_DAMPING, DEFAULT_ERROR_CEILING, DEFAULT_MAX_ITER,
                    DEFAULT_RETWEET_PROB, DEFAULT_TOL, FORCE_SOURCES, MASS_MODES, SCORERS,
-                   WEEK_HOURS, DataFileError, KineticsConfig, ScoreVector, load_snapshots,
-                   rank_trending, table_rows, week_end_hour, write_snapshots)
+                   WEEK_HOURS, DataFileError, ForceTable, KineticsConfig, ScoreVector,
+                   estimate_zeta, load_snapshots, rank_trending, replacing, replay, table_rows,
+                   week_end_hour, write_snapshots)
 
 if TYPE_CHECKING:
     from .ingest import IngestStats
@@ -139,11 +140,11 @@ def _score_stream(events_path: Path, epoch, out_dir: Path, cfg: KineticsConfig,
     unless the ceiling on skipped records fails or the file changed while
     it was read.
     """
-    from . import dynamics, ingest
+    from . import ingest
 
     key, unchanged = _keyed(events_path)
     digest = ingest.StreamDigest()
-    table = dynamics.ForceTable.of(
+    table = ForceTable.of(
         ingest.bucketize(digest.tap(ingest.read_events_file(events_path, stats)), epoch, stats),
         cfg.force_source)
     _check_ceiling(stats, ceiling)
@@ -287,7 +288,7 @@ def _kinetics(args, zeta: float) -> KineticsConfig:
 
 
 def cmd_score(args) -> int:
-    from . import dynamics, ingest
+    from . import ingest
 
     # every flag and input file is checked before the stream is parsed
     _check_flag("--error-ceiling", args.error_ceiling, 0.0 <= args.error_ceiling <= 1.0,
@@ -309,7 +310,7 @@ def cmd_score(args) -> int:
 
     if zeta is None:
         try:
-            zeta = dynamics.estimate_zeta(table, graph) if table.hours else 0.0
+            zeta = estimate_zeta(table, graph) if table.hours else 0.0
         except ValueError as exc:
             raise DataError(str(exc)) from exc
         cfg = _kinetics(args, zeta)
@@ -318,10 +319,10 @@ def cmd_score(args) -> int:
     final = table.hours - 1
     snap_hours = sorted({min(week_end_hour(w), final)
                          for w in range(final // WEEK_HOURS + 1)})
-    history = dynamics.replay(table, cfg, graph,
-                              checkpoints={h - d for h in snap_hours for d in (0, 1) if h >= d})
+    history = replay(table, cfg, graph,
+                     checkpoints={h - d for h in snap_hours for d in (0, 1) if h >= d})
     write_snapshots(out_dir / SNAPSHOT_FILE, history, snap_hours)
-    with open(out_dir / FINAL_VELOCITY_FILE, "w", encoding="utf-8") as fh:
+    with replacing(out_dir / FINAL_VELOCITY_FILE, encoding="utf-8") as fh:
         for u, v in history.row(final).items():
             fh.write(f"{u}\t{v:.12g}\n")
     resolved = {"resolved_zeta": repr(zeta)}

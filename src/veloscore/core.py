@@ -1,25 +1,33 @@
 """The part of veloscore that runs on the standard library alone.
 
-It holds what the command-line parser, `trend` and `eval` need: the
-checked table reader, the week arithmetic, the velocity parameters, the
-checkpoint type with its file format, trending, the table of centrality
-scorers with their defaults, and the score vector with its file format.
-So `veloscore trend` ranks two checkpoint rows, and `veloscore eval`
-reads the score files, without loading numpy.  `ingest`, `dynamics` and
-`centrality` import these names back; each is defined here once.
+It holds what the command-line parser, `score`, `trend` and `eval`
+need: the checked table reader, the file writer that replaces a file
+whole, the week arithmetic, the velocity parameters, the hourly force
+table with the damping estimate and the replay over it, the checkpoint
+type with its file format, trending, the table of centrality scorers
+with their defaults, and the score vector with its file format.  So
+`veloscore score` replays the stream, `veloscore trend` ranks two
+checkpoint rows, and `veloscore eval` reads the score files, without
+loading numpy.  `ingest`, `dynamics`, `kernels` and `centrality` import
+these names back; each is defined here once.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 import re
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import ne
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .ingest import HourBucket, UserGraph
 
 WEEK_HOURS = 168
 
@@ -61,6 +69,24 @@ def table_rows(path, parse: Callable[[str], tuple],
                     yield lineno, parse(line)
                 except ValueError as exc:
                     raise DataFileError(path, lineno, exc) from None
+
+
+@contextmanager
+def replacing(path, mode: str = "w", **kwargs):
+    """A file opened with ``open(path + ".tmp", mode, **kwargs)`` that is
+    renamed to ``path`` once the block ends, or removed if the block
+    raises: ``path`` is never left holding part of what was written."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def week_end_hour(week: int) -> int:
@@ -111,11 +137,12 @@ class TrendingEntry:
 class VelocityHistory:
     """Velocities of a fixed set of tracked users at the end of recorded hours.
 
-    The one checkpoint type: ``dynamics.replay`` builds it from a stream
-    (``matrix`` a numpy array) and ``load_snapshots`` from
-    ``snapshots.tsv`` (``matrix`` a list of ``array('d')`` rows).  Row
-    ``k`` of ``matrix`` holds hour ``hours[k]``.  Untracked users and hours before the epoch read as velocity 0;
-    any other hour that was not recorded is an error naming it.
+    The one checkpoint type: ``replay`` builds it from a stream and
+    ``load_snapshots`` from ``snapshots.tsv``, each with ``matrix`` a list
+    of ``array('d')`` rows in ``users`` order.  Row ``k`` of ``matrix``
+    holds hour ``hours[k]``.  Untracked users and hours before the epoch
+    read as velocity 0; any other hour that was not recorded is an error
+    naming it.
     """
 
     def __init__(self, users: list[str], matrix, hours: Sequence[int]):
@@ -169,10 +196,156 @@ def rank_trending(
             for neg_dv, u, rel in heapq.nsmallest(k, passing())]
 
 
+def intake(bucket: HourBucket, hour: int, force_source: str,
+           ids: dict[str, int]) -> tuple[dict[str, int], list[int]]:
+    """The ``force_source`` force of ``bucket``, which must be hour ``hour``,
+    and the id in ``ids`` of each user it forces.  A user forced for the
+    first time gets the next id, so ids follow first force."""
+    if bucket.hour_index != hour:
+        raise ValueError(f"bucket hour {bucket.hour_index} is not contiguous: "
+                         f"expected hour {hour}")
+    force = bucket.retweet_force if force_source == "retweets" else bucket.force
+    return force, [ids.setdefault(u, len(ids)) for u in force]
+
+
+class ForceTable:
+    """Sealed hours of force, added one bucket at a time, in compact form.
+
+    Users of the ``force_source`` force get ids by ``intake``.  The
+    entries of hour ``t`` are ``f_users``/``f_counts[indptr[t]:indptr[t + 1]]``,
+    in flat arrays.  ``total_force`` counts mention tokens and ``active``
+    holds every user who received a mention or a retweet attribution, as
+    ``estimate_zeta`` needs whatever the force source.
+    """
+
+    def __init__(self, force_source: str):
+        if force_source not in FORCE_SOURCES:
+            raise ValueError(f"force_source must be one of {FORCE_SOURCES}")
+        self.force_source = force_source
+        self.ids: dict[str, int] = {}
+        self.indptr = array("q", [0])
+        self.f_users = array("q")
+        self.f_counts = array("d")
+        self.total_force = 0
+        self.active: set[str] = set()
+
+    @classmethod
+    def of(cls, buckets: Iterable[HourBucket], force_source: str) -> "ForceTable":
+        """The table of ``force_source`` force in the buckets, contiguous from hour 0."""
+        table = cls(force_source)
+        for b in buckets:
+            table.add(b)
+        return table
+
+    @property
+    def hours(self) -> int:
+        return len(self.indptr) - 1
+
+    def add(self, bucket: HourBucket) -> None:
+        """Append the next hour; buckets must be contiguous from hour 0."""
+        force, users = intake(bucket, self.hours, self.force_source, self.ids)
+        self.f_users.extend(users)
+        self.f_counts.extend(map(float, force.values()))
+        self.total_force += bucket.total_force
+        self.active.update(bucket.force, bucket.retweet_force)
+        self.indptr.append(len(self.f_users))
+
+
+def velocity_replay(hour_indptr, f_users, f_counts, mass, zeta: float,
+                    rows: Sequence[int]) -> list[array]:
+    """Replay hourly velocity updates, v = max(0, v + force/mass - zeta),
+    over one state list.
+
+    ``hour_indptr``/``f_users``/``f_counts`` are a CSR layout of per-hour
+    force entries; each user appears at most once per hour, and
+    ``mass[i]`` (>= 1) is user i's mass.  Returns the velocities at the
+    end of each hour in ``rows`` (increasing), one ``array('d')`` per hour
+    in user order.
+
+    Only the users who are forced or moving are updated.  An idle user's
+    step, ``(v + 0.0/m) - zeta``, is ``v - zeta`` for v >= +0, so with
+    zeta >= 0 an idle user at rest stays at 0.  A forced user's step is
+    ``(v + f/m) - zeta``, in that order.  Both give the bits of
+    ``kernels.velocity_step``, the engine's whole-vector form of the law.
+    """
+    v = [0.0] * len(mass)
+    moving: set[int] = set()  # the users with v > 0
+    out = []
+    k = 0
+    for t in range(rows[-1] + 1 if rows else 0):
+        lo, hi = hour_indptr[t], hour_indptr[t + 1]
+        forced = f_users[lo:hi]
+        if zeta and moving:  # v - 0.0 is v: with no damping the idle keep their speed
+            for i in moving.difference(forced):
+                x = v[i] - zeta
+                if x > 0.0:
+                    v[i] = x
+                else:
+                    v[i] = 0.0
+                    moving.discard(i)
+        for i, f in zip(forced, f_counts[lo:hi]):
+            x = v[i] + f / mass[i] - zeta
+            if x > 0.0:
+                v[i] = x
+                moving.add(i)
+            else:
+                v[i] = 0.0
+                moving.discard(i)
+        if rows[k] == t:
+            out.append(array("d", v))
+            k += 1
+    return out
+
+
+def replay(table: ForceTable, cfg: KineticsConfig, graph: UserGraph,
+           checkpoints: Iterable[int]) -> VelocityHistory:
+    """Replay the table's sealed hours of force through ``velocity_replay``.
+
+    ``table`` must hold ``cfg.force_source`` force.  Equivalent to
+    stepping a KineticsEngine over the same hours, but runs one state
+    through the whole stream and keeps only the hours in ``checkpoints``.
+    The table is not changed.
+    """
+    if table.force_source != cfg.force_source:
+        raise ValueError(f"force table holds {table.force_source}, not {cfg.force_source}")
+    rows = sorted(set(checkpoints))
+    if rows and not 0 <= rows[0] <= rows[-1] < table.hours:
+        bad = rows[0] if rows[0] < 0 else rows[-1]
+        raise ValueError(f"cannot checkpoint hour {bad} of a {table.hours}-hour stream")
+    users = sorted(table.ids)
+    mass = [cfg.mass_for(graph.followers_of(u)) for u in table.ids]
+    by_id = velocity_replay(table.indptr, table.f_users, table.f_counts, mass,
+                            float(cfg.zeta), rows)
+    order = [table.ids[u] for u in users]
+    return VelocityHistory(users, [array("d", map(row.__getitem__, order)) for row in by_id],
+                           rows)
+
+
+def estimate_zeta(table: ForceTable, graph: UserGraph) -> float:
+    """Damping constant: mean mentions per hour per active user, divided by
+    the mean follower count of a graph user.
+
+    Active users received a mention or a retweet attribution, whichever
+    force the table holds.
+    """
+    if graph.n == 0:
+        raise ValueError("cannot estimate damping on an empty graph")
+    if table.hours == 0:
+        raise ValueError("cannot estimate damping with zero hours")
+    total, active = table.total_force, len(table.active)
+    if total == 0 or not active:
+        return 0.0
+    mean_followers = graph.mean_followers()
+    if mean_followers <= 0:
+        raise ValueError("mean follower count is zero; damping undefined")
+    return (total / (table.hours * active)) / mean_followers
+
+
 def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> None:
     """Persist checkpoints as hour<TAB>user<TAB>velocity<TAB>acceleration,
-    lexicographic user order within each hour."""
-    with open(path, "w", encoding="utf-8") as fh:
+    lexicographic user order within each hour; the file is replaced whole
+    (``replacing``)."""
+    with replacing(path, encoding="utf-8") as fh:
         for h in sorted(set(hours)):
             before = history.row(h - 1)
             for u, v in history.row(h).items():

@@ -6,14 +6,16 @@ no force arrives.  Velocity is clamped at zero.  Acceleration is the
 realized per-hour velocity delta (post-clamp), which is what trending
 detection ranks.
 
-The velocity parameters, the checkpoint type with its file format, and
-trending need no numpy, so they are defined in ``core`` and imported here.
+The velocity parameters, the hourly force table, the batch replay and the
+damping estimate, the checkpoint type with its file format, and trending
+need no numpy, so they are defined in ``core`` and imported here.  The
+engine below steps a numpy vector through ``kernels.velocity_step``, the
+same law as ``core.velocity_replay`` in whole-vector form.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable
 
 import numpy as np
 
@@ -21,65 +23,10 @@ from . import kernels
 # loading dynamics loads every module perfbench's traced child wraps: it
 # imports cli and dynamics, then wraps the functions of the modules loaded by then
 from . import centrality, evaluation  # noqa: F401
-from .core import (FORCE_SOURCES, WEEK_HOURS, KineticsConfig, TrendingEntry, VelocityHistory,
-                   rank_trending)
-from .core import MASS_MODES, load_snapshots, week_end_hour, write_snapshots  # noqa: F401
+from .core import WEEK_HOURS, KineticsConfig, TrendingEntry, intake, rank_trending
+from .core import (FORCE_SOURCES, MASS_MODES, ForceTable, VelocityHistory,  # noqa: F401
+                   estimate_zeta, load_snapshots, replay, week_end_hour, write_snapshots)
 from .ingest import HourBucket, UserGraph
-
-
-def intake(bucket: HourBucket, hour: int, force_source: str,
-           ids: dict[str, int]) -> tuple[dict[str, int], list[int]]:
-    """The ``force_source`` force of ``bucket``, which must be hour ``hour``,
-    and the id in ``ids`` of each user it forces.  A user forced for the
-    first time gets the next id, so ids follow first force."""
-    if bucket.hour_index != hour:
-        raise ValueError(f"bucket hour {bucket.hour_index} is not contiguous: "
-                         f"expected hour {hour}")
-    force = bucket.retweet_force if force_source == "retweets" else bucket.force
-    return force, [ids.setdefault(u, len(ids)) for u in force]
-
-
-class ForceTable:
-    """Sealed hours of force, added one bucket at a time, in compact form.
-
-    Users of the ``force_source`` force get ids by ``intake``.  The
-    entries of hour ``t`` are ``f_users``/``f_counts[indptr[t]:indptr[t + 1]]``,
-    in flat arrays.  ``total_force`` counts mention tokens and ``active``
-    holds every user who received a mention or a retweet attribution, as
-    ``estimate_zeta`` needs whatever the force source.
-    """
-
-    def __init__(self, force_source: str):
-        if force_source not in FORCE_SOURCES:
-            raise ValueError(f"force_source must be one of {FORCE_SOURCES}")
-        self.force_source = force_source
-        self.ids: dict[str, int] = {}
-        self.indptr = array("q", [0])
-        self.f_users = array("q")
-        self.f_counts = array("d")
-        self.total_force = 0
-        self.active: set[str] = set()
-
-    @classmethod
-    def of(cls, buckets: Iterable[HourBucket], force_source: str) -> "ForceTable":
-        """The table of ``force_source`` force in the buckets, contiguous from hour 0."""
-        table = cls(force_source)
-        for b in buckets:
-            table.add(b)
-        return table
-
-    @property
-    def hours(self) -> int:
-        return len(self.indptr) - 1
-
-    def add(self, bucket: HourBucket) -> None:
-        """Append the next hour; buckets must be contiguous from hour 0."""
-        force, users = intake(bucket, self.hours, self.force_source, self.ids)
-        self.f_users.extend(users)
-        self.f_counts.extend(map(float, force.values()))
-        self.total_force += bucket.total_force
-        self.active.update(bucket.force, bucket.retweet_force)
-        self.indptr.append(len(self.f_users))
 
 
 class KineticsEngine:
@@ -156,52 +103,3 @@ class KineticsEngine:
     def trending(self, start_hour: int, end_hour: int, threshold: float, k: int,
                  window: str = "") -> list[TrendingEntry]:
         return rank_trending(self.row(start_hour), self.row(end_hour), threshold, k, window)
-
-
-def replay(table: ForceTable, cfg: KineticsConfig, graph: UserGraph,
-           checkpoints: Iterable[int]) -> VelocityHistory:
-    """Replay the table's sealed hours of force through the velocity kernel.
-
-    ``table`` must hold ``cfg.force_source`` force.  Equivalent to
-    stepping a KineticsEngine over the same hours, but runs one state
-    vector through the whole stream and keeps only the hours in
-    ``checkpoints``.  The table is not changed.
-    """
-    if table.force_source != cfg.force_source:
-        raise ValueError(f"force table holds {table.force_source}, not {cfg.force_source}")
-    rows = sorted(set(checkpoints))
-    if rows and not 0 <= rows[0] <= rows[-1] < table.hours:
-        bad = rows[0] if rows[0] < 0 else rows[-1]
-        raise ValueError(f"cannot checkpoint hour {bad} of a {table.hours}-hour stream")
-    users = sorted(table.ids)
-    mass = np.array([cfg.mass_for(graph.followers_of(u)) for u in table.ids], dtype=np.float64)
-    matrix = kernels.velocity_replay(
-        np.frombuffer(table.indptr, dtype=np.int64),
-        np.frombuffer(table.f_users, dtype=np.int64),
-        np.frombuffer(table.f_counts, dtype=np.float64),
-        mass,
-        float(cfg.zeta),
-        len(table.ids),
-        rows,
-    )
-    return VelocityHistory(users, matrix[:, [table.ids[u] for u in users]], rows)
-
-
-def estimate_zeta(table: ForceTable, graph: UserGraph) -> float:
-    """Damping constant: mean mentions per hour per active user, divided by
-    the mean follower count of a graph user.
-
-    Active users received a mention or a retweet attribution, whichever
-    force the table holds.
-    """
-    if graph.n == 0:
-        raise ValueError("cannot estimate damping on an empty graph")
-    if table.hours == 0:
-        raise ValueError("cannot estimate damping with zero hours")
-    total, active = table.total_force, len(table.active)
-    if total == 0 or not active:
-        return 0.0
-    mean_followers = graph.mean_followers()
-    if mean_followers <= 0:
-        raise ValueError("mean follower count is zero; damping undefined")
-    return (total / (table.hours * active)) / mean_followers

@@ -12,17 +12,16 @@ import base64
 import json
 import math
 import operator
-import os
 import re
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import islice
-from pathlib import Path
+from itertools import compress, islice
 from typing import Iterable, Iterator, Optional
 
-from .core import SURROGATE_RE, DataFileError  # noqa: F401  (DataFileError is re-exported)
+from .core import SURROGATE_RE, DataFileError, replacing  # noqa: F401  (re-exports DataFileError)
 
 HOUR_SECONDS = 3600.0
 WINDOW_HOURS = 1  # hours an event may lag the newest one seen and still be bucketed
@@ -294,24 +293,17 @@ def write_framed(path, header: list, rows: Iterable[list]) -> None:
     truncated or damaged file is never read.  The file is ASCII text,
     written under a temporary name and then renamed into place.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     h = _blake2b()
-    try:
-        with open(tmp, "wb") as fh:
-            def put(row):
-                line = (json.dumps(row) + "\n").encode("ascii")
-                h.update(line)
-                fh.write(line)
+    with replacing(path, "wb") as fh:
+        def put(row):
+            line = (json.dumps(row) + "\n").encode("ascii")
+            h.update(line)
+            fh.write(line)
 
-            put(header)
-            for row in rows:
-                put(row)
-            fh.write((json.dumps(["end", h.hexdigest()]) + "\n").encode("ascii"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        put(header)
+        for row in rows:
+            put(row)
+        fh.write((json.dumps(["end", h.hexdigest()]) + "\n").encode("ascii"))
 
 
 def read_framed(path, magic: str, version: int, key: list) -> Iterator:
@@ -548,48 +540,46 @@ class UserGraph:
     def from_ids(
         cls,
         names: list[str],
-        pairs: array,
+        followees: list[array],
         overrides: Optional[dict[str, int]] = None,
     ) -> tuple["UserGraph", int]:
-        """The graph of the edges ``names[p >> 32] -> names[p & 0xFFFFFFFF]``
-        for each ``p`` in the ``array('q')`` ``pairs``, and the number of
-        duplicate edges dropped.
+        """The graph of the edges ``names[i] -> names[j]`` for each ``j`` in
+        ``followees[i]``, and the number of duplicate edges dropped.
 
         Users are the names on an edge plus the override keys; a name on
-        no edge is left out.  ``pairs`` becomes the graph's ``edge_keys``:
-        it is remapped, sorted, deduplicated and truncated in place, a
-        bounded chunk at a time, so the build holds no full-size copy.
+        no edge is left out.  Each follower's followees are mapped to user
+        indices, sorted and deduplicated one follower at a time, in user
+        order, so the edge keys come out strictly increasing without a
+        sort over every edge.
         """
-        import numpy as np
-
-        edges = len(pairs)
-        keys = np.frombuffer(pairs, dtype=np.int64)  # a view: writes go to ``pairs``
-        on_edge = np.zeros(len(names), dtype=bool)
-        for chunk in _chunks(keys):
-            on_edge[chunk >> 32] = True
-            on_edge[chunk & _ID_MASK] = True
-        users = sorted({names[i] for i in np.flatnonzero(on_edge)}.union(overrides or ()))
+        on_edge = set(compress(range(len(followees)), followees))
+        for row in followees:
+            on_edge.update(row)
+        users = sorted({names[i] for i in on_edge}.union(overrides or ()))
+        on_edge = None
         idx = {u: i for i, u in enumerate(users)}
-        to_user = np.array([idx.get(u, -1) for u in names], dtype=np.int64)
+        to_user = [idx.get(u, -1) for u in names]
         idx = None  # the graph builds its own; both at once would raise the load's peak
         n = len(users)
-        for chunk in _chunks(keys):  # edge keys i * n + j, each chunk in place
-            follower = to_user[chunk >> 32]
-            follower *= n
-            np.add(follower, to_user[chunk & _ID_MASK], out=chunk)
-        m = sort_unique(keys)
-        in_degree = np.zeros(n, dtype=np.int64)
-        for chunk in _chunks(keys[:m]):
-            in_degree += np.bincount(chunk % n, minlength=n)
-        # array("q", raw bytes) copies them at C speed, not one numpy scalar at a time
-        follower_count = array("q", in_degree.tobytes())
-        keys = chunk = None  # drop every view: an array that exports its buffer cannot resize
-        del pairs[m:]
-        graph = cls(users, pairs, follower_count)
+        rows: list = [()] * n  # each user's followees, by name id
+        for i, row in zip(to_user, followees):
+            if row:
+                rows[i] = row
+        keys = array("q")
+        in_degree: Counter = Counter()
+        edges = 0
+        for i, row in enumerate(rows):
+            if row:
+                edges += len(row)
+                followed = sorted(set(map(to_user.__getitem__, row)))
+                in_degree.update(followed)
+                base = i * n
+                keys.fromlist([base + j for j in followed])  # faster than extend(map(...))
+        graph = cls(users, keys, array("q", map(in_degree.__getitem__, range(n))))
         if overrides:
             for u, c in overrides.items():
-                follower_count[graph.index(u)] = c
-        return graph, edges - m
+                graph.follower_count[graph.index(u)] = c
+        return graph, edges - len(keys)
 
     @property
     def n(self) -> int:
@@ -621,43 +611,6 @@ def _in_order(keys: array, lo: int, hi: int) -> bool:
                         and all(map(operator.lt, keys, islice(keys, 1, None))))
 
 
-# values a numpy pass over a key array takes at a time, so its temporaries
-# stay a few MB however many edges there are
-_CHUNK = 1 << 16
-_ID_MASK = (1 << 32) - 1  # the low half of a packed pair: the followee's id
-
-
-def _chunks(keys) -> Iterator:
-    """Consecutive views of at most ``_CHUNK`` values of the numpy array ``keys``."""
-    for start in range(0, len(keys), _CHUNK):
-        yield keys[start:start + _CHUNK]
-
-
-def sort_unique(keys) -> int:
-    """Sort the int64 numpy array ``keys`` in place and move its distinct
-    values, in order, to its front; return how many there are.
-
-    Repeats are dropped a chunk at a time, each chunk's first value
-    compared with the last value of the chunk before: no full-size mask
-    or copy is made.  (np.unique takes a hash-table path on integers that
-    is slower and holds memory outside numpy's allocator.)
-    """
-    import numpy as np
-
-    keys.sort()
-    m = 0
-    last = None
-    for chunk in _chunks(keys):
-        first = np.empty(chunk.size, dtype=bool)  # the first of its run of repeats
-        first[0] = last is None or chunk[0] != last
-        np.not_equal(chunk[1:], chunk[:-1], out=first[1:])
-        last = chunk[-1]
-        kept = chunk[first]  # a copy, taken before the write below can reach the chunk
-        keys[m:m + kept.size] = kept
-        m += kept.size
-    return m
-
-
 def _parse_tsv_lines(path) -> Iterator[list[str]]:
     # undecodable bytes become lone surrogates, which no handle or count
     # accepts, so such a line is counted as a bad graph line
@@ -679,14 +632,19 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
     stats = stats if stats is not None else IngestStats()
     handles: dict[str, int] = {}  # handle -> its id, in order of first sight
     ids: dict[str, int] = {}      # raw field -> id of its handle
+    followees: list[array] = []   # by id: the followee id of each of the handle's edge lines
 
     def intern(raw: str) -> int:
         i = ids.get(raw)
         if i is None:
-            i = ids[raw] = handles.setdefault(normalize_handle(raw), len(handles))
+            h = normalize_handle(raw)
+            i = handles.get(h)
+            if i is None:
+                i = handles[h] = len(followees)
+                followees.append(array("I"))
+            ids[raw] = i
         return i
 
-    pairs = array("q")  # one 8-byte word an edge line: follower id << 32 | followee id
     for fields in _parse_tsv_lines(edge_path):
         if len(fields) != 2:
             stats.bad_graph_lines += 1
@@ -699,7 +657,7 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
         if a == b:
             stats.self_loops_dropped += 1
             continue
-        pairs.append(a << 32 | b)
+        followees[a].append(b)
 
     overrides: Optional[dict[str, int]] = None
     if counts_path is not None:
@@ -721,7 +679,7 @@ def load_graph(edge_path, counts_path=None, stats: Optional[IngestStats] = None)
 
     names = list(handles)
     handles = ids = None  # freed before the build, where the load peaks
-    graph, duplicates = UserGraph.from_ids(names, pairs, overrides)
+    graph, duplicates = UserGraph.from_ids(names, followees, overrides)
     stats.duplicate_edges += duplicates
     return graph
 

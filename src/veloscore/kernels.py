@@ -1,47 +1,31 @@
-"""Hot numeric inner loops, numpy only.
+"""Hot numeric inner loops over numpy arrays.
 
-One implementation each: the velocity law and its replay, the
-fixed-point loop, and the PageRank, TunkRank and influence/passivity
+The velocity law in whole-vector form, for the streaming engine; the
+fixed-point loop; and the PageRank, TunkRank and influence/passivity
 steps it runs.  Every kernel is a sequence of whole-array numpy
 operations in plain IEEE float64 arithmetic, so a given input always
-gives the same bits.
+gives the same bits.  The batch replay, ``velocity_replay``, runs the
+same law one user at a time in plain Python, so that `score` loads no
+numpy; it is defined in ``core`` and imported here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import velocity_replay  # noqa: F401
+
 
 # ---------------------------------------------------------------------------
-# velocity replay: v_t = max(0, v_{t-1} + force/mass - zeta), hour by hour
+# the velocity law: v_t = max(0, v_{t-1} + force/mass - zeta), hour by hour
 # ---------------------------------------------------------------------------
 
 def velocity_step(v, force, mass, zeta):
-    """One hour of the velocity law; the only implementation of it."""
+    """One hour of the velocity law over whole vectors, for ``KineticsEngine``.
+
+    ``core.velocity_replay`` writes the same law per user, for the batch
+    replay; the tests hold both to one plain-Python oracle bit for bit."""
     return np.maximum(0.0, v + force / mass - zeta)
-
-
-def velocity_replay(hour_indptr, f_users, f_counts, mass, zeta, n_users, rows):
-    """Replay hourly velocity updates over one state vector.
-
-    ``hour_indptr``/``f_users``/``f_counts`` are a CSR layout of per-hour
-    force entries; each user appears at most once per hour.  Returns the
-    velocities at the end of each hour in ``rows`` (increasing) as a
-    ``(len(rows), n_users)`` array.
-    """
-    out = np.zeros((len(rows), n_users), dtype=np.float64)
-    v = np.zeros(n_users, dtype=np.float64)
-    force = np.zeros(n_users, dtype=np.float64)
-    k = 0
-    for t in range(rows[-1] + 1 if len(rows) else 0):
-        lo, hi = hour_indptr[t], hour_indptr[t + 1]
-        force[f_users[lo:hi]] = f_counts[lo:hi]
-        v = velocity_step(v, force, mass, zeta)
-        force[f_users[lo:hi]] = 0.0
-        if rows[k] == t:
-            out[k] = v
-            k += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,12 @@ from typing import Optional
 import numpy as np
 
 from .core import WEEK_HOURS
-from .ingest import sort_unique
 
 _BLOCK_USERS = 1024  # users per block of exact counts
 _WRITE_CHUNK = 1 << 14  # event lines joined per write
 _KEY_BLOCK = 1 << 19  # keys per block of rows finished by exponential races
+# keys sort_unique compares at a time, so its temporaries stay a few MB
+_CHUNK = 1 << 16
 
 _PHRASES = (
     "great show tonight",
@@ -258,10 +259,34 @@ def _clique(ids: np.ndarray):
     return a[a != b], b[a != b]
 
 
+def sort_unique(keys: np.ndarray) -> int:
+    """Sort the int64 numpy array ``keys`` in place and move its distinct
+    values, in order, to its front; return how many there are.
+
+    Repeats are dropped a ``_CHUNK`` at a time, each chunk's first value
+    compared with the last value of the chunk before: no full-size mask
+    or copy is made.  (np.unique takes a hash-table path on integers that
+    is slower and holds memory outside numpy's allocator.)
+    """
+    keys.sort()
+    m = 0
+    last = None
+    for start in range(0, keys.size, _CHUNK):
+        chunk = keys[start:start + _CHUNK]
+        first = np.empty(chunk.size, dtype=bool)  # the first of its run of repeats
+        first[0] = last is None or chunk[0] != last
+        np.not_equal(chunk[1:], chunk[:-1], out=first[1:])
+        last = chunk[-1]
+        kept = chunk[first]  # a copy, taken before the write below can reach the chunk
+        keys[m:m + kept.size] = kept
+        m += kept.size
+    return m
+
+
 def _unique_edges(src: np.ndarray, dst: np.ndarray, rank: np.ndarray):
     """The distinct (src, dst) pairs in (rank[src], rank[dst]) order: the
     keys ``rank[src] * n + rank[dst]`` sorted and deduplicated in place
-    by ``ingest.sort_unique``, as the graph load does."""
+    by ``sort_unique``."""
     n = len(rank)
     keys = rank[src] * n + rank[dst]
     keys = keys[:sort_unique(keys)]

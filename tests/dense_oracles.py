@@ -107,11 +107,14 @@ def graph_from_edges(pairs: Iterable[tuple[str, str]],
     """The follower graph of the (follower, followee) name pairs, as
     ``load_graph`` builds it; ``overrides`` are follower counts."""
     ids: dict[str, int] = {}
-    packed = array("q")  # follower id << 32 | followee id, as load_graph packs them
+    followees: list[array] = []  # by id: each pair's followee id, as load_graph lists them
     for a, b in pairs:
-        i = ids.setdefault(a, len(ids))
-        packed.append(i << 32 | ids.setdefault(b, len(ids)))
-    return UserGraph.from_ids(list(ids), packed, overrides)[0]
+        for name in (a, b):
+            if name not in ids:
+                ids[name] = len(followees)
+                followees.append(array("I"))
+        followees[ids[a]].append(ids[b])
+    return UserGraph.from_ids(list(ids), followees, overrides)[0]
 
 
 def graph_from_adj(adj):

@@ -1,5 +1,7 @@
 """Command-line pipeline: exit codes, artifacts, determinism."""
 
+import errno
+import itertools
 import json
 import random
 import re
@@ -14,7 +16,7 @@ import pytest
 from dense_oracles import graph_from_edges
 from pipeline_helpers import (CLI_DATA, SCORE_FILES, child_env, hash_dir, pipeline_argvs, run,
                               run_pipeline)
-from veloscore import cli, ingest
+from veloscore import cli, core, ingest
 from veloscore.centrality import SCORERS, ScoreVector, ratio_score
 from veloscore.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
 from veloscore.evaluation import (UrlRecord, accumulate_scores, audience_correct,
@@ -177,6 +179,66 @@ class TestScore:
         first, extra = capsys.readouterr().out.splitlines()
         assert first == clean.rstrip("\n")
         assert extra == "graph: skipped 1 bad lines, 1 self-loops, 0 duplicate edges"
+
+
+    @pytest.mark.parametrize("case, code, message", [
+        ("epoch", EXIT_USAGE, "error: bad --epoch value"),
+        ("comment-only edges", EXIT_DATA,
+         "data error: cannot estimate damping on an empty graph"),
+        ("zero counts", EXIT_DATA, "data error: mean follower count is zero"),
+    ])
+    def test_unscorable_input_exits_with_one_line(self, dataset, tmp_path, capsys, case, code,
+                                                  message):
+        """A bad --epoch, a graph with no edge, and a graph whose follower
+        counts are all 0 each stop `score` with one line naming the fault,
+        before it writes a snapshot."""
+        edges, extra = dataset / "edges.tsv", []
+        if case == "epoch":
+            extra = ["--epoch", "nonsense"]
+        elif case == "comment-only edges":
+            edges = tmp_path / "edges.tsv"
+            edges.write_text("# follower\tfollowee\n# none yet\n")
+        else:
+            edges = tmp_path / "edges.tsv"
+            edges.write_text("a\tb\n")
+            counts = tmp_path / "counts.tsv"
+            counts.write_text("a\t0\nb\t0\n")
+            extra = ["--counts", counts]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("score", "--events", dataset / "events.ndjson", "--edges", edges,
+                   "--out", out, *extra) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("veloscore: " + message)
+        assert len(captured.err.splitlines()) == 1
+        assert not (out / "snapshots.tsv").exists()
+
+    @pytest.mark.parametrize("name", ["snapshots.tsv", "velocity_final.tsv"])
+    def test_interrupted_write_leaves_no_partial_file(self, dataset, tmp_path, monkeypatch,
+                                                      name):
+        """`score` writes each of its result files under a temporary name and
+        renames it into place, so a write that fails partway leaves neither
+        a truncated file for `trend` or `eval` to read nor the temporary one."""
+        def open_failing(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if Path(file).name == name + ".tmp":
+                write, calls = fh.write, itertools.count()
+
+                def failing_write(text):
+                    if next(calls) == 20:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    return write(text)
+
+                fh.write = failing_write
+            return fh
+
+        monkeypatch.setattr(core, "open", open_failing, raising=False)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="No space left"):
+            run(*score_args(dataset, out))
+        assert not (out / name).exists()
+        assert list(out.glob("*.tmp")) == []
 
 
 def test_every_graph_load_reports_skipped_edge_lines(dataset, tmp_path, capsys):

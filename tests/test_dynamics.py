@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -226,7 +227,7 @@ class TestInvariants:
     def test_non_negative_everywhere(self):
         g, buckets = random_fixture(1, hours=80)
         hist = replay_every_hour(buckets, KineticsConfig(zeta=0.3), g)
-        assert (hist.matrix >= 0).all()
+        assert all(v >= 0 for row in hist.matrix for v in row)
 
     def test_linear_decay_until_clamp(self):
         zeta = 1.0 / 64.0
@@ -534,14 +535,14 @@ class TestSnapshots:
 
 
 def test_velocity_replay_clamps():
-    indptr = np.array([0, 1, 1, 1], dtype=np.int64)
-    users = np.array([0], dtype=np.int64)
-    counts = np.array([2.0])
-    mass = np.array([1.0])
-    hist = kernels.velocity_replay(indptr, users, counts, mass, 1.5, 1, range(3))
-    assert hist[:, 0].tolist() == [0.5, 0.0, 0.0]
-    rows = kernels.velocity_replay(indptr, users, counts, mass, 1.5, 1, [0, 2])
-    assert rows[:, 0].tolist() == [0.5, 0.0]
+    indptr = array("q", [0, 1, 1, 1])
+    users = array("q", [0])
+    counts = array("d", [2.0])
+    mass = [1.0]
+    hist = kernels.velocity_replay(indptr, users, counts, mass, 1.5, range(3))
+    assert [row[0] for row in hist] == [0.5, 0.0, 0.0]
+    rows = kernels.velocity_replay(indptr, users, counts, mass, 1.5, [0, 2])
+    assert [row[0] for row in rows] == [0.5, 0.0]
 
 
 @st.composite
@@ -673,7 +674,7 @@ class TestCheckpointReplay:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert hist.matrix.shape == (8, users)
+        assert [len(row) for row in hist.matrix] == [users] * 8
         assert peak < hours * users * 8 / 4, f"replay peaked at {peak / 1e6:.1f} MB"
 
 

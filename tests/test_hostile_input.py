@@ -139,3 +139,16 @@ def test_hostile_records_counted_not_fatal():
     events = list(read_events([good, *hostile, good], stats))
     assert [ev.mentions for ev in events] == [["alice"], ["alice"]]
     assert (stats.records, stats.parse_errors) == (6, 4)
+
+
+@pytest.mark.parametrize("mentions", ["u0001", {"bob": 1}, 5], ids=["string", "object", "number"])
+def test_non_array_mentions_counted_not_fatal(mentions):
+    """A `mentions` field that is no array is a parse error: a string is not
+    read as its characters, an object not as its keys, a number raises no
+    TypeError."""
+    good = json.dumps({**VALID, "mentions": ["alice"]})
+    stats = IngestStats()
+    events = list(read_events([good, json.dumps({**VALID, "mentions": mentions}), good],
+                              stats))
+    assert [ev.mentions for ev in events] == [["alice"], ["alice"]]
+    assert (stats.records, stats.parse_errors) == (3, 1)

@@ -1,15 +1,16 @@
-"""numpy stays out of `trend` and `eval`; scipy and OpenSSL's hashlib stay out of every command.
+"""numpy stays out of `score`, `trend` and `eval`; scipy and OpenSSL's hashlib stay out of every command.
 
 `import veloscore` and `import veloscore.cli` load the standard library
 alone: the package exports its names lazily, the parser's choices and
 defaults live in `veloscore.core`, and each command imports the numpy
 modules it runs.  So `trend`, which ranks two checkpoint rows, never loads
 numpy (about 14.6 MB of the 31.4 MB a `trend` run peaked at while it did).
-Nor does `eval` once `score` has written the graph cache: the follower
-graph is held in `array('q')`s, the score vectors hold plain floats, and
-the quartiles and Pearson's r are computed in Python.  An `eval` into a
-fresh `--out`, with no graph cache to read, loads numpy to sort and dedupe
-the edges it parses (`UserGraph.from_ids`).
+Nor does `score`: its force table, damping estimate and replay live in
+`veloscore.core` and run in plain Python, and the follower graph is built
+and held in `array`s.  Nor does `eval`, with or without a graph cache to
+read: the score vectors hold plain floats, and the quartiles and
+Pearson's r are computed in Python.  Only `centrality`, `synth` and the
+streaming engine load numpy.
 `veloscore.dynamics` loads every module the benchmark's traced child wraps,
 as that child wraps only the functions of the modules loaded when it
 installs its tracer.
@@ -17,8 +18,7 @@ Importing scipy.special costs about half a second and 23 MB of RSS; `eval`'s
 p-values come from a pure-Python incomplete beta instead, and scipy is only
 a test oracle.  Importing hashlib loads OpenSSL (`_hashlib`), about 3.5 MB of
 RSS; the BLAKE2b of the stream digest and the graph cache comes from the
-built-in `_blake2` module instead.
-"""
+built-in `_blake2` module instead."""
 
 import json
 import shutil
@@ -124,16 +124,26 @@ def test_eval_run_leaves_scipy_and_hashlib_out(ranked, tmp_path):  # and numpy
     assert stdout.startswith("urls: ")
 
 
-def test_eval_into_a_fresh_out_loads_numpy_only(ranked, tmp_path):
-    """With no graph cache to read, `eval` parses the edge list, and
-    `UserGraph.from_ids` loads numpy to sort and dedupe the edges; it loads
-    neither scipy nor `_hashlib`, and leaves a graph cache for the next run."""
+def test_score_into_a_fresh_out_loads_no_numpy(scored, tmp_path):  # nor scipy nor _hashlib
+    """`score` parses the stream and the edge list, builds the follower
+    graph, estimates the damping and replays the stream, all without numpy."""
+    data, _ = scored
+    score_argv = pipeline_argvs(data, tmp_path / "out", commands=("score",))[0]
+    heavy, stdout = heavy_modules_run(score_argv, tmp_path)
+    assert heavy == []
+    assert stdout.startswith("tracked ")
+    assert (tmp_path / "out" / "snapshots.tsv").is_file()
+
+
+def test_eval_into_a_fresh_out_loads_no_numpy(ranked, tmp_path):  # nor scipy nor _hashlib
+    """With no graph cache to read, `eval` parses the edge list and builds
+    the follower graph in `array`s, and leaves a graph cache for the next run."""
     data, out = ranked
     fresh = shutil.copytree(out, tmp_path / "fresh")
     (fresh / GRAPH_CACHE_FILE).unlink()
     eval_argv = pipeline_argvs(data, fresh, commands=("eval",))[0]
     heavy, _ = heavy_modules_run(eval_argv, tmp_path)
-    assert {m.split(".")[0] for m in heavy} == {"numpy"}
+    assert heavy == []
     assert (fresh / GRAPH_CACHE_FILE).is_file()
 
 

@@ -403,21 +403,20 @@ class TestLoadGraph:
         assert (stats.bad_graph_lines, stats.self_loops_dropped,
                 stats.duplicate_edges) == counts
 
-    @given(edges=REPEATED_EDGES, loop_at=st.integers(0, 80), overrides=OVERRIDES,
-           chunk=st.integers(1, 5))
+    @given(edges=REPEATED_EDGES, loop_at=st.integers(0, 80), overrides=OVERRIDES)
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_reference_across_chunks(self, tmp_path, edges, loop_at, overrides, chunk):
-        """With chunks of a few keys, repeats straddle chunk boundaries; a
-        name seen only on a self-loop line is no user unless overridden."""
+    def test_matches_reference_with_repeats_and_overrides(self, tmp_path, edges, loop_at,
+                                                          overrides):
+        """Repeated edges are kept once and counted as duplicates; a name
+        seen only on a self-loop line is no user unless overridden."""
         lines = [f"{a}\t{b}" for a, b in edges]
         lines.insert(loop_at, "solo\t@Solo")
         edge_path = self.write(tmp_path, "\n".join(lines) + "\n")
         counts_path = self.write(tmp_path, "".join(f"{u}\t{c}\n" for u, c in overrides.items()),
                                  "counts.tsv")
         stats = IngestStats()
-        with mock.patch.object(ingest, "_CHUNK", chunk):
-            g = load_graph(edge_path, counts_path, stats)
+        g = load_graph(edge_path, counts_path, stats)
         pairs, counts = reference_edge_list(lines)
         assert g.users == sorted({u for pair in pairs for u in pair} | overrides.keys())
         assert [(g.users[k // g.n], g.users[k % g.n]) for k in g.edge_keys] == sorted(pairs)

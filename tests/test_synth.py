@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from pipeline_helpers import read_report, run_pipeline
 from veloscore.evaluation import build_url_datasets, read_clicks
 from veloscore.ingest import (IngestStats, StreamDigest, bucketize, load_graph, parse_timestamp,
                               read_events_file)
+from veloscore import synth
 from veloscore.synth import (Burst, SynthConfig, _follow_draws, _indented_json, bresenham_block,
-                             generate)
+                             generate, sort_unique)
 
 SMALL = dict(users=60, hours=336, follows_per_user=6, url_count=40,
              base_mention_rate=0.08)
@@ -134,6 +136,17 @@ def test_bresenham_block_matches_floor_reference(block_rates, span):
         assert row == [math.floor((h + 1) * r) - math.floor(h * r) for h in range(span)]
         assert sum(row) == math.floor(span * r)
 
+
+
+@given(keys=st.lists(st.integers(0, 6), max_size=40), chunk=st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_sort_unique_matches_set_across_chunks(keys, chunk):
+    """With chunks of a few keys, runs of repeats straddle chunk boundaries;
+    each value is still kept once, in order, at the front of the array."""
+    arr = np.array(keys, dtype=np.int64)
+    with mock.patch.object(synth, "_CHUNK", chunk):
+        m = sort_unique(arr)
+    assert arr[:m].tolist() == sorted(set(keys))
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
