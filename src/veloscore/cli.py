@@ -97,8 +97,7 @@ def _write_run_config(out_dir: Path, args: argparse.Namespace, extra: dict) -> N
     skip = {"func", "config"}
     resolved = {k: v for k, v in vars(args).items() if k not in skip}
     resolved.update(extra)
-    with open(out_dir / RUN_CONFIG_TEMPLATE.format(args.command), "w",
-              encoding="utf-8") as fh:
+    with replacing(out_dir / RUN_CONFIG_TEMPLATE.format(args.command), encoding="utf-8") as fh:
         for k in sorted(resolved):
             fh.write(f"{k} = {resolved[k]}\n")
 
@@ -350,7 +349,7 @@ def cmd_trend(args) -> int:
     except ValueError as exc:
         raise CliError(f"{exc}; run `veloscore score` over a stream covering week {args.week}") \
             from exc
-    with open(out_dir / TRENDING_FILE, "w", encoding="utf-8") as fh:
+    with replacing(out_dir / TRENDING_FILE, encoding="utf-8") as fh:
         fh.write("window\tuser\tacceleration\trelative_increase\n")
         for e in entries:
             fh.write(f"{e.window}\t{e.user}\t{e.acceleration:.12g}\t{e.relative_increase:.12g}\n")

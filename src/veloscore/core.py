@@ -22,8 +22,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
-from operator import ne
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -352,27 +351,29 @@ def write_snapshots(path, history: VelocityHistory, hours: Sequence[int]) -> Non
                 fh.write(f"{h}\t{u}\t{v!r}\t{v - before[u]!r}\n")
 
 
-# characters of snapshots.tsv checked at a time: the ``readlines`` hint
-_SNAPSHOT_BLOCK = 1 << 14
-
-
 def load_snapshots(path) -> VelocityHistory:
     """The checkpoints of a ``write_snapshots`` file, one row per hour and
     users sorted.  Every line is checked, whichever hours are read later:
-    the hour and the velocity must be >= 0, as ``score`` writes them; a
-    user an hour does not list reads as velocity 0 at that hour.
-
-    Lines are checked a block at a time, a column at a time.  A file that
-    fails a check is read again a line at a time, which raises the
-    DataFileError that names the first bad line.
+    the hour and the velocity must be >= 0, as ``score`` writes them, and
+    no hour may list a user twice.  The first line that fails raises a
+    DataFileError naming it.  A user an hour does not list reads as
+    velocity 0 at that hour.
     """
-    try:
-        rows = _snapshot_blocks(path)
-    except ValueError:
-        rows = None
-    if rows is None:
-        rows = _snapshot_lines(path)
-    users = sorted(set().union(*(listed for listed, _ in rows.values())))
+    rows: dict[int, tuple[list[str], array]] = {}
+    names: dict[str, str] = {}  # one str per user across hours
+    hour = None
+    for lineno, (h, user, v) in table_rows(path, _snapshot_line):
+        if h != hour:  # a run of lines of one hour starts, maybe an hour seen before
+            hour = h
+            listed, velocities = rows.setdefault(h, ([], array("d")))
+            seen = set(listed)
+        if user in seen:
+            raise DataFileError(path, lineno, f"user {user!r} is listed again at hour {h}")
+        user = names.setdefault(user, user)
+        seen.add(user)
+        listed.append(user)
+        velocities.append(v)
+    users = sorted(names)
     hours = sorted(rows)
     matrix = []
     for h in hours:
@@ -381,43 +382,6 @@ def load_snapshots(path) -> VelocityHistory:
             velocities = array("d", map(dict(zip(listed, velocities)).get, users, repeat(0.0)))
         matrix.append(velocities)
     return VelocityHistory(users, matrix, hours)
-
-
-def _snapshot_blocks(path) -> Optional[dict[int, tuple[list[str], array]]]:
-    """Each hour of the snapshot file ``path`` with its users, in file
-    order, and their velocities in one ``array('d')``, every hour sharing
-    one str per user; None if a line fails a check of ``_snapshot_line``
-    or holds bytes that are not UTF-8.  Raises ValueError for a value that
-    does not parse."""
-    rows: dict[int, tuple[list[str], array]] = {}
-    names: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        while block := fh.readlines(_SNAPSHOT_BLOCK):
-            lines = [line for line in map(str.strip, block) if line]
-            if not lines:
-                continue
-            text = "\t".join(lines)
-            if (set(map(str.count, lines, repeat("\t"))) != {3}
-                    or not text.isascii() and SURROGATE_RE.search(text)):
-                return None
-            fields = text.split("\t")
-            hours = list(map(int, fields[0::4]))
-            velocities = array("d", map(float, fields[2::4]))
-            if not (all(map(math.isfinite, velocities))
-                    and all(map(math.isfinite, map(float, fields[3::4])))
-                    and min(hours) >= 0 and min(velocities) >= 0):
-                return None
-            users = fields[1::4]
-            # the runs of lines of one hour
-            cuts = [0, *compress(range(1, len(hours)), map(ne, hours, islice(hours, 1, None))),
-                    len(hours)]
-            for lo, hi in zip(cuts, islice(cuts, 1, None)):
-                listed, row = rows.setdefault(hours[lo], ([], array("d")))
-                listed.extend(map(names.setdefault, users[lo:hi], users[lo:hi]))
-                row.extend(velocities[lo:hi])
-    if any(len(set(listed)) != len(listed) for listed, _ in rows.values()):
-        return None  # a user listed again at an hour
-    return rows
 
 
 def _snapshot_line(line: str) -> tuple[int, str, float]:
@@ -430,18 +394,6 @@ def _snapshot_line(line: str) -> tuple[int, str, float]:
     if v < 0:
         raise ValueError(f"velocity {v_s} is negative")
     return h, user, v
-
-
-def _snapshot_lines(path) -> dict[int, tuple[list[str], array]]:
-    """``_snapshot_blocks``'s rows of ``path``, read a line at a time by
-    ``table_rows``: a line that fails a check raises a DataFileError naming it."""
-    rows: dict[int, dict[str, float]] = {}
-    for lineno, (h, user, v) in table_rows(path, _snapshot_line):
-        row = rows.setdefault(h, {})
-        if user in row:
-            raise DataFileError(path, lineno, f"user {user!r} is listed again at hour {h}")
-        row[user] = v
-    return {h: (list(row), array("d", row.values())) for h, row in rows.items()}
 
 
 @dataclass
@@ -469,8 +421,9 @@ class ScoreVector:
             yield u, self.get(u)
 
     def write_tsv(self, path) -> None:
-        """user<TAB>score lines, lexicographic user order, 12 significant digits."""
-        with open(path, "w", encoding="utf-8") as fh:
+        """user<TAB>score lines, lexicographic user order, 12 significant
+        digits; the file is replaced whole (``replacing``)."""
+        with replacing(path, encoding="utf-8") as fh:
             for u, s in self.items():
                 fh.write(f"{u}\t{s:.12g}\n")
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .core import AUDIENCE, WEEK_HOURS, DataFileError, table_rows, week_end_hour
+from .core import AUDIENCE, WEEK_HOURS, DataFileError, replacing, table_rows, week_end_hour
 from .ingest import StreamDigest, floor_to_hour, hours_since
 
 @dataclass(frozen=True)
@@ -228,12 +228,10 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
 
 
 def _p_from_r(r: float, n: int) -> float:
-    """Two-tailed p of Pearson's r on n points: the Student-t tail at
-    df = n - 2, which is I_{1 - r^2}(df / 2, 1 / 2).  Against scipy's
-    Student-t tail the relative error is at most 1e-9 where p >= 1e-290, and
-    the absolute error at most 1e-290 below (tests/test_evaluation.py)."""
-    if n <= 2:
-        raise ValueError("significance needs n > 2")
+    """Two-tailed p of Pearson's r on n > 2 points (both callers check n): the
+    Student-t tail at df = n - 2, which is I_{1 - r^2}(df / 2, 1 / 2).  Against
+    scipy's Student-t tail the relative error is at most 1e-9 where p >= 1e-290,
+    and the absolute error at most 1e-290 below (tests/test_evaluation.py)."""
     r2 = r * r
     return _betainc((n - 2) / 2.0, 0.5, 1.0 - r2, r2)
 
@@ -448,7 +446,7 @@ def run_full_evaluation(
 
 def write_report_tsv(path, sections: Sequence[EvalSection]) -> None:
     """Machine-readable rows: section, score, r, r^2, p, n."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         fh.write("section\tscore\tr\tr_squared\tp_value\tn\n")
         for sec in sections:
             for row in sec.rows:
@@ -459,7 +457,7 @@ def write_report_tsv(path, sections: Sequence[EvalSection]) -> None:
 
 
 def write_weekly_detail_tsv(path, sections: Sequence[EvalSection]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         fh.write("score\tweek\tr\tn\n")
         for sec in sections:
             for row in sec.rows:
@@ -477,7 +475,7 @@ def write_report_text(path, sections: Sequence[EvalSection]) -> None:
         "corrected_global": "Scores vs clicks, global dataset (audience-corrected)",
         "corrected_weekly": "Scores vs clicks, weekly dataset (audience-corrected, Fisher-averaged)",
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         for sec in sections:
             fh.write(f"{titles.get(sec.section, sec.section)}\n")
             fh.write(f"{'score':<24}{'r':>12}{'r^2':>12}{'p':>14}{'n':>8}\n")

@@ -143,6 +143,12 @@ class TestTunkrank:
         assert sv.values == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("scorer", [pagerank, tunkrank])
+def test_graph_without_users_rejected(scorer):
+    with pytest.raises(ValueError, match=f"{scorer.__name__} needs a non-empty graph"):
+        scorer(UserGraph([], array("q"), array("q")))
+
+
 class TestInfluencePassivity:
     def test_single_edge_total_acceptance(self):
         rg = rg_from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]),

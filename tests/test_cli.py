@@ -214,31 +214,54 @@ class TestScore:
         assert len(captured.err.splitlines()) == 1
         assert not (out / "snapshots.tsv").exists()
 
-    @pytest.mark.parametrize("name", ["snapshots.tsv", "velocity_final.tsv"])
+    # an output of each command, the command, and the write call that fails
+    INTERRUPTED = {"snapshots.tsv": ("score", 20), "velocity_final.tsv": ("score", 20),
+                   "pagerank.tsv": ("centrality", 20), "trending.tsv": ("trend", 1),
+                   "report.tsv": ("eval", 1)}
+
+    @pytest.mark.parametrize("name", list(INTERRUPTED))
     def test_interrupted_write_leaves_no_partial_file(self, dataset, tmp_path, monkeypatch,
                                                       name):
-        """`score` writes each of its result files under a temporary name and
-        renames it into place, so a write that fails partway leaves neither
-        a truncated file for `trend` or `eval` to read nor the temporary one."""
+        """Every command writes each of its result files under a temporary
+        name and renames it into place, so a write that fails partway leaves
+        neither a truncated file for the next command to read nor the
+        temporary one."""
+        command, failing_call = self.INTERRUPTED[name]
+
         def open_failing(file, *args, **kwargs):
             fh = open(file, *args, **kwargs)
             if Path(file).name == name + ".tmp":
                 write, calls = fh.write, itertools.count()
 
                 def failing_write(text):
-                    if next(calls) == 20:
+                    if next(calls) == failing_call:
                         raise OSError(errno.ENOSPC, "No space left on device")
                     return write(text)
 
                 fh.write = failing_write
             return fh
 
+        out = tmp_path / "out"  # holds what the command reads
+        run_pipeline(dataset, out, commands={"trend": ("score",),
+                                             "eval": ("score", "centrality")}.get(command, ()))
+        argv = (("trend", "--out", out, "--week", "1") if command == "trend"
+                else pipeline_argvs(dataset, out, commands=(command,))[0])
         monkeypatch.setattr(core, "open", open_failing, raising=False)
-        out = tmp_path / "out"
         with pytest.raises(OSError, match="No space left"):
-            run(*score_args(dataset, out))
+            run(*argv)
         assert not (out / name).exists()
         assert list(out.glob("*.tmp")) == []
+
+
+def test_clean_pipeline_leaves_no_temporary_file(dataset, tmp_path):
+    """Every command renames each temporary file it writes into place, so
+    a run that succeeds leaves none of them under --out."""
+    out = run_pipeline(dataset, tmp_path / "out", commands=("score", "centrality"))
+    assert run("trend", "--out", out, "--week", "1") == EXIT_OK
+    run_pipeline(dataset, out, commands=("eval",))
+    written = {p.name for p in out.iterdir()}
+    assert {"snapshots.tsv", "trending.tsv", "report.tsv", *SCORE_FILES} <= written
+    assert [name for name in written if name.endswith(".tmp")] == []
 
 
 def test_every_graph_load_reports_skipped_edge_lines(dataset, tmp_path, capsys):
@@ -409,6 +432,19 @@ class TestCentrality:
         for line in (out / "followers.tsv").read_text().splitlines():
             u, s = line.split("\t")
             assert float(s) == graph.followers_of(u)
+
+    def test_graph_of_only_comments_exits_data(self, dataset, tmp_path, capsys):
+        """An edge list with no edge gives no user to score: one line, and
+        no score file."""
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("# follower\tfollowee\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("centrality", "--edges", edges, "--events", dataset / "events.ndjson",
+                   "--out", out) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "veloscore: data error: graph is empty\n")
+        assert list(out.glob("*.tsv")) == []
 
     @pytest.mark.parametrize("flags, what", [
         ((), "--events is required"),

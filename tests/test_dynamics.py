@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 from array import array
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from dense_oracles import (graph_from_edges, reference_load_snapshots, reference_rank_trending,
                            velocity_oracle)
-from veloscore import core, kernels
+from veloscore import kernels
 from veloscore.core import DataFileError
 from veloscore.dynamics import (
     FORCE_SOURCES,
@@ -435,26 +434,32 @@ def snapshot_outcome(load, path):
 class TestSnapshots:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(content=snapshot_files, data=st.data())
-    @example(content=b"1\ta\t0.5\t0.0\n0\tb\t1.0\t0.0\n1\tb\t-0.0\t0.0\n0\ta\t2\t0\n", data=None)
-    @example(content=b"0\ta\t0.5\t0.0\r\n\r0\tb\t1\t0\r0\ta\t2\t0\n", data=None)
-    def test_block_loader_agrees_with_the_line_loop(self, tmp_path, content, data):
-        """The block loader gives the history, or the `file:line: message`,
-        of the line loop, at any block size from 1 character to the file."""
+    @given(content=snapshot_files)
+    @example(content=b"1\ta\t0.5\t0.0\n0\tb\t1.0\t0.0\n1\tb\t-0.0\t0.0\n0\ta\t2\t0\n")
+    @example(content=b"0\ta\t0.5\t0.0\r\n\r0\tb\t1\t0\r0\ta\t2\t0\n")
+    @example(content=b"0\ta\t0.5\t0.0\n1\tb\t1.0\t0.0\n0\ta\t2\t0\n")
+    def test_loader_agrees_with_the_reference(self, tmp_path, content):
+        """The loader gives the history, or the `file:line: message`, of the
+        reference's one {user: velocity} dict per hour."""
         path = tmp_path / "snapshots.tsv"
         path.write_bytes(content)
-        want = snapshot_outcome(reference_load_snapshots, path)
-        hints = [data.draw(st.integers(1, len(content) + 1), label="hint")] if data \
-            else range(1, len(content) + 2)
-        for hint in hints:
-            with mock.patch.object(core, "_SNAPSHOT_BLOCK", hint):
-                assert snapshot_outcome(load_snapshots, path) == want
+        assert snapshot_outcome(load_snapshots, path) == \
+            snapshot_outcome(reference_load_snapshots, path)
+
+    def test_user_listed_again_in_a_later_run_of_its_hour(self, tmp_path):
+        """A user is checked against every line of its hour, not only the
+        lines since the hour last started."""
+        path = tmp_path / "snapshots.tsv"
+        path.write_text("0\ta\t0.5\t0.0\n1\tb\t1.0\t0.0\n0\ta\t2\t0\n")
+        with pytest.raises(DataFileError) as raised:
+            load_snapshots(path)
+        assert str(raised.value) == f"{path}:3: user 'a' is listed again at hour 0"
 
     def test_load_memory_per_line_bounded(self, tmp_path):
         """A checkpoint costs an 8-byte velocity and an 8-byte user pointer,
-        with one str per user, and the block being checked.  On these 25,000
-        lines a load into per-hour dicts of per-line floats and strs peaked
-        at 116 B a line under tracemalloc."""
+        with one str per user, and the set of the users of the hour being
+        read.  On these 25,000 lines a load into per-hour dicts of per-line
+        floats and strs peaked at 116 B a line under tracemalloc."""
         rng = random.Random(12)
         users = [f"u{i:05d}" for i in range(2500)]
         path = tmp_path / "snapshots.tsv"

@@ -486,6 +486,15 @@ class TestPearson:
         with pytest.raises(ValueError, match="overflow"):
             pearson([1.7e308, 1.5e308, -1.7e308], [3.0, 1.0, 2.0])
 
+    def test_deviation_past_the_float_range_rejected(self):
+        # the sum of the values fits, but one value's distance from the mean does not
+        with pytest.raises(ValueError, match="sums of squares overflow"):
+            pearson([1.7e308, -1.7e308, 1.7e308], [3.0, 1.0, 2.0])
+
+    def test_series_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="series lengths differ"):
+            pearson([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0])
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=3,
                     max_size=30),
@@ -552,6 +561,10 @@ class TestAverageWeeklyR:
         assert mean_r == pytest.approx(expected, abs=1e-15)
         assert n_eff == 349
         assert 0.0 <= p <= 1.0
+
+    def test_no_weeks_rejected(self):
+        with pytest.raises(ValueError, match="no weekly coefficients to average"):
+            average_weekly_r([])
 
     def test_unit_r_error_names_week(self):
         with pytest.raises(ValueError, match="week 1"):

@@ -218,6 +218,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(hours=0)
 
+    @pytest.mark.parametrize("name", ["users", "hours"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_size_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("cross_week_url_fraction", -0.5, "cross_week_url_fraction must be in"),
+        ("graph_model", "random", "graph_model must be preferential or uniform"),
+    ])
+    def test_bad_choice_named(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(**{name: value})
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(celebrity_fraction=1.5)
